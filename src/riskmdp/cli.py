@@ -134,6 +134,34 @@ def _seed_for(args, task: dict) -> int:
     return int(task.get("seed", 0))
 
 
+_REQUIRED = object()
+
+
+def _task_field(task: dict, key: str, kind: type, default=_REQUIRED):
+    """One task parameter, checked: ``int`` >= 1, finite ``float`` > 0 or ``bool``.
+
+    An absent or null key takes ``default``, or is reported as missing.
+    A value of the wrong type or range raises a located ModelFileError
+    instead of being coerced.
+    """
+    value = task.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ModelFileError([f"task.{key} is missing"])
+        return default
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is bool:
+        ok, want = isinstance(value, bool), "a JSON boolean"
+    elif kind is int:
+        integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        ok, want = number and integral and value >= 1, "an integer >= 1"
+    else:
+        ok, want = number and 0 < value <= sys.float_info.max, "a finite number > 0"
+    if not ok:
+        raise ModelFileError([f"task.{key}: expected {want}, got {value!r}"])
+    return kind(value)
+
+
 def _single_risk(risk):
     if risk is None:
         raise ModelFileError(["risk section is missing"])
@@ -150,7 +178,7 @@ def _need_bounds(sections):
 
 def _run_solve_finite(args, sections) -> int:
     model, task = sections["model"], sections["task"]
-    horizon = int(task["horizon"])
+    horizon = _task_field(task, "horizon", int)
     risk = sections["risk"]
     if risk is None:
         raise ModelFileError(["risk section is missing"])
@@ -170,9 +198,9 @@ def _run_solve_infinite(args, sections) -> int:
     model, task = sections["model"], sections["task"]
     spec = _need_bounds(sections)
     risk = _single_risk(sections["risk"])
-    tol = float(task["tol"])
-    max_iter = task.get("max_iter")
-    result = solve_infinite(model, risk, spec, tol, None if max_iter is None else int(max_iter))
+    tol = _task_field(task, "tol", float)
+    max_iter = _task_field(task, "max_iter", int, None)
+    result = solve_infinite(model, risk, spec, tol, max_iter)
     _write_table(
         args,
         "values",
@@ -243,9 +271,9 @@ def _run_robust_check(args, sections) -> int:
     report = verify_equivalence(
         model,
         risk,
-        int(task["horizon"]),
-        float(task.get("tol", 1e-10)),
-        enumerate_policies=bool(task.get("enumerate", True)),
+        _task_field(task, "horizon", int),
+        _task_field(task, "tol", float, 1e-10),
+        enumerate_policies=_task_field(task, "enumerate", bool, True),
     )
     _write_report(args, {"task": "robust-check", "report": report.to_dict()})
     _say(args, f"robust equivalence {'PASS' if report.passed else 'FAIL'} "

@@ -500,8 +500,10 @@ def bellman_T(model: MdpModel, risk: RiskMeasure, v) -> tuple[ValueFunction, tup
     xs, acts, succ, cost, probs = model._sweep
     if succ.size < BATCH_MIN_OUTCOMES:
         return _bellman_T_pairwise(model, risk, _values_of(v))
-    rows = cost + model.discount * np.asarray(_values_of(v), dtype=float)[succ]
-    vals = _risk_values_of_rows(risk, rows, probs)
+    # overflowing stage values give inf or NaN, as in the pairwise route
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = cost + model.discount * np.asarray(_values_of(v), dtype=float)[succ]
+        vals = _risk_values_of_rows(risk, rows, probs)
     table = np.full((model.n_states, model.transition.shape[1]), math.inf)
     # NaN never wins a comparison in the pairwise route
     table[xs, acts] = np.where(np.isnan(vals), math.inf, vals)
@@ -616,7 +618,8 @@ def verify_bounds(
     lb_x, ub_x = lb[xs], ub[xs]
 
     def rho(rows: np.ndarray) -> np.ndarray:
-        return _risk_values_of_rows(risk, rows, probs)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in bellman_T
+            return _risk_values_of_rows(risk, rows, probs)
 
     # (inequality, violated per pair, lhs, rhs), in the order they are reported
     checks = []

@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Iterator, Sequence
 
-from .errors import NotCoherent, TooLargeForEnumeration
+from .errors import NotCoherent, RiskMdpError, TooLargeForEnumeration
 from .mdp_core import MdpModel, Policy, ValueFunction
 from .risk_measures import (
     Expectation,
@@ -65,7 +66,8 @@ class DualSet:
     are capped by p_z / (1 - level), for spectral members they average
     the spectrum over rank intervals, and mixtures mix. The maximizer is
     comonotone with the values, so the sup is computed greedily after a
-    stable sort.
+    stable sort; for fixed probabilities the density depends on the values
+    only through that order, which the dual route's stage tables reuse.
     """
 
     risk: RiskMeasure
@@ -106,16 +108,44 @@ def dual_set(risk: RiskMeasure) -> DualSet:
     return DualSet(risk)
 
 
-def _adversary_stage_value(
-    model: MdpModel, ds: DualSet, cont: Sequence[float], x: int, a: int
-) -> float:
+def _adversary_table(model: MdpModel, ds: DualSet, cont: Sequence[float], actions=None) -> list[list[float]]:
+    """Nature's sup at every pair (x, a) against the continuation ``cont``.
+
+    Row x holds one value per action of ``actions[x]`` (default: the
+    admissible actions), in that order. Each value is bit-identical to
+    ``ds.sup`` of the pair's stage values. The probabilities are shared by
+    every pair, so the maximizing density depends only on the sort order
+    of the values; it is computed once per order within the call.
+    """
     beta = model.discount
     trans, costs = model.rows
-    row_t = trans[x][a]
-    row_c = costs[x][a]
-    values = [row_c[z] + beta * cont[row_t[z]] for z in model.z_indices]
-    value, _ = ds.sup(values, model.disturbance.probs)
-    return value
+    zs = model.z_indices
+    probs = model.disturbance.probs
+    ranks = range(len(zs))
+    densities: dict[tuple[int, ...], list[float]] = {}
+    table = []
+    for x, acts in enumerate(model.admissible if actions is None else actions):
+        row = []
+        for a in acts:
+            row_t, row_c = trans[x][a], costs[x][a]
+            values = [row_c[z] + beta * cont[row_t[z]] for z in zs]
+            order = tuple(sorted(ranks, key=values.__getitem__))
+            q = densities.get(order)
+            if q is None:
+                q_sorted = _dual_density_sorted(ds.risk, [probs[i] for i in order])
+                q = densities[order] = [q_sorted[order.index(i)] for i in ranks]
+            row.append(math.fsum(map(mul, values, q)))
+        table.append(row)
+    return table
+
+
+def _first_min(values: Sequence[float], labels: Sequence) -> tuple[float, object]:
+    """First strict minimum scanned from +inf, with its label (-1 if none beats +inf)."""
+    best, best_label = math.inf, -1
+    for val, label in zip(values, labels):
+        if val < best:
+            best, best_label = val, label
+    return best, best_label
 
 
 def nature_best_response(model: MdpModel, ds: DualSet, policy: Policy, horizon: int) -> ValueFunction:
@@ -128,10 +158,7 @@ def nature_best_response(model: MdpModel, ds: DualSet, policy: Policy, horizon: 
     rules = _feasible_rules([model] * horizon, policy, horizon)
     w = list(model.terminal_cost)
     for n in range(horizon - 1, -1, -1):
-        w = [
-            _adversary_stage_value(model, ds, w, x, rules[n][x])
-            for x in range(model.n_states)
-        ]
+        w = [row[0] for row in _adversary_table(model, ds, w, [(a,) for a in rules[n]])]
     return ValueFunction(tuple(w))
 
 
@@ -143,15 +170,7 @@ def robust_game_value(model: MdpModel, ds: DualSet, horizon: int) -> ValueFuncti
     """
     g = list(model.terminal_cost)
     for _ in range(horizon):
-        nxt = []
-        for x in range(model.n_states):
-            best = math.inf
-            for a in model.admissible[x]:
-                val = _adversary_stage_value(model, ds, g, x, a)
-                if val < best:
-                    best = val
-            nxt.append(best)
-        g = nxt
+        g = [_first_min(row, row)[0] for row in _adversary_table(model, ds, g)]
     return ValueFunction(tuple(g))
 
 
@@ -175,14 +194,7 @@ def robust_value_iteration(
     residual = math.inf
     bound = math.inf
     while iterations < max_iter:
-        nxt = []
-        for x in range(model.n_states):
-            best = math.inf
-            for a in model.admissible[x]:
-                val = _adversary_stage_value(model, ds, v, x, a)
-                if val < best:
-                    best = val
-            nxt.append(best)
+        nxt = [_first_min(row, row)[0] for row in _adversary_table(model, ds, v)]
         residual = weighted_norm(nxt, v, weight)
         bound = rate * residual
         trace.append((residual, bound))
@@ -191,16 +203,8 @@ def robust_value_iteration(
         if bound <= tol:
             converged = True
             break
-    actions = []
-    for x in range(model.n_states):
-        best = math.inf
-        best_a = -1
-        for a in model.admissible[x]:
-            val = _adversary_stage_value(model, ds, v, x, a)
-            if val < best:
-                best = val
-                best_a = a
-        actions.append(best_a)
+    table = _adversary_table(model, ds, v)
+    actions = [_first_min(row, acts)[1] for row, acts in zip(table, model.admissible)]
     return InfiniteSolveResult(
         value=ValueFunction(tuple(v)),
         policy=Policy(stages=(tuple(actions),), stationary=True),
@@ -214,17 +218,58 @@ def robust_value_iteration(
 
 
 def count_markov_policies(model: MdpModel, horizon: int) -> int:
-    per_stage = 1
-    for x in range(model.n_states):
-        per_stage *= len(model.admissible[x])
-    return per_stage**horizon
+    return math.prod(len(acts) for acts in model.admissible) ** horizon
 
 
 def enumerate_markov_policies(model: MdpModel, horizon: int) -> Iterator[Policy]:
     """All Markov policies, rules varying fastest in the last stage."""
-    rules = list(product(*(model.admissible[x] for x in range(model.n_states))))
+    rules = list(product(*model.admissible))
     for stages in product(rules, repeat=horizon):
         yield Policy(stages=tuple(stages), stationary=False)
+
+
+def _enumerated_minimum(model: MdpModel, ds: DualSet, horizon: int) -> tuple[float, ...]:
+    """Componentwise minimum of nature's best response over all Markov policies.
+
+    Nature's response at stage n depends only on the rules from n on, so
+    the policy tree is walked depth first from the last stage with one
+    adversary table per distinct suffix. The minimum keeps the first
+    minimizer in ``enumerate_markov_policies`` order, as a scan with a
+    strict ``<`` over every policy would; each state's value is then read
+    from ``nature_best_response`` on its minimizing policy.
+    """
+    rules = list(product(*model.admissible))
+    positions = list(product(*(range(len(acts)) for acts in model.admissible)))
+    # per state and action position: the first minimum over the suffixes,
+    # each kept as its rule indices for stages 1..N-1; tuples of indices
+    # order like the enumeration
+    best = [[(math.inf, ())] * len(acts) for acts in model.admissible]
+
+    def descend(n: int, cont: list[float], suffix: tuple[int, ...]) -> None:
+        table = _adversary_table(model, ds, cont)
+        if n > 0:
+            for r, pos in enumerate(positions):
+                descend(n - 1, [row[j] for row, j in zip(table, pos)], (r, *suffix))
+            return
+        for row, cell in zip(table, best):
+            for j, val in enumerate(row):
+                if not math.isfinite(val):  # as nature_best_response would reject it
+                    raise RiskMdpError(f"non-finite value {val!r}")
+                if val < cell[j][0] or (val == cell[j][0] and suffix < cell[j][1]):
+                    cell[j] = (val, suffix)
+
+    descend(horizon - 1, list(model.terminal_cost), ())
+    first_rule = [acts[0] for acts in model.admissible]
+    responses: dict[tuple, ValueFunction] = {}
+    out = []
+    for x, cell in enumerate(best):
+        _, j = _first_min([b for b, _ in cell], range(len(cell)))
+        stage0 = tuple(first_rule[:x] + [model.admissible[x][j]] + first_rule[x + 1 :])
+        stages = (stage0, *(rules[r] for r in cell[j][1]))
+        if stages not in responses:
+            responses[stages] = nature_best_response(model, ds, Policy(stages=stages), horizon)
+        out.append(responses[stages][x])
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -272,7 +317,10 @@ def verify_equivalence(
     enumeration is requested and the policy count stays within ``cutoff``,
     the componentwise minimum over all Markov policies of nature's best
     response must agree as well, which is the inf-sup identity verified
-    literally.
+    literally. The search costs one dual sup per admissible pair per
+    distinct policy suffix (rules 1..N-1), not per policy; each state's
+    minimizing policy is then re-evaluated by ``nature_best_response``,
+    and that value is the one reported.
     """
     if not is_coherent(risk):
         raise NotCoherent(f"{describe(risk)} is not coherent")
@@ -290,13 +338,7 @@ def verify_equivalence(
             raise TooLargeForEnumeration(
                 f"{n_policies} Markov policies exceed the cutoff {cutoff}"
             )
-        best = [math.inf] * model.n_states
-        for policy in enumerate_markov_policies(model, horizon):
-            w = nature_best_response(model, ds, policy, horizon)
-            for x in range(model.n_states):
-                if w[x] < best[x]:
-                    best[x] = w[x]
-        enum_vals = tuple(best)
+        enum_vals = _enumerated_minimum(model, ds, horizon)
         diff_enum = max(
             max(abs(e - p) for e, p in zip(enum_vals, primal)),
             max(abs(e - r) for e, r in zip(enum_vals, robust)),

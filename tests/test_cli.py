@@ -300,3 +300,63 @@ def test_bounds_round_trip():
     from riskmdp.model_io import parse_bounds
 
     assert parse_bounds(bounds_to_obj(spec)) == spec
+
+
+# The README's model file; each case below replaces its task section.
+README_MODEL = {
+    "model": {
+        "n_states": 2,
+        "n_actions": 2,
+        "admissible": [[0, 1], [0]],
+        "disturbance": {"indices": [0, 1], "probs": [0.5, 0.5], "n_outcomes": 2},
+        "transition": [[[0, 1], [1, 1]], [[0, 0], None]],
+        "cost": [[[1.0, 2.0], [0.5, 0.5]], [[0.0, 0.0], None]],
+        "terminal_cost": [0.0, 0.0],
+        "discount": 0.9,
+        "state_labels": [0.0, 1.0],
+    },
+    "risk": {"kind": "expected_shortfall", "level": 0.9},
+    "bounds": {"lb": [-2.5, -2.5], "ub": [2.5, 2.5], "eps_split": [0.5, 0.5], "alpha": 1.0, "mode": "coherent"},
+}
+
+
+@pytest.mark.parametrize(
+    "task, located",
+    [
+        ({"type": "robust-check"}, "task.horizon is missing"),
+        ({"type": "robust-check", "horizon": "two"}, "task.horizon: expected an integer >= 1"),
+        ({"type": "robust-check", "horizon": 2.7}, "task.horizon: expected an integer >= 1"),
+        ({"type": "robust-check", "horizon": 0}, "task.horizon: expected an integer >= 1"),
+        ({"type": "robust-check", "horizon": True}, "task.horizon: expected an integer >= 1"),
+        ({"type": "robust-check", "horizon": 2, "tol": "x"}, "task.tol: expected a finite number > 0"),
+        ({"type": "robust-check", "horizon": 2, "tol": 0.0}, "task.tol: expected a finite number > 0"),
+        ({"type": "robust-check", "horizon": 2, "enumerate": "no"}, "task.enumerate: expected a JSON boolean"),
+        ({"type": "robust-check", "horizon": 2, "enumerate": 0}, "task.enumerate: expected a JSON boolean"),
+        ({"type": "solve-finite"}, "task.horizon is missing"),
+        ({"type": "solve-finite", "horizon": "two"}, "task.horizon: expected an integer >= 1"),
+        ({"type": "solve-finite", "horizon": 1.5}, "task.horizon: expected an integer >= 1"),
+        ({"type": "solve-infinite"}, "task.tol is missing"),
+        ({"type": "solve-infinite", "tol": "x"}, "task.tol: expected a finite number > 0"),
+        ({"type": "solve-infinite", "tol": -1e-8}, "task.tol: expected a finite number > 0"),
+        ({"type": "solve-infinite", "tol": 10**400}, "task.tol: expected a finite number > 0"),
+        ({"type": "solve-infinite", "tol": 1e-8, "max_iter": "ten"}, "task.max_iter: expected an integer >= 1"),
+        ({"type": "solve-infinite", "tol": 1e-8, "max_iter": 2.5}, "task.max_iter: expected an integer >= 1"),
+    ],
+)
+def test_task_fields_are_checked(tmp_path, capsys, task, located):
+    path = write(tmp_path / "m.json", dict(README_MODEL, task=task))
+    assert main([task["type"], path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert located in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_task_numbers_are_accepted(tmp_path):
+    reports = []
+    for horizon, tol in ((2, 1e-10), (2.0, 1)):
+        task = {"type": "robust-check", "horizon": horizon, "tol": tol, "enumerate": True}
+        path = write(tmp_path / "m.json", dict(README_MODEL, task=task))
+        out = tmp_path / f"out{len(reports)}"
+        assert main(["robust-check", path, "--out", str(out), "--quiet"]) == 0
+        reports.append(json.loads((out / "report.json").read_text())["report"])
+    assert reports[0]["horizon"] == reports[1]["horizon"] == 2
+    assert reports[0]["enumerated_values"] == reports[1]["enumerated_values"]

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from riskmdp.errors import NotCoherent, TooLargeForEnumeration
+from riskmdp import robust_check
+from riskmdp.distributions import make_distribution
+from riskmdp.errors import NotCoherent, RiskMdpError, TooLargeForEnumeration
 from riskmdp.examples import build_casino
-from riskmdp.mdp_core import Policy, constant_bounding_spec
+from riskmdp.mdp_core import MdpModel, Policy, constant_bounding_spec
 from riskmdp.risk_measures import (
     Entropic,
     Expectation,
     ExpectedShortfall,
+    Mixture,
     Spectral,
     StepSpectrum,
     ValueAtRisk,
@@ -232,3 +235,186 @@ class TestRobustValueIteration:
                 gap = abs(primal.value[x] - robust.value[x])
                 budget = tol + primal.error_bound + robust.error_bound
                 assert gap <= budget * max(spec.b()) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit oracles for the dual route: plain loops over DualSet.sup and
+# the literal scan over every enumerated policy
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def coarse_model(rng, decimals, single_action_states, zero_terminal=False):
+    """Seeded model with costs on a 10**-decimals grid, so stage values tie exactly.
+
+    Rounding makes signed zeros too. With ``single_action_states`` every
+    even state has one admissible action.
+    """
+    S = int(rng.integers(1, 5))
+    A = int(rng.integers(1, 4))
+    K = int(rng.integers(1, 5))
+    admissible = []
+    for x in range(S):
+        size = 1 if single_action_states and x % 2 == 0 else int(rng.integers(1, A + 1))
+        admissible.append(tuple(sorted(rng.choice(A, size=size, replace=False).tolist())))
+    cost = np.round(rng.uniform(-1.0, 1.0, (S, A, K)), decimals)
+    terminal = np.zeros(S) if zero_terminal else np.round(rng.uniform(-1.0, 1.0, S), decimals)
+    probs = np.full(K, 1.0 / K) if rng.random() < 0.3 else rng.dirichlet(np.ones(K))
+    return MdpModel(
+        n_states=S,
+        n_actions=A,
+        admissible=tuple(admissible),
+        disturbance=make_distribution(list(range(K)), probs.tolist()),
+        transition=rng.integers(0, S, (S, A, K)).tolist(),
+        cost=cost.tolist(),
+        terminal_cost=terminal.tolist(),
+        discount=float(rng.choice([1.0, 0.9, 0.5])),
+    )
+
+
+def oracle_risks(rng):
+    u1, u2 = sorted(rng.uniform(0.1, 0.9, 2).tolist())
+    raw = sorted(rng.uniform(0.2, 2.0, 3).tolist())
+    mass = raw[0] * u1 + raw[1] * (u2 - u1) + raw[2] * (1.0 - u2)
+    steps = ((0.0, raw[0] / mass), (u1, raw[1] / mass), (u2, raw[2] / mass))
+    return (
+        ExpectedShortfall(0.5),
+        ExpectedShortfall(0.9),
+        Expectation(),
+        Spectral(StepSpectrum(steps)),
+        Mixture(float(rng.uniform(0.25, 0.75)), ExpectedShortfall(0.8), Expectation()),
+    )
+
+
+def sup_loop(model, ds, cont):
+    """Per state, nature's sup per admissible action and the first strict minimum."""
+    cost = np.asarray(model.cost).tolist()
+    succ = np.asarray(model.transition).tolist()
+    probs = list(model.disturbance.probs)
+    sups, best, actions = [], [], []
+    for x in range(model.n_states):
+        row = {}
+        low, low_a = math.inf, -1
+        for a in model.admissible[x]:
+            values = [cost[x][a][z] + model.discount * cont[succ[x][a][z]] for z in model.z_indices]
+            row[a] = ds.sup(values, probs)[0]
+            if row[a] < low:
+                low, low_a = row[a], a
+        sups.append(row)
+        best.append(low)
+        actions.append(low_a)
+    return sups, best, actions
+
+
+def literal_enumeration(model, ds, horizon):
+    """Strict-< scan over every policy: per state the minimum, its first
+    minimizing policy, and how many later policies tied with the minimum."""
+    best = [math.inf] * model.n_states
+    first = [None] * model.n_states
+    ties = 0
+    for policy in enumerate_markov_policies(model, horizon):
+        w = nature_best_response(model, ds, policy, horizon)
+        for x in range(model.n_states):
+            if w[x] < best[x]:
+                best[x], first[x] = w[x], policy.stages
+            elif w[x] == best[x]:
+                ties += 1
+    return best, first, ties
+
+
+def oracle_cases(seeds, max_policies):
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        model = coarse_model(rng, seed % 3, single_action_states=seed % 2 == 0)
+        for horizon in (1, 2, 3, 4):
+            if count_markov_policies(model, horizon) <= max_policies:
+                for risk in oracle_risks(rng):
+                    yield model, risk, horizon
+
+
+class TestDualRouteOracles:
+    def test_nature_best_response_is_a_sup_loop(self):
+        for model, risk, horizon in oracle_cases(range(100, 120), 64):
+            ds = dual_set(risk)
+            for policy in enumerate_markov_policies(model, horizon):
+                w = list(model.terminal_cost)
+                for rule in reversed(policy.stages):
+                    sups, _, _ = sup_loop(model, ds, w)
+                    w = [sups[x][a] for x, a in enumerate(rule)]
+                assert bits(nature_best_response(model, ds, policy, horizon)) == bits(w)
+
+    def test_enumeration_matches_the_literal_scan(self, monkeypatch):
+        # enumerated values are read from the module's nature_best_response
+        # on each state's first minimizing policy in enumeration order
+        called = []
+        original = robust_check.nature_best_response
+
+        def recorded(model, ds, policy, horizon):
+            called.append(policy.stages)
+            return original(model, ds, policy, horizon)
+
+        monkeypatch.setattr(robust_check, "nature_best_response", recorded)
+        ties = 0
+        for model, risk, horizon in oracle_cases(range(200, 260), 300):
+            best, first, tied = literal_enumeration(model, dual_set(risk), horizon)
+            ties += tied
+            called.clear()
+            report = verify_equivalence(model, risk, horizon, 1e-10)
+            assert bits(report.enumerated_values) == bits(best), (model, risk, horizon)
+            assert 1 <= len(called) <= model.n_states
+            assert sorted(called) == sorted(set(first))
+            assert report.n_policies == count_markov_policies(model, horizon)
+        assert ties > 0  # exact ties exercise the first-minimum order
+
+    def test_robust_game_value_is_a_sup_loop(self):
+        for model, risk, horizon in oracle_cases(range(300, 340), 10**6):
+            ds = dual_set(risk)
+            g = list(model.terminal_cost)
+            for _ in range(horizon):
+                _, g, _ = sup_loop(model, ds, g)
+            assert bits(robust_game_value(model, ds, horizon)) == bits(g)
+
+    def test_robust_value_iteration_is_a_sup_loop(self):
+        tol = 1e-9
+        for seed in range(400, 415):
+            rng = np.random.default_rng(seed)
+            model = coarse_model(rng, seed % 3, seed % 2 == 0, zero_terminal=True)
+            if model.discount == 1.0:
+                continue
+            spec = constant_bounding_spec(model)
+            rate = spec.modulus(model.discount) / (1.0 - spec.modulus(model.discount))
+            for risk in oracle_risks(rng):
+                ds = dual_set(risk)
+                result = robust_value_iteration(model, ds, spec, tol)
+                v, trace = [0.0] * model.n_states, []
+                for _ in range(result.iterations):
+                    _, nxt, _ = sup_loop(model, ds, v)
+                    residual = max(abs(a - b) / w for a, b, w in zip(nxt, v, spec.b()))
+                    trace.append((residual, rate * residual))
+                    v = nxt
+                _, _, actions = sup_loop(model, ds, v)
+                assert result.converged == (trace[-1][1] <= tol)
+                assert all(bound > tol for _, bound in trace[:-1])
+                assert bits(result.value) == bits(v)
+                assert result.policy.stages == (tuple(actions),)
+                assert [bits(t) for t in result.trace] == [bits(t) for t in trace]
+
+    def test_non_finite_policy_value_raises_like_the_literal_scan(self):
+        # action 1 in state 0 overflows to inf; the optimum stays finite
+        model = MdpModel(
+            n_states=1,
+            n_actions=2,
+            admissible=((0, 1),),
+            disturbance=make_distribution([0], [1.0]),
+            transition=[[[0], [0]]],
+            cost=[[[0.0], [1.7e308]]],
+            terminal_cost=[1.7e308],
+        )
+        ds = dual_set(ExpectedShortfall(0.5))
+        assert verify_equivalence(model, ExpectedShortfall(0.5), 1, 1e-10, enumerate_policies=False).passed
+        with pytest.raises(RiskMdpError):
+            literal_enumeration(model, ds, 1)
+        with pytest.raises(RiskMdpError, match="non-finite"):
+            verify_equivalence(model, ExpectedShortfall(0.5), 1, 1e-10)
