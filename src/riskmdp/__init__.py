@@ -19,6 +19,7 @@ from .distributions import (
 from .errors import (
     DimensionMismatch,
     DomainError,
+    EntropicOverflow,
     InfeasibleAction,
     InfeasiblePolicy,
     InvalidParams,

@@ -48,6 +48,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _seed_arg(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return seed
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="riskmdp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -64,7 +74,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("model_file", help="path to the JSON model file")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=None, help="overrides the task seed")
+        p.add_argument("--seed", type=_seed_arg, default=None, help="overrides the task seed")
         p.add_argument("--quiet", action="store_true")
     return parser
 
@@ -131,14 +141,14 @@ def _policy_rows(stage_rules):
 def _seed_for(args, task: dict) -> int:
     if args.seed is not None:
         return args.seed
-    return int(task.get("seed", 0))
+    return _task_field(task, "seed", int, 0, least=0)
 
 
 _REQUIRED = object()
 
 
-def _task_field(task: dict, key: str, kind: type, default=_REQUIRED):
-    """One task parameter, checked: ``int`` >= 1, finite ``float`` > 0 or ``bool``.
+def _task_field(task: dict, key: str, kind: type, default=_REQUIRED, least: int = 1):
+    """One task parameter, checked: ``int`` >= ``least``, finite ``float`` > 0 or ``bool``.
 
     An absent or null key takes ``default``, or is reported as missing.
     A value of the wrong type or range raises a located ModelFileError
@@ -154,7 +164,7 @@ def _task_field(task: dict, key: str, kind: type, default=_REQUIRED):
         ok, want = isinstance(value, bool), "a JSON boolean"
     elif kind is int:
         integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-        ok, want = number and integral and value >= 1, "an integer >= 1"
+        ok, want = number and integral and value >= least, f"an integer >= {least}"
     else:
         ok, want = number and 0 < value <= sys.float_info.max, "a finite number > 0"
     if not ok:
@@ -225,7 +235,7 @@ def _run_solve_infinite(args, sections) -> int:
 def _run_verify_axioms(args, sections) -> int:
     task = sections["task"]
     risk = _single_risk(sections["risk"])
-    trials = int(task.get("trials", 500))
+    trials = _task_field(task, "trials", int, 500)
     report = check_axioms(risk, trials, _seed_for(args, task))
     _write_report(args, {"task": "verify-axioms", "report": report.to_dict()})
     _say(args, f"axiom report for {describe(risk)}: {'PASS' if report.passed else 'FAIL'}")
@@ -246,7 +256,7 @@ def _run_check_contraction(args, sections) -> int:
     model, task = sections["model"], sections["task"]
     spec = _need_bounds(sections)
     risk = _single_risk(sections["risk"])
-    trials = int(task.get("trials", 100))
+    trials = _task_field(task, "trials", int, 100)
     seed = _seed_for(args, task)
     ratio = check_contraction(model, risk, spec, trials, seed)
     modulus = spec.modulus(model.discount)

@@ -41,6 +41,10 @@ class DimensionMismatch(RiskMdpError):
     """Vectors over the state space with incompatible lengths."""
 
 
+class EntropicOverflow(RiskMdpError, OverflowError):
+    """Entropic risk of a law whose scaled atoms exceed the overflow guard."""
+
+
 class NotContractive(RiskMdpError):
     """Growth rate times discount is not below one."""
 

@@ -11,6 +11,7 @@ back to the identical in-memory object.
 from __future__ import annotations
 
 import json
+import reprlib
 from typing import Any
 
 from .distributions import make_distribution
@@ -67,35 +68,64 @@ def _fail(msg: str) -> None:
     raise ModelFileError([msg])
 
 
-def parse_risk(obj: Any) -> RiskMeasure:
+def _cast(where: str, cast, value, *index: int):
+    """``cast(value)``, or a ModelFileError located at ``where[index]...`` if it cannot be read."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        if isinstance(exc, RiskMdpError):
+            raise
+        at = where + "".join(f"[{i}]" for i in index)
+        _fail(f"{at}: cannot read {reprlib.repr(value)} ({exc})")
+
+
+def _field(obj: dict, key: str, cast, where: str):
+    """The required ``obj[key]`` read by ``cast``, located as ``where.key``."""
+    if key not in obj:
+        _fail(f"{where}.{key} is missing")
+    return _cast(f"{where}.{key}", cast, obj[key])
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _pairs(rows) -> tuple[tuple[float, float], ...]:
+    return tuple((float(u), float(v)) for u, v in rows)
+
+
+def parse_risk(obj: Any, where: str = "risk") -> RiskMeasure:
+    """The risk specification ``obj``; diagnostics name fields as ``where.<field>``."""
     if not isinstance(obj, dict) or "kind" not in obj:
-        _fail(f"risk spec must be an object with a 'kind', got {obj!r}")
+        _fail(f"{where} must be an object with a 'kind', got {obj!r}")
     kind = obj["kind"]
     if kind == "expectation":
         return Expectation()
     if kind == "value_at_risk":
-        return ValueAtRisk(level=float(obj["level"]))
+        return ValueAtRisk(level=_field(obj, "level", float, where))
     if kind == "expected_shortfall":
-        return ExpectedShortfall(level=float(obj["level"]))
+        return ExpectedShortfall(level=_field(obj, "level", float, where))
     if kind == "distortion":
         form = obj.get("form", "piecewise_linear")
         if form == "piecewise_linear":
-            knots = tuple((float(u), float(g)) for u, g in obj["knots"])
+            knots = _field(obj, "knots", _pairs, where)
             return Distortion(g=DistortionFunction(form=form, knots=knots))
         level = obj.get("level")
         return Distortion(
-            g=DistortionFunction(form=form, level=None if level is None else float(level))
+            g=DistortionFunction(
+                form=form, level=None if level is None else _cast(f"{where}.level", float, level)
+            )
         )
     if kind == "spectral":
-        bps = tuple((float(u), float(p)) for u, p in obj["breakpoints"])
+        bps = _field(obj, "breakpoints", _pairs, where)
         return Spectral(phi=StepSpectrum(breakpoints=bps))
     if kind == "entropic":
-        return Entropic(gamma=float(obj["gamma"]))
+        return Entropic(gamma=_field(obj, "gamma", float, where))
     if kind == "mixture":
         return Mixture(
-            weight=float(obj["weight"]),
-            first=parse_risk(obj["first"]),
-            second=parse_risk(obj["second"]),
+            weight=_field(obj, "weight", float, where),
+            first=_field(obj, "first", lambda sub: parse_risk(sub, f"{where}.first"), where),
+            second=_field(obj, "second", lambda sub: parse_risk(sub, f"{where}.second"), where),
         )
     _fail(f"unknown risk kind {kind!r}")
 
@@ -142,39 +172,45 @@ def parse_model(obj: Any) -> MdpModel:
     dist_obj = obj["disturbance"]
     if not isinstance(dist_obj, dict) or "probs" not in dist_obj:
         raise ModelFileError(["model.disturbance must be an object with 'probs'"])
-    probs = [float(p) for p in dist_obj["probs"]]
-    atoms = dist_obj.get("indices", list(range(len(probs))))
-    disturbance = make_distribution([float(a) for a in atoms], probs)
-    n_states = int(obj["n_states"])
-    n_actions = int(obj["n_actions"])
+    probs = _field(dist_obj, "probs", _floats, "model.disturbance")
+    atoms = _cast("model.disturbance.indices", _floats, dist_obj.get("indices", range(len(probs))))
+    disturbance = make_distribution(atoms, probs)
+    n_states = _field(obj, "n_states", int, "model")
+    n_actions = _field(obj, "n_actions", int, "model")
     # table z-width: explicit, else inferred from the data, else the law size
     if "n_outcomes" in dist_obj:
-        k = int(dist_obj["n_outcomes"])
+        k = _field(dist_obj, "n_outcomes", int, "model.disturbance")
     else:
-        k = max(
-            (len(cell) for row in obj["transition"] for cell in row if cell is not None),
-            default=len(probs),
-        )
+        def widest(raw):
+            return max((len(cell) for row in raw for cell in row if cell is not None), default=len(probs))
+
+        k = _cast("model.transition", widest, obj["transition"])
 
     def table(name: str, cast):
+        where = f"model.{name}"
         raw = obj[name]
-        if len(raw) != n_states:
-            diags.append(f"model.{name} has {len(raw)} rows, expected {n_states}")
+
+        def read(cell):
+            return tuple(map(cast, cell))
+
+        if _cast(where, len, raw) != n_states:
+            diags.append(f"{where} has {len(raw)} rows, expected {n_states}")
             return None
         out = []
         for x, row in enumerate(raw):
-            if len(row) != n_actions:
-                diags.append(f"model.{name}[{x}] has {len(row)} actions, expected {n_actions}")
+            if _cast(where, len, row, x) != n_actions:
+                diags.append(f"{where}[{x}] has {len(row)} actions, expected {n_actions}")
                 return None
             cells = []
             for a, cell in enumerate(row):
                 if cell is None:
                     cells.append(tuple(cast(0) for _ in range(k)))
                     continue
+                cell = _cast(where, read, cell, x, a)
                 if len(cell) != k:
-                    diags.append(f"model.{name}[{x}][{a}] has {len(cell)} outcomes, expected {k}")
+                    diags.append(f"{where}[{x}][{a}] has {len(cell)} outcomes, expected {k}")
                     return None
-                cells.append(tuple(cast(v) for v in cell))
+                cells.append(cell)
             out.append(tuple(cells))
         return tuple(out)
 
@@ -187,14 +223,14 @@ def parse_model(obj: Any) -> MdpModel:
     return MdpModel(
         n_states=n_states,
         n_actions=n_actions,
-        admissible=tuple(tuple(int(a) for a in row) for row in obj["admissible"]),
+        admissible=_field(obj, "admissible", lambda rows: tuple(tuple(map(int, r)) for r in rows), "model"),
         disturbance=disturbance,
         transition=transition,
         cost=cost,
-        terminal_cost=tuple(float(c) for c in obj["terminal_cost"]),
-        discount=float(obj.get("discount", 1.0)),
-        state_labels=None if labels is None else tuple(float(v) for v in labels),
-        z_labels=None if z_labels is None else tuple(float(v) for v in z_labels),
+        terminal_cost=_field(obj, "terminal_cost", _floats, "model"),
+        discount=_cast("model.discount", float, obj.get("discount", 1.0)),
+        state_labels=None if labels is None else _cast("model.state_labels", _floats, labels),
+        z_labels=None if z_labels is None else _cast("model.z_labels", _floats, z_labels),
     )
 
 
@@ -281,7 +317,10 @@ def parse_model_file(doc: Any) -> dict:
     risk = None
     if "risk" in doc:
         raw = doc["risk"]
-        risk = [parse_risk(r) for r in raw] if isinstance(raw, list) else parse_risk(raw)
+        if isinstance(raw, list):
+            risk = [parse_risk(r, f"risk[{i}]") for i, r in enumerate(raw)]
+        else:
+            risk = parse_risk(raw)
     bounds = parse_bounds(doc["bounds"]) if "bounds" in doc else None
     return {"model": model, "risk": risk, "bounds": bounds, "task": task}
 

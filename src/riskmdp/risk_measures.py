@@ -33,7 +33,7 @@ from .distributions import (
     make_distribution,
     pushforward,
 )
-from .errors import InvalidSpec, NotCoherent
+from .errors import EntropicOverflow, InvalidSpec, NotCoherent
 
 __all__ = [
     "Expectation",
@@ -364,11 +364,7 @@ def _value(
         return acc
     if isinstance(risk, Entropic):
         gamma = risk.gamma
-        scale = max(abs(a) for a in atoms)
-        if gamma * scale > ENTROPIC_GUARD:
-            raise OverflowError(
-                f"entropic guard tripped: gamma*max|atom| = {gamma * scale:g} > {ENTROPIC_GUARD:g}"
-            )
+        _entropic_guard(gamma, max(abs(a) for a in atoms))
         mx = max(gamma * a for a in atoms)
         acc = math.fsum(p * math.exp(gamma * a - mx) for a, p in zip(atoms, probs))
         return (mx + math.log(acc)) / gamma
@@ -378,6 +374,14 @@ def _value(
             risk.second, atoms, probs, surv, cum
         )
     raise InvalidSpec(f"unknown risk specification {risk!r}")
+
+
+def _entropic_guard(gamma: float, scale: float) -> None:
+    """Raise for a law whose largest |atom| is ``scale`` if gamma * scale trips the guard."""
+    if gamma * scale > ENTROPIC_GUARD:
+        raise EntropicOverflow(
+            f"entropic guard tripped: gamma*max|atom| = {gamma * scale:g} > {ENTROPIC_GUARD:g}"
+        )
 
 
 def _risk_value_of_pairs(risk: RiskMeasure, pairs: Iterable) -> float:
@@ -510,15 +514,47 @@ def _row_values(risk: RiskMeasure, law: _RowLaws) -> np.ndarray:
         w = risk.weight
         return w * _row_values(risk.first, law) + (1.0 - w) * _row_values(risk.second, law)
     if isinstance(risk, Entropic):
-        # row by row through the scalar route: numpy's exp and log are not
-        # libm's, bit for bit
-        probs = law.probs.tolist()
-        return np.fromiter(
-            (_risk_value_of_pairs(risk, zip(row, probs)) for row in law.values.tolist()),
-            dtype=float,
-            count=len(atom),
-        )
+        gamma = risk.gamma
+        scaled = gamma * atom
+        mx = scaled[:, -1:]  # the top atom has the largest product, as gamma > 0
+        terms = np.zeros_like(scaled)
+        # numpy's exp and log differ from libm's in the last bit; the scalar
+        # route uses libm's, so these two go through the math module
+        terms[end] = law.prob[end] * _libm(math.exp, (scaled - mx)[end])
+        return (mx[:, 0] + _libm(math.log, _fsum_rows(terms))) / gamma
     raise InvalidSpec(f"unknown risk specification {risk!r}")
+
+
+def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``fn`` of each entry of the 1-d array ``x``, rounded as the math module rounds."""
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=len(x))
+
+
+def _entropic_gammas(risk: RiskMeasure) -> list[float]:
+    """The entropic risk aversions in ``risk``, in the scalar route's evaluation order."""
+    if isinstance(risk, Entropic):
+        return [risk.gamma]
+    if isinstance(risk, Mixture):
+        return _entropic_gammas(risk.first) + _entropic_gammas(risk.second)
+    return []
+
+
+def _check_entropic_guards(risk: RiskMeasure, values: np.ndarray) -> None:
+    """Raise the scalar route's guard error for the first row it would raise on.
+
+    The scalar route evaluates row after row, and within a row each
+    entropic component in turn, so the error names the first offending
+    row and, in it, the first component whose guard trips.
+    """
+    gammas = _entropic_gammas(risk)
+    if not gammas:
+        return
+    scale = np.abs(values).max(axis=1)  # the largest |atom| of each row's law
+    tripped = max(gammas) * scale > ENTROPIC_GUARD  # rounding keeps gamma * scale monotone
+    if tripped.any():
+        row_scale = float(scale[tripped.argmax()])
+        for gamma in gammas:
+            _entropic_guard(gamma, row_scale)
 
 
 def _risk_values_of_rows(risk: RiskMeasure, values: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -528,8 +564,11 @@ def _risk_values_of_rows(risk: RiskMeasure, values: np.ndarray, probs: np.ndarra
     same order. Entry i is bit-identical to ``_risk_value_of_pairs(risk,
     zip(values[i], probs))``: the batch reproduces the scalar route's
     sort, exact-equality merge, sequential telescoping and correctly
-    rounded sums. Used by the Bellman sweep and the bound verification.
+    rounded sums, and raises the scalar route's ``EntropicOverflow`` for
+    the first row it would raise on. Used by the Bellman sweep and the
+    bound verification.
     """
+    _check_entropic_guards(risk, values)
     return _row_values(risk, _RowLaws(values, probs))
 
 

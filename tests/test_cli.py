@@ -360,3 +360,61 @@ def test_integral_task_numbers_are_accepted(tmp_path):
         reports.append(json.loads((out / "report.json").read_text())["report"])
     assert reports[0]["horizon"] == reports[1]["horizon"] == 2
     assert reports[0]["enumerated_values"] == reports[1]["enumerated_values"]
+
+
+_DROP = object()
+
+
+def _with(path, value, doc=None):
+    """A copy of the README model file with ``value`` set at the key ``path``."""
+    doc = json.loads(json.dumps(doc or dict(README_MODEL, task={"type": "solve-infinite", "tol": 1e-8})))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is _DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+_ENTROPIC = dict(
+    README_MODEL, risk={"kind": "entropic", "gamma": 1.0}, task={"type": "solve-infinite", "tol": 1e-8}
+)
+_MIXTURE = {"kind": "mixture", "first": {"kind": "expectation"}, "second": {"kind": "value_at_risk"}}
+
+
+@pytest.mark.parametrize(
+    "doc, located",
+    [
+        (_with(("risk", "level"), _DROP), "risk.level is missing"),
+        (_with(("risk",), {"kind": "entropic"}), "risk.gamma is missing"),
+        (_with(("risk",), _MIXTURE), "risk.weight is missing"),
+        (_with(("risk",), dict(_MIXTURE, weight=0.5)), "risk.second.level is missing"),
+        (_with(("model", "n_states"), "two"), "model.n_states: cannot read 'two'"),
+        (_with(("model", "admissible"), 5), "model.admissible: cannot read 5"),
+        (_with(("model", "cost", 0, 1), 3), "model.cost[0][1]: cannot read 3"),
+        (_with(("model", "cost", 0, 0), [800.0, 800.0], _ENTROPIC), "gamma*max|atom| = 800 > 700"),
+        (_with(("task",), {"type": "verify-axioms", "trials": "x"}), "task.trials: expected an integer >= 1"),
+        (_with(("task",), {"type": "verify-axioms", "seed": "s"}), "task.seed: expected an integer >= 0"),
+        (_with(("task",), {"type": "check-contraction", "seed": -1}), "task.seed: expected an integer >= 0"),
+        (_with(("task",), {"type": "check-contraction", "trials": 0}), "task.trials: expected an integer >= 1"),
+    ],
+)
+def test_malformed_fields_exit_2_with_a_located_message(tmp_path, capsys, doc, located):
+    path = write(tmp_path / "m.json", doc)
+    assert main([doc["task"]["type"], path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert located in err and "Traceback" not in err
+
+
+def test_seed_zero_is_valid_and_the_flag_takes_precedence(tmp_path):
+    seeds = []
+    for task, flag in (({"seed": 0}, []), ({"seed": "s"}, ["--seed", "3"])):
+        doc = dict(README_MODEL, task={"type": "check-contraction", "trials": 5, **task})
+        out = tmp_path / f"out{len(seeds)}"
+        path = write(tmp_path / "m.json", doc)
+        assert main(["check-contraction", path, "--out", str(out), "--quiet", *flag]) == 0
+        seeds.append(json.loads((out / "report.json").read_text())["seed"])
+    assert seeds == [0, 3]

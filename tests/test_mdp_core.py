@@ -9,6 +9,7 @@ from riskmdp import mdp_core
 from riskmdp.distributions import make_distribution
 from riskmdp.errors import (
     DimensionMismatch,
+    EntropicOverflow,
     InfeasibleAction,
     NotContractive,
     RiskMdpError,
@@ -332,6 +333,22 @@ def coarse_random_model(rng):
     )
 
 
+def wide_random_model(rng):
+    """Random model with 8 to 20 outcomes and costs spread over tens, on a coarse grid."""
+    S, A, K = 25, 3, int(rng.integers(8, 21))
+    probs = [1.0 / K] * K if rng.integers(0, 2) else rng.dirichlet(np.ones(K)).tolist()
+    return MdpModel(
+        n_states=S,
+        n_actions=A,
+        admissible=tuple(tuple(range(int(rng.integers(1, A + 1)))) for _ in range(S)),
+        disturbance=make_distribution(list(range(K)), probs),
+        transition=rng.integers(0, S, (S, A, K)).tolist(),
+        cost=np.round(rng.uniform(-20, 20, (S, A, K)), int(rng.integers(0, 3))).tolist(),
+        terminal_cost=(0.0,) * S,
+        discount=0.9,
+    )
+
+
 class TestBatchedSweep:
     """The batched sweep against a loop over the one-pair operator, bit for bit."""
 
@@ -389,6 +406,97 @@ class TestBatchedSweep:
             expected = error_of(lambda: pairwise_sweep(huge, risk, v))
             assert expected is not None, risk
             assert error_of(lambda: bellman_T(huge, risk, v)) is expected, risk
+
+    def test_entropic_on_wide_laws_matches_the_pairwise_loop(self):
+        # libm's exp and log, not numpy's, give the scalar route's last bit
+        rng = np.random.default_rng(4101)
+        gammas = (0.05, 0.3, 1.2)
+        risks = [Entropic(g) for g in gammas] + [
+            Mixture(0.4, Entropic(0.3), ExpectedShortfall(0.5)),
+            Mixture(0.7, Expectation(), Entropic(1.2)),
+            Mixture(0.5, Entropic(0.05), Entropic(0.3)),
+        ]
+        exp_differs = log_differs = 0
+        for _ in range(12):
+            m = wide_random_model(rng)
+            v = np.round(rng.uniform(-15, 15, m.n_states), int(rng.integers(0, 3))).tolist()
+            for risk in risks:
+                out, actions = bellman_T(m, risk, v)
+                values, rule = pairwise_sweep(m, risk, v)
+                assert bits(out) == bits(values), risk
+                assert actions == rule, risk
+            for x in range(m.n_states):
+                for a in m.admissible[x]:
+                    law = stage_law(m, v, x, a)
+                    z = np.array(law.atoms) * gammas[1] - law.atoms[-1] * gammas[1]
+                    libm = np.array([math.exp(t) for t in z])
+                    acc = math.fsum(np.array(law.probs) * libm)
+                    exp_differs += np.count_nonzero(np.exp(z) != libm)
+                    log_differs += np.log(acc) != math.log(acc)
+        assert exp_differs and log_differs
+
+    def test_verify_bounds_on_entropic_models_matches_the_scalar_route(self):
+        rng = np.random.default_rng(4102)
+        tol, alpha = 1e-9, 0.5
+        for risk in (Entropic(0.4), Mixture(0.3, ExpectedShortfall(0.6), Entropic(0.9))):
+            m = wide_random_model(rng)
+            lb = np.round(rng.uniform(-30, -0.5, m.n_states), 1).tolist()
+            ub = np.round(rng.uniform(0.5, 30, m.n_states), 1).tolist()
+            report = verify_bounds(m, risk, BoundingSpec(lb=lb, ub=ub, alpha=alpha))
+            zs, probs = m.z_indices, m.disturbance.probs
+
+            def rho(values):
+                return evaluate(risk, make_distribution(values, probs))
+
+            expected = []
+            for x in range(m.n_states):
+                for a in m.admissible[x]:
+                    cost = rho([float(m.cost[x, a, z]) for z in zs])
+                    up = rho([ub[m.transition[x, a, z]] for z in zs])
+                    down = rho([-lb[m.transition[x, a, z]] for z in zs])
+                    for name, bad, lhs in (
+                        ("stage_cost_lower", cost < lb[x] - tol, cost),
+                        ("stage_cost_upper", cost > ub[x] + tol, cost),
+                        ("ub_growth", up > alpha * ub[x] + tol, up),
+                        ("lb_growth", down > -alpha * lb[x] + tol, down),
+                    ):
+                        if bad:
+                            expected.append((name, x, a, lhs.hex()))
+            got = [(v.inequality, v.state, v.action, v.lhs.hex()) for v in report.violations]
+            assert len(expected) > 20 and got == expected, risk
+
+    @pytest.mark.parametrize("threshold", [0, 10**9], ids=["batch", "pairwise"])
+    def test_entropic_guard_names_the_first_offending_row(self, monkeypatch, threshold):
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", threshold)
+        m = two_state_model()
+        # pair (0, 0) is fine, (0, 1) trips only gamma 2, (1, 0) trips both
+        model = MdpModel(
+            n_states=2,
+            n_actions=2,
+            admissible=((0, 1), (0,)),
+            disturbance=m.disturbance,
+            transition=m.transition,
+            cost=[[[1.0, 2.0], [400.0, -3.0]], [[-1500.0, 0.0], [0.0, 0.0]]],
+            terminal_cost=m.terminal_cost,
+            discount=0.9,
+        )
+        v = [0.0, 0.0]
+        for risk, message in (
+            (Entropic(2.0), "= 800 > 700"),
+            (Entropic(0.5), "= 750 > 700"),
+            (Mixture(0.5, Entropic(0.5), Entropic(2.0)), "= 800 > 700"),
+            (Mixture(0.5, ExpectedShortfall(0.5), Entropic(0.5)), "= 750 > 700"),
+        ):
+            with pytest.raises(EntropicOverflow) as expected:
+                pairwise_sweep(model, risk, v)
+            with pytest.raises(EntropicOverflow) as got:
+                bellman_T(model, risk, v)
+            assert str(got.value) == str(expected.value), risk
+            assert str(got.value).endswith(message), risk
+            with pytest.raises(EntropicOverflow) as bounds:
+                verify_bounds(model, risk, BoundingSpec(lb=(-0.5, -0.5), ub=(0.5, 0.5)))
+            assert str(bounds.value) == str(expected.value), risk
+        assert issubclass(EntropicOverflow, RiskMdpError) and issubclass(EntropicOverflow, OverflowError)
 
     def test_verify_bounds_reports_the_pairwise_values(self):
         m = two_state_model(beta=0.9)
