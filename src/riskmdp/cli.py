@@ -34,7 +34,17 @@ from . import examples as ex
 from .distributions import make_distribution
 from .errors import RiskMdpError
 from .mdp_core import validate_model, verify_bounds
-from .model_io import ModelFileError, model_file_dict, parse_model_file
+from .model_io import (
+    ModelFileError,
+    _cast,
+    _field,
+    _floats,
+    _int,
+    _pairs,
+    TASK_TYPES,
+    model_file_dict,
+    parse_model_file,
+)
 from .risk_measures import check_axioms, describe
 from .robust_check import verify_equivalence
 from .solvers import check_contraction, solve_finite, solve_infinite
@@ -61,15 +71,7 @@ def _seed_arg(text: str) -> int:
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="riskmdp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "solve-finite",
-        "solve-infinite",
-        "verify-axioms",
-        "verify-bounds",
-        "check-contraction",
-        "robust-check",
-        "example",
-    ):
+    for name in TASK_TYPES:
         p = sub.add_parser(name)
         p.add_argument("model_file", help="path to the JSON model file")
         p.add_argument("--out", default="out", help="output directory (default: out)")
@@ -89,27 +91,22 @@ def _complain(message: str) -> None:
 
 
 def _write_table(args, name: str, header: tuple[str, ...], rows) -> Path:
+    if args.format == "json":
+        return _write_json(args, f"{name}.json", [dict(zip(header, row)) for row in rows])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    if args.format == "csv":
-        path = outdir / f"{name}.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-    else:
-        path = outdir / f"{name}.json"
-        payload = [dict(zip(header, row)) for row in rows]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    path = outdir / f"{name}.csv"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
     return path
 
 
-def _write_report(args, payload: dict) -> Path:
+def _write_json(args, name: str, payload) -> Path:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "report.json"
+    path = outdir / name
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -172,26 +169,23 @@ def _task_field(task: dict, key: str, kind: type, default=_REQUIRED, least: int 
     return kind(value)
 
 
-def _single_risk(risk):
-    if risk is None:
-        raise ModelFileError(["risk section is missing"])
+def _section(sections, name: str):
+    if sections[name] is None:
+        raise ModelFileError([f"{name} section is missing"])
+    return sections[name]
+
+
+def _single_risk(sections):
+    risk = _section(sections, "risk")
     if isinstance(risk, list):
         raise ModelFileError(["this task needs a single risk specification"])
     return risk
 
 
-def _need_bounds(sections):
-    if sections["bounds"] is None:
-        raise ModelFileError(["bounds section is missing"])
-    return sections["bounds"]
-
-
 def _run_solve_finite(args, sections) -> int:
     model, task = sections["model"], sections["task"]
     horizon = _task_field(task, "horizon", int)
-    risk = sections["risk"]
-    if risk is None:
-        raise ModelFileError(["risk section is missing"])
+    risk = _section(sections, "risk")
     result = solve_finite(model, risk, horizon)
     _write_table(
         args,
@@ -206,8 +200,8 @@ def _run_solve_finite(args, sections) -> int:
 
 def _run_solve_infinite(args, sections) -> int:
     model, task = sections["model"], sections["task"]
-    spec = _need_bounds(sections)
-    risk = _single_risk(sections["risk"])
+    spec = _section(sections, "bounds")
+    risk = _single_risk(sections)
     tol = _task_field(task, "tol", float)
     max_iter = _task_field(task, "max_iter", int, None)
     result = solve_infinite(model, risk, spec, tol, max_iter)
@@ -234,34 +228,35 @@ def _run_solve_infinite(args, sections) -> int:
 
 def _run_verify_axioms(args, sections) -> int:
     task = sections["task"]
-    risk = _single_risk(sections["risk"])
+    risk = _single_risk(sections)
     trials = _task_field(task, "trials", int, 500)
     report = check_axioms(risk, trials, _seed_for(args, task))
-    _write_report(args, {"task": "verify-axioms", "report": report.to_dict()})
+    _write_json(args, "report.json", {"task": "verify-axioms", "report": report.to_dict()})
     _say(args, f"axiom report for {describe(risk)}: {'PASS' if report.passed else 'FAIL'}")
     return OK
 
 
 def _run_verify_bounds(args, sections) -> int:
     model = sections["model"]
-    spec = _need_bounds(sections)
-    risk = _single_risk(sections["risk"])
+    spec = _section(sections, "bounds")
+    risk = _single_risk(sections)
     report = verify_bounds(model, risk, spec)
-    _write_report(args, {"task": "verify-bounds", "report": report.to_dict()})
+    _write_json(args, "report.json", {"task": "verify-bounds", "report": report.to_dict()})
     _say(args, f"bounds {'verified' if report.ok else 'VIOLATED'} (modulus {report.modulus:g})")
     return OK
 
 
 def _run_check_contraction(args, sections) -> int:
     model, task = sections["model"], sections["task"]
-    spec = _need_bounds(sections)
-    risk = _single_risk(sections["risk"])
+    spec = _section(sections, "bounds")
+    risk = _single_risk(sections)
     trials = _task_field(task, "trials", int, 100)
     seed = _seed_for(args, task)
     ratio = check_contraction(model, risk, spec, trials, seed)
     modulus = spec.modulus(model.discount)
-    _write_report(
+    _write_json(
         args,
+        "report.json",
         {
             "task": "check-contraction",
             "max_ratio": ratio,
@@ -277,7 +272,7 @@ def _run_check_contraction(args, sections) -> int:
 
 def _run_robust_check(args, sections) -> int:
     model, task = sections["model"], sections["task"]
-    risk = _single_risk(sections["risk"])
+    risk = _single_risk(sections)
     report = verify_equivalence(
         model,
         risk,
@@ -285,72 +280,73 @@ def _run_robust_check(args, sections) -> int:
         _task_field(task, "tol", float, 1e-10),
         enumerate_policies=_task_field(task, "enumerate", bool, True),
     )
-    _write_report(args, {"task": "robust-check", "report": report.to_dict()})
+    _write_json(args, "report.json", {"task": "robust-check", "report": report.to_dict()})
     _say(args, f"robust equivalence {'PASS' if report.passed else 'FAIL'} "
                f"(dp vs game {report.max_diff_dp_robust:.3e})")
     return OK
 
 
 def _build_example(name: str, params: dict):
+    if not isinstance(params, dict):
+        raise ModelFileError([f"task.params must be an object, got {params!r}"])
+
+    def param(key: str, cast, default=_REQUIRED):
+        """``params[key]`` read by ``cast``, located as ``task.params.<key>``."""
+        if default is _REQUIRED:
+            return _field(params, key, cast, "task.params")
+        return _cast(f"task.params.{key}", cast, params.get(key, default))
+
+    def law(key: str):
+        pairs = param(key, _pairs)
+        return make_distribution([v for v, _ in pairs], [p for _, p in pairs])
+
     if name == "casino":
-        rec = ex.CasinoParams(
-            win_prob=float(params["win_prob"]),
-            horizon=int(params["horizon"]),
-            grid=tuple(int(x) for x in params.get("grid", (0, 1, 2, 3))),
-        )
-        return ex.build_casino(rec.win_prob, rec.horizon, rec.grid)
+        grid = param("grid", lambda g: tuple(map(_int, g)), (0, 1, 2, 3))
+        return ex.build_casino(param("win_prob", float), param("horizon", _int), grid)
     if name == "house_selling":
-        offers = params["offers"]
-        law = make_distribution([o[0] for o in offers], [o[1] for o in offers])
         return ex.build_house_selling(
             ex.HouseSellingParams(
-                offer_law=law,
-                rent=float(params["rent"]),
-                beta=float(params.get("beta", 1.0)),
-                horizon=int(params.get("horizon", 2)),
+                offer_law=law("offers"),
+                rent=param("rent", float),
+                beta=param("beta", float, 1.0),
+                horizon=param("horizon", _int, 2),
             )
         )
     if name == "cash_balance":
-        levels = [float(v) for v in params["levels"]]
-        holding = [float(v) for v in params["holding_costs"]]
-        table = dict(zip(levels, holding))
-        shifts = params["shifts"]
-        law = make_distribution([s[0] for s in shifts], [s[1] for s in shifts])
+        levels = param("levels", _floats)
+        table = param("holding_costs", lambda costs: dict(zip(levels, _floats(costs), strict=True)))
         return ex.build_cash_balance(
             ex.CashBalanceParams(
-                levels=tuple(levels),
+                levels=levels,
                 holding_cost=lambda v: table[v],
-                transfer_up=float(params["transfer_up"]),
-                transfer_down=float(params["transfer_down"]),
-                z_law=law,
-                beta=float(params.get("beta", 0.9)),
+                transfer_up=param("transfer_up", float),
+                transfer_down=param("transfer_down", float),
+                z_law=law("shifts"),
+                beta=param("beta", float, 0.9),
             )
         )
     if name == "var_myopic":
-        labels = tuple(float(v) for v in params["labels"])
-        shifts = params["shifts"]
-        law = make_distribution([s[0] for s in shifts], [s[1] for s in shifts])
-        action_shifts = [float(s) for s in params["action_shifts"]]
-        lo, hi = labels[0], labels[-1]
+        labels = param("labels", _floats)
+        action_shifts = param("action_shifts", _floats)
 
         def clamp(v: float) -> float:
-            return min(max(v, lo), hi)
+            return min(max(v, labels[0]), labels[-1])
 
         return ex.build_var_myopic(
             ex.VarMyopicParams(
                 labels=labels,
                 n_actions=len(action_shifts),
-                z_law=law,
+                z_law=law("shifts"),
                 transition=lambda x, a, z: clamp(x + action_shifts[a] + z),
                 cost=lambda x, nxt: x + 2.0 * nxt,
-                level=float(params.get("level", 0.5)),
-                horizon=int(params.get("horizon", 3)),
+                level=param("level", float, 0.5),
+                horizon=param("horizon", _int, 3),
             )
         )
     raise ModelFileError([f"unknown example name {name!r}"])
 
 
-def _run_example(args, sections, doc: dict) -> int:
+def _run_example(args, sections) -> int:
     task = sections["task"]
     name = task.get("name")
     params = task.get("params", {})
@@ -365,18 +361,14 @@ def _run_example(args, sections, doc: dict) -> int:
         return VALIDATION_FAILURE
     if sections["risk"] is not None:
         emitted = model_file_dict(model, sections["risk"], downstream, sections["bounds"])
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "model.json", "w", encoding="utf-8") as fh:
-            json.dump(emitted, fh, indent=2)
-            fh.write("\n")
+        _write_json(args, "model.json", emitted)
     inner = dict(sections)
     inner["model"] = model
     inner["task"] = downstream
-    return _dispatch(downstream["type"], args, inner, doc)
+    return _dispatch(downstream["type"], args, inner)
 
 
-def _dispatch(command: str, args, sections, doc: dict) -> int:
+def _dispatch(command: str, args, sections) -> int:
     if command == "solve-finite":
         return _run_solve_finite(args, sections)
     if command == "solve-infinite":
@@ -390,7 +382,7 @@ def _dispatch(command: str, args, sections, doc: dict) -> int:
     if command == "robust-check":
         return _run_robust_check(args, sections)
     if command == "example":
-        return _run_example(args, sections, doc)
+        return _run_example(args, sections)
     raise ModelFileError([f"unknown command {command!r}"])
 
 
@@ -417,7 +409,7 @@ def main(argv=None) -> int:
                 for d in diags:
                     _complain(str(d))
                 return VALIDATION_FAILURE
-        return _dispatch(args.command, args, sections, doc)
+        return _dispatch(args.command, args, sections)
     except ModelFileError as exc:
         for d in exc.diagnostics:
             _complain(d)

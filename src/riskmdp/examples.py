@@ -26,7 +26,7 @@ import numpy as np
 
 from .distributions import DiscreteDistribution, make_distribution, pushforward
 from .errors import InvalidParams, MonotonicityViolation
-from .mdp_core import MdpModel, bellman_L
+from .mdp_core import MdpModel, _stage_values
 from .risk_measures import RiskMeasure, ValueAtRisk, evaluate
 from .solvers import solve_finite
 
@@ -490,36 +490,25 @@ def verify_myopia(model: MdpModel, level: float, horizon: int) -> bool:
     risk = ValueAtRisk(level)
     result = solve_finite(model, risk, horizon)
 
+    xs, acts = model._sweep[:2]
     trans = model.rows[0]
-    myopic_sets = []
-    for x in range(model.n_states):
-        best = math.inf
-        vals = {}
-        for a in model.admissible[x]:
-            law = pushforward(
-                model.disturbance,
-                lambda zi, _x=x, _a=a: labels[trans[_x][_a][int(zi)]],
-            )
-            v = evaluate(risk, law)
-            vals[a] = v
-            if v < best:
-                best = v
-        myopic_sets.append({a for a, v in vals.items() if v == best})
 
+    def minimizers(values) -> np.ndarray:
+        """(S, A) mask of each state's minimizing actions, from one value per pair."""
+        table = np.full((model.n_states, model.transition.shape[1]), math.inf)
+        table[xs, acts] = values
+        return table == table.min(axis=1, keepdims=True)
+
+    myopic = minimizers(
+        [
+            evaluate(risk, pushforward(model.disturbance, lambda zi: labels[trans[x][a][int(zi)]]))
+            for x, a in zip(xs.tolist(), acts.tolist())
+        ]
+    )
     first_rule = result.policy.stages[0]
     for n in range(horizon):
-        cont = result.values[n + 1]
-        for x in range(model.n_states):
-            best = math.inf
-            vals = {}
-            for a in model.admissible[x]:
-                v = bellman_L(model, risk, cont, x, a)
-                vals[a] = v
-                if v < best:
-                    best = v
-            greedy = {a for a, v in vals.items() if v == best}
-            if not myopic_sets[x] <= greedy:
-                return False
+        if (myopic & ~minimizers(_stage_values(model, risk, result.values[n + 1]))).any():
+            return False
         if result.policy.stages[n] != first_rule:
             return False
     return True

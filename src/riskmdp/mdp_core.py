@@ -482,52 +482,62 @@ def bellman_L(model: MdpModel, risk: RiskMeasure, v, x: int, a: int) -> float:
     return _risk_value_of_pairs(risk, _stage_pairs(model, _values_of(v), x, a))
 
 
-# Sweeps over fewer stage outcomes than this (pairs times outcomes) go
+# Steps over fewer stage outcomes than this (pairs times outcomes) go
 # pair by pair through the one-pair operator: below it, numpy's cost per
 # call exceeds the work. Both routes give the same values and actions, and
 # both raise when a state has no finite value.
 BATCH_MIN_OUTCOMES = 48
 
 
+def _stage_values(model: MdpModel, risk: RiskMeasure, v, rule=None):
+    """The one-stage operator at many pairs, each value bit-identical to ``bellman_L``.
+
+    Without ``rule``: one value per admissible pair, in ``model._sweep``
+    order. With a decision rule (one admissible action per state): one
+    value per state, at that state's rule pair. Steps over at least
+    ``BATCH_MIN_OUTCOMES`` stage outcomes are evaluated in one batch and
+    return an array; smaller ones go pair by pair and return a list.
+    """
+    xs, acts, succ, cost, probs = model._sweep
+    if rule is not None:
+        at = np.zeros(model.transition.shape[:2], dtype=np.int64)
+        at[xs, acts] = np.arange(len(xs))
+        pick = at[np.arange(model.n_states), rule]
+        succ, cost = succ[pick], cost[pick]
+    values = _values_of(v)
+    if succ.size >= BATCH_MIN_OUTCOMES:
+        # overflowing stage values give inf or NaN, as pair by pair
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = cost + model.discount * np.asarray(values, dtype=float)[succ]
+            return _risk_values_of_rows(risk, rows, probs)
+    beta, p = model.discount, probs.tolist()
+    return [
+        _risk_value_of_pairs(risk, zip([c + beta * values[s] for s, c in zip(row_s, row_c)], p))
+        for row_s, row_c in zip(succ.tolist(), cost.tolist())
+    ]
+
+
 def bellman_T(model: MdpModel, risk: RiskMeasure, v) -> tuple[ValueFunction, tuple[int, ...]]:
     """One Bellman sweep: per-state minimum over admissible actions.
 
-    Every admissible pair is evaluated in one batch (small sweeps go pair
-    by pair), bit-identical to ``bellman_L``. Ties are broken toward the
-    smallest action index, which makes the returned greedy rule
-    deterministic.
+    The stage step evaluates every admissible pair, bit-identical to
+    ``bellman_L``. Ties are broken toward the smallest action index,
+    which makes the returned greedy rule deterministic; a state without
+    a finite value raises in ``ValueFunction`` on both routes.
     """
-    xs, acts, succ, cost, probs = model._sweep
-    if succ.size < BATCH_MIN_OUTCOMES:
-        return _bellman_T_pairwise(model, risk, _values_of(v))
-    # overflowing stage values give inf or NaN, as in the pairwise route
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = cost + model.discount * np.asarray(_values_of(v), dtype=float)[succ]
-        vals = _risk_values_of_rows(risk, rows, probs)
+    vals = _stage_values(model, risk, v)
+    xs, acts = model._sweep[:2]
+    if isinstance(vals, list):  # first strict minimum in sweep order; NaN never wins
+        best, actions = [math.inf] * model.n_states, [-1] * model.n_states
+        for x, a, val in zip(xs.tolist(), acts.tolist(), vals):
+            if val < best[x]:
+                best[x], actions[x] = val, a
+        return ValueFunction(tuple(best)), tuple(actions)
     table = np.full((model.n_states, model.transition.shape[1]), math.inf)
-    # NaN never wins a comparison in the pairwise route
     table[xs, acts] = np.where(np.isnan(vals), math.inf, vals)
     actions = table.argmin(axis=1)
     best = table[np.arange(model.n_states), actions]
-    # a state without a finite value raises in ValueFunction, as in the
-    # pairwise route, so the argmin of an all-infinite row never escapes
     return ValueFunction(tuple(best.tolist())), tuple(actions.tolist())
-
-
-def _bellman_T_pairwise(model: MdpModel, risk: RiskMeasure, values):
-    out = []
-    actions = []
-    for x in range(model.n_states):
-        best = math.inf
-        best_a = -1
-        for a in model.admissible[x]:
-            val = _risk_value_of_pairs(risk, _stage_pairs(model, values, x, a))
-            if val < best:
-                best = val
-                best_a = a
-        out.append(best)
-        actions.append(best_a)
-    return ValueFunction(tuple(out)), tuple(actions)
 
 
 def weighted_norm(v1, v2, b: Sequence[float]) -> float:

@@ -86,6 +86,13 @@ def _field(obj: dict, key: str, cast, where: str):
     return _cast(f"{where}.{key}", cast, obj[key])
 
 
+def _int(value) -> int:
+    """``int(value)``, refusing a float it would truncate: 2.0 reads as 2, 2.5 is an error."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
@@ -173,13 +180,14 @@ def parse_model(obj: Any) -> MdpModel:
     if not isinstance(dist_obj, dict) or "probs" not in dist_obj:
         raise ModelFileError(["model.disturbance must be an object with 'probs'"])
     probs = _field(dist_obj, "probs", _floats, "model.disturbance")
-    atoms = _cast("model.disturbance.indices", _floats, dist_obj.get("indices", range(len(probs))))
+    indices = dist_obj.get("indices", range(len(probs)))
+    atoms = _cast("model.disturbance.indices", lambda v: _floats(map(_int, v)), indices)
     disturbance = make_distribution(atoms, probs)
-    n_states = _field(obj, "n_states", int, "model")
-    n_actions = _field(obj, "n_actions", int, "model")
+    n_states = _field(obj, "n_states", _int, "model")
+    n_actions = _field(obj, "n_actions", _int, "model")
     # table z-width: explicit, else inferred from the data, else the law size
     if "n_outcomes" in dist_obj:
-        k = _field(dist_obj, "n_outcomes", int, "model.disturbance")
+        k = _field(dist_obj, "n_outcomes", _int, "model.disturbance")
     else:
         def widest(raw):
             return max((len(cell) for row in raw for cell in row if cell is not None), default=len(probs))
@@ -214,7 +222,7 @@ def parse_model(obj: Any) -> MdpModel:
             out.append(tuple(cells))
         return tuple(out)
 
-    transition = table("transition", int)
+    transition = table("transition", _int)
     cost = table("cost", float)
     if diags or transition is None or cost is None:
         raise ModelFileError(diags)
@@ -223,7 +231,7 @@ def parse_model(obj: Any) -> MdpModel:
     return MdpModel(
         n_states=n_states,
         n_actions=n_actions,
-        admissible=_field(obj, "admissible", lambda rows: tuple(tuple(map(int, r)) for r in rows), "model"),
+        admissible=_field(obj, "admissible", lambda rows: tuple(tuple(map(_int, r)) for r in rows), "model"),
         disturbance=disturbance,
         transition=transition,
         cost=cost,

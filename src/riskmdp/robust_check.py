@@ -24,7 +24,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import NotCoherent, RiskMdpError, TooLargeForEnumeration
-from .mdp_core import MdpModel, Policy, ValueFunction
+from .mdp_core import BoundingSpec, MdpModel, Policy, ValueFunction
 from .risk_measures import (
     Expectation,
     ExpectedShortfall,
@@ -33,14 +33,7 @@ from .risk_measures import (
     describe,
     is_coherent,
 )
-from .solvers import (
-    InfiniteSolveResult,
-    _feasible_rules,
-    _require_infinite_preconditions,
-    default_max_iter,
-    solve_finite,
-)
-from .mdp_core import BoundingSpec, weighted_norm
+from .solvers import InfiniteSolveResult, _feasible_rules, _fixed_point, solve_finite
 
 __all__ = [
     "DualSet",
@@ -182,39 +175,15 @@ def robust_value_iteration(
     max_iter: int | None = None,
 ) -> InfiniteSolveResult:
     """Minimax fixed-point iteration with the same stopping rule as the primal solver."""
-    q = _require_infinite_preconditions(model, ds.risk, spec)
-    weight = spec.b()
-    rate = q / (1.0 - q)
-    if max_iter is None:
-        max_iter = default_max_iter(tol, q)
-    v = [0.0] * model.n_states
-    trace: list[tuple[float, float]] = []
-    converged = False
-    iterations = 0
-    residual = math.inf
-    bound = math.inf
-    while iterations < max_iter:
-        nxt = [_first_min(row, row)[0] for row in _adversary_table(model, ds, v)]
-        residual = weighted_norm(nxt, v, weight)
-        bound = rate * residual
-        trace.append((residual, bound))
-        v = nxt
-        iterations += 1
-        if bound <= tol:
-            converged = True
-            break
-    table = _adversary_table(model, ds, v)
-    actions = [_first_min(row, acts)[1] for row, acts in zip(table, model.admissible)]
-    return InfiniteSolveResult(
-        value=ValueFunction(tuple(v)),
-        policy=Policy(stages=(tuple(actions),), stationary=True),
-        iterations=iterations,
-        residual=residual,
-        error_bound=bound,
-        modulus=q,
-        converged=converged,
-        trace=tuple(trace),
-    )
+
+    def step(v):
+        return [_first_min(row, row)[0] for row in _adversary_table(model, ds, v)]
+
+    def greedy(v):
+        table = _adversary_table(model, ds, v)
+        return [_first_min(row, acts)[1] for row, acts in zip(table, model.admissible)]
+
+    return _fixed_point(model, ds.risk, spec, tol, max_iter, [0.0] * model.n_states, step, greedy)
 
 
 def count_markov_policies(model: MdpModel, horizon: int) -> int:

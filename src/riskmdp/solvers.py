@@ -36,7 +36,7 @@ from .mdp_core import (
     MdpModel,
     Policy,
     ValueFunction,
-    _stage_pairs,
+    _stage_values,
     _values_of,
     bellman_T,
     verify_bounds,
@@ -44,7 +44,6 @@ from .mdp_core import (
 )
 from .risk_measures import (
     RiskMeasure,
-    _risk_value_of_pairs,
     is_coherent,
     is_comonotonic_additive,
     is_positive_homogeneous,
@@ -142,6 +141,16 @@ def _feasible_rules(models: Sequence[MdpModel], policy: Policy, horizon: int):
     return rules
 
 
+def _policy_fold(models: Sequence[MdpModel], risks, rules, v) -> list[ValueFunction]:
+    """Fixed-rule values backward from ``v``: entry n applies rules n.. of the list, ``v`` last."""
+    out = [v]
+    for n in range(len(rules) - 1, -1, -1):
+        v = ValueFunction(_stage_values(models[n], risks[n], v, rules[n]))
+        out.append(v)
+    out.reverse()
+    return out
+
+
 def evaluate_policy_finite(model, risks, policy: Policy, horizon: int) -> list[ValueFunction]:
     """Policy values by applying the fixed-decision operator backward.
 
@@ -151,19 +160,7 @@ def evaluate_policy_finite(model, risks, policy: Policy, horizon: int) -> list[V
     models = _stage_models(model, horizon)
     risk_list = _stage_risks(risks, horizon)
     rules = _feasible_rules(models, policy, horizon)
-    v = ValueFunction(models[-1].terminal_cost)
-    out = [v]
-    for n in range(horizon - 1, -1, -1):
-        m = models[n]
-        vals = _values_of(v)
-        new = tuple(
-            _risk_value_of_pairs(risk_list[n], _stage_pairs(m, vals, x, rules[n][x]))
-            for x in range(m.n_states)
-        )
-        v = ValueFunction(new)
-        out.append(v)
-    out.reverse()
-    return out
+    return _policy_fold(models, risk_list, rules, ValueFunction(models[-1].terminal_cost))
 
 
 @dataclass(frozen=True)
@@ -188,9 +185,8 @@ def default_max_iter(tol: float, modulus: float) -> int:
     return max(10, min(n, MAX_ITER_CAP))
 
 
-def _require_infinite_preconditions(model: MdpModel, risk, spec: BoundingSpec):
-    if any(c != 0.0 for c in model.terminal_cost):
-        raise RiskMdpError("infinite horizon requires zero terminal cost")
+def _verified_bounds(model: MdpModel, risk, spec: BoundingSpec):
+    """The bounds report of ``spec``; raises, locating the first violation, when it fails."""
     report = verify_bounds(model, risk, spec)
     if not report.ok:
         first = report.violations[0]
@@ -198,10 +194,47 @@ def _require_infinite_preconditions(model: MdpModel, risk, spec: BoundingSpec):
             f"bounding spec fails verification ({len(report.violations)} violations, "
             f"first {first.inequality} at state {first.state}, action {first.action})"
         )
+    return report
+
+
+def _fixed_point(model: MdpModel, risk, spec: BoundingSpec, tol, max_iter, v, step, greedy):
+    """Iterate ``v <- step(v)`` until the a-posteriori bound certifies ``tol``.
+
+    Checks ``tol`` and the infinite-horizon preconditions, then records
+    the weighted residual and its bound q/(1-q) * residual per iteration.
+    ``step`` may return any sequence of values; ``greedy`` maps the final
+    value to the stationary rule of the result.
+    """
+    if not tol > 0.0:
+        raise RiskMdpError(f"tol must be > 0, got {tol!r}")
+    if any(c != 0.0 for c in model.terminal_cost):
+        raise RiskMdpError("infinite horizon requires zero terminal cost")
+    _verified_bounds(model, risk, spec)
     q = spec.modulus(model.discount)
     if q >= 1.0:
         raise NotContractive(f"alpha * discount = {q:g} must be < 1")
-    return q
+    weight = spec.b()
+    rate = q / (1.0 - q)
+    if max_iter is None:
+        max_iter = default_max_iter(tol, q)
+    trace: list[tuple[float, float]] = []
+    residual = bound = math.inf
+    while len(trace) < max_iter and not bound <= tol:
+        nxt = step(v)
+        residual = weighted_norm(nxt, v, weight)
+        bound = rate * residual
+        trace.append((residual, bound))
+        v = nxt
+    return InfiniteSolveResult(
+        value=ValueFunction(_values_of(v)),
+        policy=Policy(stages=(tuple(greedy(v)),), stationary=True),
+        iterations=len(trace),
+        residual=residual,
+        error_bound=bound,
+        modulus=q,
+        converged=bound <= tol,
+        trace=tuple(trace),
+    )
 
 
 def solve_infinite(
@@ -219,40 +252,15 @@ def solve_infinite(
     stationary policy for the final value. When the iteration budget runs
     out the partial result is returned with ``converged=False``.
     """
-    if not tol > 0.0:
-        raise RiskMdpError(f"tol must be > 0, got {tol!r}")
-    q = _require_infinite_preconditions(model, risk, spec)
-    weight = spec.b()
-    rate = q / (1.0 - q)
-    if max_iter is None:
-        max_iter = default_max_iter(tol, q)
-    v = ValueFunction(tuple(0.0 for _ in range(model.n_states))) if start is None else start
-    trace: list[tuple[float, float]] = []
-    converged = False
-    iterations = 0
-    residual = math.inf
-    bound = math.inf
-    while iterations < max_iter:
-        nxt, _ = bellman_T(model, risk, v)
-        residual = weighted_norm(nxt, v, weight)
-        bound = rate * residual
-        trace.append((residual, bound))
-        v = nxt
-        iterations += 1
-        if bound <= tol:
-            converged = True
-            break
-    _, actions = bellman_T(model, risk, v)
-    return InfiniteSolveResult(
-        value=v,
-        policy=Policy(stages=(actions,), stationary=True),
-        iterations=iterations,
-        residual=residual,
-        error_bound=bound,
-        modulus=q,
-        converged=converged,
-        trace=tuple(trace),
-    )
+
+    def step(v):
+        return bellman_T(model, risk, v)[0]
+
+    def greedy(v):
+        return bellman_T(model, risk, v)[1]
+
+    v = ValueFunction((0.0,) * model.n_states) if start is None else start
+    return _fixed_point(model, risk, spec, tol, max_iter, v, step, greedy)
 
 
 def check_contraction(
@@ -281,9 +289,7 @@ def check_contraction(
             "contraction check needs a coherent risk measure, or bounded-below "
             "mode with a comonotonic-additive positive-homogeneous one"
         )
-    report = verify_bounds(model, risk, spec)
-    if not report.ok:
-        raise RiskMdpError("bounding spec fails verification")
+    report = _verified_bounds(model, risk, spec)
     if report.global_lb is None:
         raise NotContractive(f"alpha * discount = {report.modulus:g} must be < 1")
     weight = spec.b()
@@ -322,41 +328,15 @@ def weak_increase_check(
     """
     if not is_coherent(risk):
         raise NotCoherent("weak-increase check requires a coherent risk measure")
-    report = verify_bounds(model, risk, spec)
-    if not report.ok:
-        raise RiskMdpError("bounding spec fails verification")
+    _verified_bounds(model, risk, spec)
     q = spec.modulus(model.discount)
-    rules = policy.rules(horizon)
-    zero = ValueFunction(tuple(0.0 for _ in range(model.n_states)))
-
-    def policy_value(n: int) -> ValueFunction:
-        # applies the first n rules: T_{d_0} ... T_{d_{n-1}} 0
-        v = zero
-        for k in range(n - 1, -1, -1):
-            vals = _values_of(v)
-            v = ValueFunction(
-                tuple(
-                    _risk_value_of_pairs(risk, _stage_pairs(model, vals, x, rules[k][x]))
-                    for x in range(model.n_states)
-                )
-            )
-        return v
-
-    if policy.stationary:
-        # one rule everywhere: build incrementally
-        values = [zero]
-        v = zero
-        for _ in range(horizon):
-            vals = _values_of(v)
-            v = ValueFunction(
-                tuple(
-                    _risk_value_of_pairs(risk, _stage_pairs(model, vals, x, rules[0][x]))
-                    for x in range(model.n_states)
-                )
-            )
-            values.append(v)
-    else:
-        values = [policy_value(n) for n in range(horizon + 1)]
+    models, risks = [model] * horizon, [risk] * horizon
+    rules = _feasible_rules(models, policy, horizon)
+    zero = ValueFunction((0.0,) * model.n_states)
+    if policy.stationary:  # one rule everywhere: one fold holds every J_n
+        values = _policy_fold(models, risks, rules, zero)[::-1]
+    else:  # J_n applies the first n rules
+        values = [_policy_fold(models, risks, rules[:n], zero)[0] for n in range(horizon + 1)]
 
     for n in range(1, horizon + 1):
         shift = q ** (n - 1)

@@ -382,6 +382,20 @@ def _with(path, value, doc=None):
 _ENTROPIC = dict(
     README_MODEL, risk={"kind": "entropic", "gamma": 1.0}, task={"type": "solve-infinite", "tol": 1e-8}
 )
+
+
+def _casino_example(**changes):
+    """A casino example task with its params changed; the value ``_DROP`` removes a key."""
+    params = dict({"win_prob": 0.75, "horizon": 2}, **changes)
+    task = {
+        "type": "example",
+        "name": "casino",
+        "params": {key: value for key, value in params.items() if value is not _DROP},
+        "task": {"type": "solve-finite", "horizon": 2},
+    }
+    return {"risk": {"kind": "expectation"}, "task": task}
+
+
 _MIXTURE = {"kind": "mixture", "first": {"kind": "expectation"}, "second": {"kind": "value_at_risk"}}
 
 
@@ -400,6 +414,12 @@ _MIXTURE = {"kind": "mixture", "first": {"kind": "expectation"}, "second": {"kin
         (_with(("task",), {"type": "verify-axioms", "seed": "s"}), "task.seed: expected an integer >= 0"),
         (_with(("task",), {"type": "check-contraction", "seed": -1}), "task.seed: expected an integer >= 0"),
         (_with(("task",), {"type": "check-contraction", "trials": 0}), "task.trials: expected an integer >= 1"),
+        (_with(("model", "n_states"), 2.5), "model.n_states: cannot read 2.5 (not an integer)"),
+        (_with(("model", "transition", 0, 1), [1.7, 1]), "model.transition[0][1]: cannot read [1.7, 1] (not an integer)"),
+        (_with(("model", "admissible", 1), [0.9]), "model.admissible: cannot read [[0, 1], [0.9]] (not an integer)"),
+        (_casino_example(win_prob="x"), "task.params.win_prob: cannot read 'x'"),
+        (_casino_example(win_prob=_DROP), "task.params.win_prob is missing"),
+        (_casino_example(horizon=2.7), "task.params.horizon: cannot read 2.7 (not an integer)"),
     ],
 )
 def test_malformed_fields_exit_2_with_a_located_message(tmp_path, capsys, doc, located):
@@ -407,6 +427,20 @@ def test_malformed_fields_exit_2_with_a_located_message(tmp_path, capsys, doc, l
     assert main([doc["task"]["type"], path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert located in err and "Traceback" not in err
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    doc = dict(README_MODEL, task={"type": "solve-finite", "horizon": 3})
+    floats = json.loads(json.dumps(doc))
+    floats["model"]["n_states"] = 2.0
+    floats["model"]["transition"][0][1] = [1.0, 1.0]
+    floats["model"]["admissible"][1] = [0.0]
+    outputs = []
+    for d in (doc, floats):
+        out = tmp_path / f"out{len(outputs)}"
+        assert main(["solve-finite", write(tmp_path / "m.json", d), "--out", str(out), "--quiet"]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("values.csv", "policy.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_seed_zero_is_valid_and_the_flag_takes_precedence(tmp_path):

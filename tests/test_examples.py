@@ -25,7 +25,7 @@ from riskmdp.examples import (
     negated_gain_law,
     verify_myopia,
 )
-from riskmdp.mdp_core import constant_bounding_spec, validate_model
+from riskmdp.mdp_core import MdpModel, bellman_L, constant_bounding_spec, validate_model
 from riskmdp.risk_measures import (
     Entropic,
     Expectation,
@@ -371,6 +371,51 @@ class TestVarMyopic:
         m = build_var_myopic(params)
         res = solve_finite(m, ExpectedShortfall(0.5), params.horizon)
         assert res.values[0] is not None
+
+
+    def test_myopia_matches_greedy_sets_from_bellman_L(self):
+        # random monotone models whose cost depends on (state, next state)
+        # only; the cost table is not monotone, so myopia may fail
+        rng = np.random.default_rng(505)
+        outcomes = set()
+        for _ in range(25):
+            S, A, K = int(rng.integers(2, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            succ = np.sort(rng.integers(0, S, (S, A, K)), axis=0)
+            by_pair = np.round(rng.uniform(-2, 2, (S, S)), 1)
+            m = MdpModel(
+                n_states=S,
+                n_actions=A,
+                admissible=tuple(tuple(range(A)) for _ in range(S)),
+                disturbance=make_distribution(list(range(K)), rng.dirichlet(np.ones(K)).tolist()),
+                transition=succ.tolist(),
+                cost=by_pair[np.arange(S)[:, None, None], succ].tolist(),
+                terminal_cost=np.round(rng.uniform(-1, 1, S), 1).tolist(),
+                discount=0.9,
+                state_labels=tuple(float(x) for x in range(S)),
+            )
+            for level in (0.3, 0.9):
+                risk = ValueAtRisk(level)
+                res = solve_finite(m, risk, 3)
+
+                def argmins(score):
+                    return [
+                        {a for a in range(A) if score(x, a) == min(score(x, b) for b in range(A))}
+                        for x in range(S)
+                    ]
+
+                myopic = argmins(
+                    lambda x, a: evaluate(risk, make_distribution(succ[x, a].tolist(), m.disturbance.probs))
+                )
+                expected = all(res.policy.stages[n] == res.policy.stages[0] for n in range(3)) and all(
+                    my <= greedy
+                    for n in range(3)
+                    for my, greedy in zip(
+                        myopic, argmins(lambda x, a: bellman_L(m, risk, res.values[n + 1], x, a))
+                    )
+                )
+                assert verify_myopia(m, level, 3) is expected
+                outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestMonotoneValues:

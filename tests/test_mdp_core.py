@@ -1,5 +1,6 @@
 """Model validation, one-stage operators, norms, and envelope verification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from riskmdp.mdp_core import (
     BoundingSpec,
     BoundMode,
     MdpModel,
+    Policy,
     ValueFunction,
     bellman_L,
     bellman_T,
@@ -41,6 +43,7 @@ from riskmdp.risk_measures import (
     ValueAtRisk,
     evaluate,
 )
+from riskmdp.solvers import evaluate_policy_finite, weak_increase_check
 
 from helpers import classic_finite_dp, make_random_model
 
@@ -724,3 +727,80 @@ class TestVerifyBounds:
         spec = constant_bounding_spec(m, alpha=1.0, mode=BoundMode.COMONOTONE_MONOTONE)
         report = verify_bounds(m, ValueAtRisk(0.7), spec)
         assert report.ok, report.violations[:3]
+
+
+def policy_values_by_bellman_L(m, risk, rules, terminal):
+    """Stage values of the rules, backward from ``terminal``, one bellman_L per state."""
+    v = list(terminal)
+    out = [v]
+    for rule in reversed(rules):
+        v = [bellman_L(m, risk, v, x, a) for x, a in enumerate(rule)]
+        out.append(v)
+    return out[::-1]
+
+
+def random_rules(rng, m, horizon):
+    return [tuple(acts[int(rng.integers(len(acts)))] for acts in m.admissible) for _ in range(horizon)]
+
+
+class TestFixedRuleStep:
+    """Fixed-policy evaluation and the weak-increase check against loops over bellman_L."""
+
+    @pytest.fixture(params=[0, 10**9], ids=["batch", "pairwise"])
+    def route(self, request, monkeypatch):
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", request.param)
+
+    def test_evaluate_policy_finite_matches_the_bellman_L_loop(self, route):
+        rng = np.random.default_rng(5150)
+        for i in range(30):
+            m = (coarse_random_model if i % 2 else wide_random_model)(rng)
+            terminal = np.round(rng.uniform(-2, 2, m.n_states), 1).tolist()
+            m = dataclasses.replace(m, terminal_cost=terminal)
+            horizon = int(rng.integers(1, 4))
+            rules = random_rules(rng, m, horizon)
+            for policy, stage_rules in (
+                (Policy(stages=rules[:1], stationary=True), rules[:1] * horizon),
+                (Policy(stages=tuple(rules)), rules),
+            ):
+                for risk in EVERY_KIND:
+                    got = evaluate_policy_finite(m, risk, policy, horizon)
+                    expected = policy_values_by_bellman_L(m, risk, stage_rules, terminal)
+                    assert [bits(v) for v in got] == [bits(v) for v in expected], risk
+
+    def test_evaluate_policy_finite_raises_the_entropic_guard_of_the_loop(self, route):
+        m = two_state_model()
+        model = dataclasses.replace(
+            m, cost=[[[1.0, 2.0], [400.0, -3.0]], [[-1500.0, 0.0], [0.0, 0.0]]], discount=0.9
+        )
+        for rules in (((1, 0),), ((0, 0), (1, 0))):
+            for risk in (Entropic(2.0), Entropic(0.5), Mixture(0.5, Entropic(0.5), Entropic(2.0))):
+                with pytest.raises(EntropicOverflow) as expected:
+                    policy_values_by_bellman_L(model, risk, rules, model.terminal_cost)
+                with pytest.raises(EntropicOverflow) as got:
+                    evaluate_policy_finite(model, risk, Policy(stages=rules), len(rules))
+                assert str(got.value) == str(expected.value), risk
+
+    def test_weak_increase_check_with_a_non_stationary_policy(self, route):
+        rng = np.random.default_rng(5151)
+        outcomes = set()
+        for i in range(30):
+            m = (coarse_random_model if i % 2 else wide_random_model)(rng)
+            m = dataclasses.replace(m, discount=0.9)
+            horizon = int(rng.integers(1, 5))
+            rules = random_rules(rng, m, horizon)
+            spec = constant_bounding_spec(m)
+            q = spec.modulus(m.discount)
+            for risk in (Expectation(), ExpectedShortfall(0.6), EVERY_KIND[-2]):
+                for tol in (1e-9, -1.5):
+                    # J_n applies the first n rules to the zero vector
+                    zero = [0.0] * m.n_states
+                    J = [policy_values_by_bellman_L(m, risk, rules[:n], zero)[0] for n in range(horizon + 1)]
+                    expected = all(
+                        J[n][x] >= J[n - 1][x] + q ** (n - 1) * spec.lb[x] - tol
+                        for n in range(1, horizon + 1)
+                        for x in range(m.n_states)
+                    )
+                    got = weak_increase_check(m, risk, spec, Policy(stages=tuple(rules)), horizon, tol)
+                    assert got is expected, risk
+                    outcomes.add(got)
+        assert outcomes == {True, False}

@@ -1,7 +1,12 @@
 """Backward induction, fixed-point iteration, contraction and convergence checks."""
 
+import math
+import re
+
 import numpy as np
 import pytest
+
+from riskmdp import solvers
 
 from riskmdp.distributions import make_distribution
 from riskmdp.errors import (
@@ -25,6 +30,7 @@ from riskmdp.mdp_core import (
     weighted_norm,
 )
 from riskmdp.risk_measures import Entropic, Expectation, ExpectedShortfall, ValueAtRisk
+from riskmdp.robust_check import dual_set, robust_value_iteration
 from riskmdp.solvers import (
     check_contraction,
     default_max_iter,
@@ -279,6 +285,32 @@ class TestSolveInfinite:
             gap = weighted_norm(from_zero.value, from_ub.value, spec.b())
             assert gap <= 2 * tol
 
+    def test_one_call_through_bellman_T_per_sweep_and_one_for_the_policy(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bellman_T(*args)
+
+        monkeypatch.setattr(solvers, "bellman_T", counted)
+        rng = np.random.default_rng(10)
+        m = make_random_model(rng, zero_terminal=True)
+        for max_iter in (None, 3, 0):
+            calls.clear()
+            res = solve_infinite(m, ExpectedShortfall(0.8), constant_bounding_spec(m), 1e-10, max_iter)
+            assert len(calls) == res.iterations + 1
+        assert res.iterations == 0
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tol_must_be_positive_in_both_solvers(self, tol):
+        rng = np.random.default_rng(11)
+        m = make_random_model(rng, zero_terminal=True)
+        spec = constant_bounding_spec(m)
+        with pytest.raises(RiskMdpError, match="tol must be > 0"):
+            solve_infinite(m, ExpectedShortfall(0.8), spec, tol)
+        with pytest.raises(RiskMdpError, match="tol must be > 0"):
+            robust_value_iteration(m, dual_set(ExpectedShortfall(0.8)), spec, tol)
+
     def test_default_max_iter_formula(self):
         assert default_max_iter(1e-8, 0.9) == 10 * int(np.ceil(np.log(1e-8) / np.log(0.9)))
         assert default_max_iter(1e-8, 0.0) == 10
@@ -424,3 +456,27 @@ class TestWeakIncrease:
         )
         with pytest.raises(NotCoherent):
             weak_increase_check(m, ValueAtRisk(0.5), spec, policy, 3)
+
+
+def test_failed_bounds_are_located_in_every_check():
+    m = MdpModel(
+        n_states=2,
+        n_actions=2,
+        admissible=((0, 1), (0,)),
+        disturbance=make_distribution([0, 1], [0.5, 0.5]),
+        transition=(((0, 1), (1, 1)), ((0, 0), (0, 0))),
+        cost=(((1.0, 2.0), (0.5, 0.5)), ((0.0, 0.0), (0.0, 0.0))),
+        terminal_cost=(0.0, 0.0),
+        discount=0.9,
+    )
+    spec = BoundingSpec(lb=(-0.5, -0.5), ub=(0.5, 1.5), alpha=1.0)
+    policy = Policy(stages=((0, 0),), stationary=True)
+    located = re.escape("bounding spec fails verification (3 violations, first stage_cost_upper at state 0, action 0)")
+    for check in (
+        lambda: solve_infinite(m, Expectation(), spec, 1e-8),
+        lambda: robust_value_iteration(m, dual_set(Expectation()), spec, 1e-8),
+        lambda: check_contraction(m, Expectation(), spec, 3),
+        lambda: weak_increase_check(m, Expectation(), spec, policy, 3),
+    ):
+        with pytest.raises(RiskMdpError, match=located):
+            check()
