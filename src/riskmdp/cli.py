@@ -40,6 +40,7 @@ from .model_io import (
     _field,
     _floats,
     _int,
+    _ints,
     _pairs,
     TASK_TYPES,
     model_file_dict,
@@ -301,7 +302,7 @@ def _build_example(name: str, params: dict):
         return make_distribution([v for v, _ in pairs], [p for _, p in pairs])
 
     if name == "casino":
-        grid = param("grid", lambda g: tuple(map(_int, g)), (0, 1, 2, 3))
+        grid = param("grid", _ints, (0, 1, 2, 3))
         return ex.build_casino(param("win_prob", float), param("horizon", _int), grid)
     if name == "house_selling":
         return ex.build_house_selling(

@@ -86,15 +86,20 @@ def _field(obj: dict, key: str, cast, where: str):
     return _cast(f"{where}.{key}", cast, obj[key])
 
 
-def _int(value) -> int:
-    """``int(value)``, refusing a float it would truncate: 2.0 reads as 2, 2.5 is an error."""
-    if isinstance(value, float) and not value.is_integer():
+def _ints(values) -> tuple[int, ...]:
+    """``int`` of each value, refusing a float it would truncate: 2.0 reads as 2, 2.5 is an error."""
+    ints = tuple(map(int, values))
+    if ints != tuple(values) and any(isinstance(v, float) and not v.is_integer() for v in values):
         raise ValueError("not an integer")
-    return int(value)
+    return ints
+
+
+def _int(value) -> int:
+    return _ints((value,))[0]
 
 
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(map(float, values))
 
 
 def _pairs(rows) -> tuple[tuple[float, float], ...]:
@@ -181,7 +186,7 @@ def parse_model(obj: Any) -> MdpModel:
         raise ModelFileError(["model.disturbance must be an object with 'probs'"])
     probs = _field(dist_obj, "probs", _floats, "model.disturbance")
     indices = dist_obj.get("indices", range(len(probs)))
-    atoms = _cast("model.disturbance.indices", lambda v: _floats(map(_int, v)), indices)
+    atoms = _cast("model.disturbance.indices", lambda v: _floats(_ints(v)), indices)
     disturbance = make_distribution(atoms, probs)
     n_states = _field(obj, "n_states", _int, "model")
     n_actions = _field(obj, "n_actions", _int, "model")
@@ -194,13 +199,9 @@ def parse_model(obj: Any) -> MdpModel:
 
         k = _cast("model.transition", widest, obj["transition"])
 
-    def table(name: str, cast):
+    def table(name: str, read):
         where = f"model.{name}"
         raw = obj[name]
-
-        def read(cell):
-            return tuple(map(cast, cell))
-
         if _cast(where, len, raw) != n_states:
             diags.append(f"{where} has {len(raw)} rows, expected {n_states}")
             return None
@@ -212,7 +213,7 @@ def parse_model(obj: Any) -> MdpModel:
             cells = []
             for a, cell in enumerate(row):
                 if cell is None:
-                    cells.append(tuple(cast(0) for _ in range(k)))
+                    cells.append(read((0,) * k))
                     continue
                 cell = _cast(where, read, cell, x, a)
                 if len(cell) != k:
@@ -222,8 +223,8 @@ def parse_model(obj: Any) -> MdpModel:
             out.append(tuple(cells))
         return tuple(out)
 
-    transition = table("transition", _int)
-    cost = table("cost", float)
+    transition = table("transition", _ints)
+    cost = table("cost", _floats)
     if diags or transition is None or cost is None:
         raise ModelFileError(diags)
     labels = obj.get("state_labels")
@@ -231,7 +232,7 @@ def parse_model(obj: Any) -> MdpModel:
     return MdpModel(
         n_states=n_states,
         n_actions=n_actions,
-        admissible=_field(obj, "admissible", lambda rows: tuple(tuple(map(_int, r)) for r in rows), "model"),
+        admissible=_field(obj, "admissible", lambda rows: tuple(map(_ints, rows)), "model"),
         disturbance=disturbance,
         transition=transition,
         cost=cost,

@@ -5,6 +5,9 @@ cost, recording the greedy minimizer at every stage; per-stage risk
 measures are allowed, and a non-stationary problem can be expressed by
 passing one model per stage over a shared state space.
 
+Fixed-policy evaluation and the weak-increase check fold the stage
+step of ``mdp_core`` at fixed decision rules backward.
+
 The infinite solver requires a stationary model with zero terminal cost
 and a verified bounding specification. It iterates v_{k+1} = T v_k from
 v_0 = 0 and stops once the a-posteriori bound
@@ -12,7 +15,10 @@ v_0 = 0 and stops once the a-posteriori bound
     ||v_{k+1} - v_k||_b * q / (1 - q) <= tol,   q = alpha * discount < 1,
 
 certifies the weighted distance to the unique fixed point. The returned
-stationary policy is greedy with respect to the returned value.
+stationary policy is greedy with respect to the returned value. One
+driver, ``_fixed_point``, holds these checks, the stopping rule and the
+trace for this solver and for the robust value iteration of
+``robust_check``.
 """
 
 from __future__ import annotations
