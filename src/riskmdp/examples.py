@@ -18,6 +18,7 @@ Four classics, each a regression fixture for one structural result:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -491,7 +492,6 @@ def verify_myopia(model: MdpModel, level: float, horizon: int) -> bool:
     result = solve_finite(model, risk, horizon)
 
     xs, acts = model._sweep[:2]
-    trans = model.rows[0]
 
     def minimizers(values) -> np.ndarray:
         """(S, A) mask of each state's minimizing actions, from one value per pair."""
@@ -499,12 +499,9 @@ def verify_myopia(model: MdpModel, level: float, horizon: int) -> bool:
         table[xs, acts] = values
         return table == table.min(axis=1, keepdims=True)
 
-    myopic = minimizers(
-        [
-            evaluate(risk, pushforward(model.disturbance, lambda zi: labels[trans[x][a][int(zi)]]))
-            for x, a in zip(xs.tolist(), acts.tolist())
-        ]
-    )
+    # the quantile of the next label is the stage step at zero cost and discount 1
+    labels_only = dataclasses.replace(model, cost=np.zeros_like(model.cost), discount=1.0)
+    myopic = minimizers(_stage_values(labels_only, risk, labels))
     first_rule = result.policy.stages[0]
     for n in range(horizon):
         if (myopic & ~minimizers(_stage_values(model, risk, result.values[n + 1]))).any():

@@ -5,12 +5,10 @@ costs are read-only ``(S, A, K)`` arrays indexed ``[x, a, z]``; entries
 for inadmissible actions are placeholders, set to zero, and never read.
 The one-stage operator pushes the disturbance law through
 cost-plus-discounted-continuation and evaluates a risk measure on the
-resulting law. One stage step, ``_stage_values``, evaluates it at every
-admissible pair or at the pairs of a fixed decision rule, in one batch
-and bit-identical to the one-pair operator ``bellman_L``; minimizing
-over the admissible actions with smallest-index tie-breaking gives the
-Bellman update ``bellman_T``, and the fixed-rule reading serves policy
-evaluation.
+resulting law. One stage step evaluates it at every admissible pair or
+at a fixed rule's pairs, batched and bit-identical to ``bellman_L``;
+minimizing over the admissible actions with smallest-index tie-breaking
+gives the Bellman update, and the fixed-rule reading policy evaluation.
 
 Bounding specifications carry per-state envelopes (lb, ub) together with
 a growth rate alpha and one of three verification modes; when the

@@ -1,12 +1,10 @@
 """Finite-horizon backward induction and infinite-horizon fixed-point iteration.
 
 The finite solver applies the Bellman sweep backward from the terminal
-cost, recording the greedy minimizer at every stage; per-stage risk
-measures are allowed, and a non-stationary problem can be expressed by
-passing one model per stage over a shared state space.
-
-Fixed-policy evaluation and the weak-increase check fold the stage
-step of ``mdp_core`` at fixed decision rules backward.
+cost, recording the greedy minimizer at every stage (policy evaluation
+folds the stage step at fixed rules instead); per-stage risk measures
+are allowed, and a non-stationary problem can be expressed by passing
+one model per stage over a shared state space.
 
 The infinite solver requires a stationary model with zero terminal cost
 and a verified bounding specification. It iterates v_{k+1} = T v_k from
@@ -16,9 +14,7 @@ v_0 = 0 and stops once the a-posteriori bound
 
 certifies the weighted distance to the unique fixed point. The returned
 stationary policy is greedy with respect to the returned value. One
-driver, ``_fixed_point``, holds these checks, the stopping rule and the
-trace for this solver and for the robust value iteration of
-``robust_check``.
+driver runs this solver and robust value iteration alike.
 """
 
 from __future__ import annotations
