@@ -35,6 +35,7 @@ from .distributions import make_distribution
 from .errors import RiskMdpError
 from .mdp_core import validate_model, verify_bounds
 from .model_io import (
+    TASK_TYPES,
     ModelFileError,
     _cast,
     _field,
@@ -42,7 +43,6 @@ from .model_io import (
     _int,
     _ints,
     _pairs,
-    TASK_TYPES,
     model_file_dict,
     parse_model_file,
 )
