@@ -170,10 +170,14 @@ class CasinoParams:
     grid: tuple[int, ...] = (0, 1, 2, 3)
 
 
-def negated_gain_law(win_prob: float) -> DiscreteDistribution:
-    """Law of the per-unit loss -Z for a bet that pays +1 with the win probability."""
+def _check_win_prob(win_prob: float) -> None:
     if not 0.0 <= win_prob <= 1.0:
         raise InvalidParams(f"win probability must lie in [0, 1], got {win_prob!r}")
+
+
+def negated_gain_law(win_prob: float) -> DiscreteDistribution:
+    """Law of the per-unit loss -Z for a bet that pays +1 with the win probability."""
+    _check_win_prob(win_prob)
     if win_prob == 1.0:
         return make_distribution([-1.0], [1.0])
     if win_prob == 0.0:
@@ -190,6 +194,7 @@ def build_casino(win_prob: float, horizon: int, grid: Sequence[int]) -> MdpModel
     0..min(x, top - x); a won bet adds itself to the capital, a lost one
     is subtracted. No running cost, terminal cost -capital.
     """
+    _check_win_prob(win_prob)
     if horizon < 1:
         raise InvalidParams(f"horizon must be >= 1, got {horizon}")
     if any(float(x) != int(x) for x in grid):

@@ -13,16 +13,28 @@ and for small models the literal min over all enumerated Markov policies
 of nature's best response. Agreement of all three with the primal solver
 certifies that recursive coherent-risk minimization and the robust
 minimax problem have the same value on these models.
+
+Every route evaluates nature's sup one stage table at a time. Within one
+solve the density of a pair depends only on the sort order of its stage
+values, so each public entry point keeps a memo of one density per order
+and passes it to all its tables. Tables of at least
+``mdp_core.BATCH_MIN_OUTCOMES`` stage outcomes are sorted in numpy and
+summed by one ``math.fsum`` per pair; smaller ones go pair by pair. Both
+give the values of ``DualSet.sup`` bit for bit. The route shares nothing
+with the primal risk kernels but ``_dual_density_sorted``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, islice, product
 from operator import mul
 from typing import Iterator, Sequence
 
+import numpy as np
+
+from . import mdp_core
 from .errors import NotCoherent, RiskMdpError, TooLargeForEnumeration
 from .mdp_core import BoundingSpec, MdpModel, Policy, ValueFunction
 from .risk_measures import (
@@ -101,35 +113,132 @@ def dual_set(risk: RiskMeasure) -> DualSet:
     return DualSet(risk)
 
 
-def _adversary_table(model: MdpModel, ds: DualSet, cont: Sequence[float], actions=None) -> list[list[float]]:
+class _Memo:
+    """What one solve reuses across its stage tables.
+
+    The risk measure and the probabilities are fixed within a solve, so
+    nature's maximizing density depends on a pair's stage values only
+    through their stable sort order: ``densities`` keeps one density per
+    order met, by outcome. ``tables`` keeps the batch's successor and cost
+    rows per action set. Each public entry point makes one and drops it
+    on return, so nothing is shared between solves. A plain class, since
+    building a dataclass costs about 0.5 ms at every import.
+    """
+
+    __slots__ = ("densities", "tables")
+
+    def __init__(self) -> None:
+        self.densities: dict[tuple[int, ...], list[float]] = {}
+        self.tables: dict = {}
+
+
+def _density(risk: RiskMeasure, probs, order: tuple[int, ...], densities: dict) -> list[float]:
+    """Nature's maximizing density, by outcome, for stage values sorted into ``order``."""
+    q = densities.get(order)
+    if q is None:
+        q_sorted = _dual_density_sorted(risk, [probs[i] for i in order])
+        q = densities[order] = [q_sorted[order.index(i)] for i in range(len(order))]
+    return q
+
+
+def _sup(risk: RiskMeasure, probs, values: list[float], densities: dict) -> float:
+    """``DualSet.sup`` of one pair's stage values, with the density from the memo."""
+    order = tuple(sorted(range(len(values)), key=values.__getitem__))
+    return math.fsum(map(mul, values, _density(risk, probs, order, densities)))
+
+
+def _batched(model: MdpModel, actions) -> bool:
+    """Whether a table over ``actions`` has enough stage outcomes for the batch."""
+    t, c = model.transition, model.cost
+    return (
+        sum(map(len, actions)) * len(model.z_indices) >= mdp_core.BATCH_MIN_OUTCOMES
+        and isinstance(t, np.ndarray)
+        and isinstance(c, np.ndarray)
+        and t.shape == c.shape
+    )
+
+
+def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, actions=None):
+    """Nature's sup at every pair of ``actions`` (default: admissible), flat, as an array.
+
+    The successor and cost rows are gathered once per solve and action
+    set, in ``z_indices`` order as on the pair route: the order of tied
+    values decides the density. Each row's stable sort order becomes an
+    integer code, one density is looked up per distinct code, and each
+    row's products are summed by one ``math.fsum``. A row holding NaN goes
+    through ``_sup``, since Python's sort places NaN where numpy's does not.
+    """
+    pairs = memo.tables.get(actions)
+    if pairs is None:
+        acts_of = model.admissible if actions is None else actions
+        xs = np.repeat(np.arange(len(acts_of)), [len(acts) for acts in acts_of])
+        acts = np.fromiter(chain.from_iterable(acts_of), dtype=np.int64, count=len(xs))
+        zs = np.array(model.z_indices)
+        pairs = memo.tables[actions] = (xs, acts, model.transition[xs, acts][:, zs], model.cost[xs, acts][:, zs])
+    _, _, succ, cost = pairs
+    probs = model.disturbance.probs
+    k = len(probs)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or NaN, as pair by pair
+        vals = cost + model.discount * np.asarray(cont, dtype=float)[succ]
+        orders = np.argsort(vals, axis=1, kind="stable")
+        if k**k < 2**63:
+            codes = orders @ (k ** np.arange(k - 1, -1, -1))
+            _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            distinct = orders[first]
+        else:
+            distinct, inverse = np.unique(orders, axis=0, return_inverse=True)
+        q = [_density(risk, probs, order, memo.densities) for order in map(tuple, distinct.tolist())]
+        products = vals * np.array(q)[inverse.reshape(-1)]
+    sups = np.fromiter(map(math.fsum, products.tolist()), dtype=float, count=len(vals))
+    for i in np.flatnonzero(np.isnan(vals).any(axis=1)).tolist():
+        sups[i] = _sup(risk, probs, vals[i].tolist(), memo.densities)
+    return sups
+
+
+def _adversary_table(model: MdpModel, ds: DualSet, cont, memo: _Memo, actions=None) -> list[list[float]]:
     """Nature's sup at every pair (x, a) against the continuation ``cont``.
 
-    Row x holds one value per action of ``actions[x]`` (default: the
-    admissible actions), in that order. Each value is bit-identical to
-    ``ds.sup`` of the pair's stage values. The probabilities are shared by
-    every pair, so the maximizing density depends only on the sort order
-    of the values; it is computed once per order within the call.
+    Row x holds one value per action of ``actions[x]`` (a tuple of tuples;
+    default: the admissible actions), in that order. Each value is
+    bit-identical to ``ds.sup`` of the pair's stage values, and each sort
+    order's density comes from the solve's ``memo``. Tables of at least
+    ``mdp_core.BATCH_MIN_OUTCOMES`` stage outcomes (pairs times outcomes)
+    go through ``_batched_sups``; smaller ones go pair by pair.
     """
-    beta = model.discount
+    acts_of = model.admissible if actions is None else actions
+    if _batched(model, acts_of):
+        flat = iter(_batched_sups(model, ds.risk, cont, memo, actions).tolist())
+        return [list(islice(flat, len(acts))) for acts in acts_of]
+    beta, zs, probs = model.discount, model.z_indices, model.disturbance.probs
     trans, costs = model.rows
-    zs = model.z_indices
-    probs = model.disturbance.probs
-    ranks = range(len(zs))
-    densities: dict[tuple[int, ...], list[float]] = {}
     table = []
-    for x, acts in enumerate(model.admissible if actions is None else actions):
+    for x, acts in enumerate(acts_of):
         row = []
         for a in acts:
             row_t, row_c = trans[x][a], costs[x][a]
-            values = [row_c[z] + beta * cont[row_t[z]] for z in zs]
-            order = tuple(sorted(ranks, key=values.__getitem__))
-            q = densities.get(order)
-            if q is None:
-                q_sorted = _dual_density_sorted(ds.risk, [probs[i] for i in order])
-                q = densities[order] = [q_sorted[order.index(i)] for i in ranks]
-            row.append(math.fsum(map(mul, values, q)))
+            row.append(_sup(ds.risk, probs, [row_c[z] + beta * cont[row_t[z]] for z in zs], memo.densities))
         table.append(row)
     return table
+
+
+def _adversary_min(model: MdpModel, ds: DualSet, cont, memo: _Memo) -> tuple[list[float], list[int]]:
+    """Per state, the first minimum of nature's sup over the admissible actions, and its action.
+
+    ``_first_min`` semantics on both routes: NaN never wins, ties go to
+    the smallest action, and a state with nothing below +inf gets
+    (+inf, -1).
+    """
+    if not _batched(model, model.admissible):
+        table = _adversary_table(model, ds, cont, memo)
+        picks = [_first_min(row, acts) for row, acts in zip(table, model.admissible)]
+        return [val for val, _ in picks], [a for _, a in picks]
+    sups = _batched_sups(model, ds.risk, cont, memo)
+    xs, acts = memo.tables[None][:2]
+    table = np.full((model.n_states, model.transition.shape[1]), math.inf)
+    table[xs, acts] = np.where(np.isnan(sups), math.inf, sups)
+    best_a = table.argmin(axis=1)
+    best = table[np.arange(model.n_states), best_a]
+    return best.tolist(), np.where(best < math.inf, best_a, -1).tolist()
 
 
 def _first_min(values: Sequence[float], labels: Sequence) -> tuple[float, object]:
@@ -149,9 +258,10 @@ def nature_best_response(model: MdpModel, ds: DualSet, policy: Policy, horizon: 
     stage-0 vector.
     """
     rules = _feasible_rules([model] * horizon, policy, horizon)
+    memo = _Memo()
     w = list(model.terminal_cost)
     for n in range(horizon - 1, -1, -1):
-        w = [row[0] for row in _adversary_table(model, ds, w, [(a,) for a in rules[n]])]
+        w = [row[0] for row in _adversary_table(model, ds, w, memo, tuple((a,) for a in rules[n]))]
     return ValueFunction(tuple(w))
 
 
@@ -161,9 +271,10 @@ def robust_game_value(model: MdpModel, ds: DualSet, horizon: int) -> ValueFuncti
     Ties in the outer minimization break toward the smallest action index.
     Returns the stage-0 vector.
     """
+    memo = _Memo()
     g = list(model.terminal_cost)
     for _ in range(horizon):
-        g = [_first_min(row, row)[0] for row in _adversary_table(model, ds, g)]
+        g = _adversary_min(model, ds, g, memo)[0]
     return ValueFunction(tuple(g))
 
 
@@ -175,13 +286,13 @@ def robust_value_iteration(
     max_iter: int | None = None,
 ) -> InfiniteSolveResult:
     """Minimax fixed-point iteration with the same stopping rule as the primal solver."""
+    memo = _Memo()
 
     def step(v):
-        return [_first_min(row, row)[0] for row in _adversary_table(model, ds, v)]
+        return _adversary_min(model, ds, v, memo)[0]
 
     def greedy(v):
-        table = _adversary_table(model, ds, v)
-        return [_first_min(row, acts)[1] for row, acts in zip(table, model.admissible)]
+        return _adversary_min(model, ds, v, memo)[1]
 
     return _fixed_point(model, ds.risk, spec, tol, max_iter, [0.0] * model.n_states, step, greedy)
 
@@ -213,9 +324,10 @@ def _enumerated_minimum(model: MdpModel, ds: DualSet, horizon: int) -> tuple[flo
     # each kept as its rule indices for stages 1..N-1; tuples of indices
     # order like the enumeration
     best = [[(math.inf, ())] * len(acts) for acts in model.admissible]
+    memo = _Memo()
 
     def descend(n: int, cont: list[float], suffix: tuple[int, ...]) -> None:
-        table = _adversary_table(model, ds, cont)
+        table = _adversary_table(model, ds, cont, memo)
         if n > 0:
             for r, pos in enumerate(positions):
                 descend(n - 1, [row[j] for row, j in zip(table, pos)], (r, *suffix))

@@ -420,6 +420,7 @@ _MIXTURE = {"kind": "mixture", "first": {"kind": "expectation"}, "second": {"kin
         (_casino_example(win_prob="x"), "task.params.win_prob: cannot read 'x'"),
         (_casino_example(win_prob=_DROP), "task.params.win_prob is missing"),
         (_casino_example(horizon=2.7), "task.params.horizon: cannot read 2.7 (not an integer)"),
+        (_casino_example(win_prob=1.5), "win probability must lie in [0, 1], got 1.5"),
     ],
 )
 def test_malformed_fields_exit_2_with_a_located_message(tmp_path, capsys, doc, located):

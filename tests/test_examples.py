@@ -193,6 +193,9 @@ class TestCasino:
             build_casino(0.5, 2, [0.5])
         with pytest.raises(InvalidParams):
             negated_gain_law(1.5)
+        for win_prob in (1.5, -0.25, math.nan):
+            with pytest.raises(InvalidParams, match=r"win probability must lie in \[0, 1\]"):
+                build_casino(win_prob, 2, [0, 1])
 
 
 class TestCashBalance:

@@ -1,11 +1,12 @@
 """Adversary DP, minimax game value, and the inf-sup equivalence check."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from riskmdp import robust_check
+from riskmdp import mdp_core, robust_check
 from riskmdp.distributions import make_distribution
 from riskmdp.errors import NotCoherent, RiskMdpError, TooLargeForEnumeration
 from riskmdp.examples import build_casino
@@ -246,7 +247,7 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
-def coarse_model(rng, decimals, single_action_states, zero_terminal=False):
+def coarse_model(rng, decimals, single_action_states, zero_terminal=False, max_outcomes=4):
     """Seeded model with costs on a 10**-decimals grid, so stage values tie exactly.
 
     Rounding makes signed zeros too. With ``single_action_states`` every
@@ -254,7 +255,7 @@ def coarse_model(rng, decimals, single_action_states, zero_terminal=False):
     """
     S = int(rng.integers(1, 5))
     A = int(rng.integers(1, 4))
-    K = int(rng.integers(1, 5))
+    K = int(rng.integers(1, max_outcomes + 1))
     admissible = []
     for x in range(S):
         size = 1 if single_action_states and x % 2 == 0 else int(rng.integers(1, A + 1))
@@ -324,82 +325,98 @@ def literal_enumeration(model, ds, horizon):
     return best, first, ties
 
 
-def oracle_cases(seeds, max_policies):
+def oracle_cases(seeds, max_policies, max_outcomes=4):
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        model = coarse_model(rng, seed % 3, single_action_states=seed % 2 == 0)
+        model = coarse_model(rng, seed % 3, single_action_states=seed % 2 == 0, max_outcomes=max_outcomes)
         for horizon in (1, 2, 3, 4):
             if count_markov_policies(model, horizon) <= max_policies:
                 for risk in oracle_risks(rng):
                     yield model, risk, horizon
 
 
+def check_nature_best_response(cases):
+    for model, risk, horizon in cases:
+        ds = dual_set(risk)
+        for policy in enumerate_markov_policies(model, horizon):
+            w = list(model.terminal_cost)
+            for rule in reversed(policy.stages):
+                sups, _, _ = sup_loop(model, ds, w)
+                w = [sups[x][a] for x, a in enumerate(rule)]
+            assert bits(nature_best_response(model, ds, policy, horizon)) == bits(w)
+
+
+def check_enumeration(cases, monkeypatch):
+    # enumerated values are read from the module's nature_best_response
+    # on each state's first minimizing policy in enumeration order
+    called = []
+    original = robust_check.nature_best_response
+
+    def recorded(model, ds, policy, horizon):
+        called.append(policy.stages)
+        return original(model, ds, policy, horizon)
+
+    monkeypatch.setattr(robust_check, "nature_best_response", recorded)
+    ties = 0
+    for model, risk, horizon in cases:
+        best, first, tied = literal_enumeration(model, dual_set(risk), horizon)
+        ties += tied
+        called.clear()
+        report = verify_equivalence(model, risk, horizon, 1e-10)
+        assert bits(report.enumerated_values) == bits(best), (model, risk, horizon)
+        assert 1 <= len(called) <= model.n_states
+        assert sorted(called) == sorted(set(first))
+        assert report.n_policies == count_markov_policies(model, horizon)
+    assert ties > 0  # exact ties exercise the first-minimum order
+
+
+def check_robust_game_value(cases):
+    for model, risk, horizon in cases:
+        ds = dual_set(risk)
+        g = list(model.terminal_cost)
+        for _ in range(horizon):
+            _, g, _ = sup_loop(model, ds, g)
+        assert bits(robust_game_value(model, ds, horizon)) == bits(g)
+
+
+def check_robust_value_iteration(seeds, max_outcomes=4):
+    tol = 1e-9
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        model = coarse_model(rng, seed % 3, seed % 2 == 0, zero_terminal=True, max_outcomes=max_outcomes)
+        if model.discount == 1.0:
+            continue
+        spec = constant_bounding_spec(model)
+        rate = spec.modulus(model.discount) / (1.0 - spec.modulus(model.discount))
+        for risk in oracle_risks(rng):
+            ds = dual_set(risk)
+            result = robust_value_iteration(model, ds, spec, tol)
+            v, trace = [0.0] * model.n_states, []
+            for _ in range(result.iterations):
+                _, nxt, _ = sup_loop(model, ds, v)
+                residual = max(abs(a - b) / w for a, b, w in zip(nxt, v, spec.b()))
+                trace.append((residual, rate * residual))
+                v = nxt
+            _, _, actions = sup_loop(model, ds, v)
+            assert result.converged == (trace[-1][1] <= tol)
+            assert all(bound > tol for _, bound in trace[:-1])
+            assert bits(result.value) == bits(v)
+            assert result.policy.stages == (tuple(actions),)
+            assert [bits(t) for t in result.trace] == [bits(t) for t in trace]
+
+
 class TestDualRouteOracles:
     def test_nature_best_response_is_a_sup_loop(self):
-        for model, risk, horizon in oracle_cases(range(100, 120), 64):
-            ds = dual_set(risk)
-            for policy in enumerate_markov_policies(model, horizon):
-                w = list(model.terminal_cost)
-                for rule in reversed(policy.stages):
-                    sups, _, _ = sup_loop(model, ds, w)
-                    w = [sups[x][a] for x, a in enumerate(rule)]
-                assert bits(nature_best_response(model, ds, policy, horizon)) == bits(w)
+        check_nature_best_response(oracle_cases(range(100, 120), 64))
 
     def test_enumeration_matches_the_literal_scan(self, monkeypatch):
-        # enumerated values are read from the module's nature_best_response
-        # on each state's first minimizing policy in enumeration order
-        called = []
-        original = robust_check.nature_best_response
-
-        def recorded(model, ds, policy, horizon):
-            called.append(policy.stages)
-            return original(model, ds, policy, horizon)
-
-        monkeypatch.setattr(robust_check, "nature_best_response", recorded)
-        ties = 0
-        for model, risk, horizon in oracle_cases(range(200, 260), 300):
-            best, first, tied = literal_enumeration(model, dual_set(risk), horizon)
-            ties += tied
-            called.clear()
-            report = verify_equivalence(model, risk, horizon, 1e-10)
-            assert bits(report.enumerated_values) == bits(best), (model, risk, horizon)
-            assert 1 <= len(called) <= model.n_states
-            assert sorted(called) == sorted(set(first))
-            assert report.n_policies == count_markov_policies(model, horizon)
-        assert ties > 0  # exact ties exercise the first-minimum order
+        check_enumeration(oracle_cases(range(200, 260), 300), monkeypatch)
 
     def test_robust_game_value_is_a_sup_loop(self):
-        for model, risk, horizon in oracle_cases(range(300, 340), 10**6):
-            ds = dual_set(risk)
-            g = list(model.terminal_cost)
-            for _ in range(horizon):
-                _, g, _ = sup_loop(model, ds, g)
-            assert bits(robust_game_value(model, ds, horizon)) == bits(g)
+        check_robust_game_value(oracle_cases(range(300, 340), 10**6))
 
     def test_robust_value_iteration_is_a_sup_loop(self):
-        tol = 1e-9
-        for seed in range(400, 415):
-            rng = np.random.default_rng(seed)
-            model = coarse_model(rng, seed % 3, seed % 2 == 0, zero_terminal=True)
-            if model.discount == 1.0:
-                continue
-            spec = constant_bounding_spec(model)
-            rate = spec.modulus(model.discount) / (1.0 - spec.modulus(model.discount))
-            for risk in oracle_risks(rng):
-                ds = dual_set(risk)
-                result = robust_value_iteration(model, ds, spec, tol)
-                v, trace = [0.0] * model.n_states, []
-                for _ in range(result.iterations):
-                    _, nxt, _ = sup_loop(model, ds, v)
-                    residual = max(abs(a - b) / w for a, b, w in zip(nxt, v, spec.b()))
-                    trace.append((residual, rate * residual))
-                    v = nxt
-                _, _, actions = sup_loop(model, ds, v)
-                assert result.converged == (trace[-1][1] <= tol)
-                assert all(bound > tol for _, bound in trace[:-1])
-                assert bits(result.value) == bits(v)
-                assert result.policy.stages == (tuple(actions),)
-                assert [bits(t) for t in result.trace] == [bits(t) for t in trace]
+        check_robust_value_iteration(range(400, 415))
 
     def test_non_finite_policy_value_raises_like_the_literal_scan(self):
         # action 1 in state 0 overflows to inf; the optimum stays finite
@@ -418,3 +435,155 @@ class TestDualRouteOracles:
             literal_enumeration(model, ds, 1)
         with pytest.raises(RiskMdpError, match="non-finite"):
             verify_equivalence(model, ExpectedShortfall(0.5), 1, 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The batched stage table against the pair-by-pair route and the oracles
+
+
+@pytest.fixture(params=[0, 10**9], ids=["batched", "pairwise"])
+def route(request, monkeypatch):
+    """Every stage table through the batch (threshold 0) or pair by pair."""
+    monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", request.param)
+
+
+def tie_model(rng, n_outcomes, n_states=3):
+    """Two actions per state, costs on three levels and distinct probabilities:
+    long runs of exactly tied stage values, each run ordered by outcome."""
+    S, K = n_states, n_outcomes
+    return MdpModel(
+        n_states=S,
+        n_actions=2,
+        admissible=((0, 1),) * S,
+        disturbance=make_distribution(list(range(K)), rng.dirichlet(np.ones(K)).tolist()),
+        transition=rng.integers(0, S, (S, 2, K)).tolist(),
+        cost=rng.choice([-0.5, -0.0, 0.0, 0.5], (S, 2, K)).tolist(),
+        terminal_cost=[0.0] * S,
+        discount=0.9,
+    )
+
+
+class TestBatchedAdversaryTable:
+    def test_nature_best_response(self, route):
+        check_nature_best_response(oracle_cases(range(500, 512), 64, max_outcomes=8))
+
+    def test_enumeration(self, route, monkeypatch):
+        check_enumeration(oracle_cases(range(520, 535), 300, max_outcomes=8), monkeypatch)
+
+    def test_robust_game_value(self, route):
+        check_robust_game_value(oracle_cases(range(560, 580), 10**6, max_outcomes=8))
+
+    def test_robust_value_iteration(self, route):
+        check_robust_value_iteration(range(600, 615), max_outcomes=8)
+
+    def test_wide_laws_with_long_ties(self, route):
+        # 20 outcomes: the batch codes orders by np.unique over rows, and
+        # only a stable sort keeps each run of ties in outcome order
+        rng = np.random.default_rng(640)
+        cases = [(tie_model(rng, 20), risk, 3) for risk in oracle_risks(rng)]
+        check_robust_game_value(cases)
+        check_nature_best_response([(tie_model(rng, 17, n_states=2), ExpectedShortfall(0.7), 2)])
+
+    def test_reports_agree_across_routes(self, monkeypatch):
+        for model, risk, horizon in oracle_cases(range(620, 640), 300, max_outcomes=8):
+            reports = []
+            for threshold in (0, 10**9):
+                monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", threshold)
+                reports.append(json.dumps(verify_equivalence(model, risk, horizon, 1e-10).to_dict()))
+            assert reports[0] == reports[1]
+
+    def test_a_nan_sup_never_wins(self, route):
+        # both stage values of action 1 overflow to +inf; ES(0.5) weights one
+        # of them by 0, inf * 0 is NaN, and the finite action 0 must win
+        model = MdpModel(
+            n_states=1,
+            n_actions=2,
+            admissible=((0, 1),),
+            disturbance=make_distribution([0, 1], [0.5, 0.5]),
+            transition=[[[0, 0], [0, 0]]],
+            cost=[[[0.0, 0.0], [1.7e308, 1.7e308]]],
+            terminal_cost=[1.7e308],
+        )
+        ds = dual_set(ExpectedShortfall(0.5))
+        memo = robust_check._Memo()
+        assert math.isnan(robust_check._adversary_table(model, ds, model.terminal_cost, memo)[0][1])
+        assert robust_check._adversary_min(model, ds, model.terminal_cost, memo) == ([1.7e308], [0])
+        assert robust_check._adversary_min(model, ds, [math.inf], memo) == ([math.inf], [-1])
+        assert bits(robust_game_value(model, ds, 1)) == bits([1.7e308])
+
+    def test_ties_go_to_the_smallest_action(self, route):
+        # action 1 repeats action 0 in the even states, which therefore tie
+        # exactly at every iterate
+        rng = np.random.default_rng(660)
+        base = tie_model(rng, 4, n_states=6)
+        transition, cost = base.transition.copy(), base.cost.copy()
+        transition[::2, 1], cost[::2, 1] = transition[::2, 0], cost[::2, 0]
+        model = MdpModel(
+            n_states=6,
+            n_actions=2,
+            admissible=base.admissible,
+            disturbance=base.disturbance,
+            transition=transition,
+            cost=cost,
+            terminal_cost=base.terminal_cost,
+            discount=base.discount,
+        )
+        ds = dual_set(ExpectedShortfall(0.5))
+        result = robust_value_iteration(model, ds, constant_bounding_spec(model), 1e-9)
+        _, _, actions = sup_loop(model, ds, list(result.value))
+        assert result.policy.stages == (tuple(actions),)
+        assert actions[::2] == [0, 0, 0]
+
+    def test_stage_values_with_nan_sort_as_python_does(self, route):
+        # Python's sort of (nan, inf, -inf) keeps NaN first, numpy's puts it
+        # last; ES(0.5) then weights +inf and -inf both and fsum raises
+        model = MdpModel(
+            n_states=3,
+            n_actions=1,
+            admissible=((0,),) * 3,
+            disturbance=make_distribution([0, 1, 2], [0.25, 0.25, 0.5]),
+            transition=[[[0, 1, 2]]] * 3,
+            cost=[[[0.0, 0.0, 0.0]]] * 3,
+            terminal_cost=[math.nan, math.inf, -math.inf],
+        )
+        policy = Policy(stages=((0, 0, 0),))
+        with pytest.raises(ValueError, match="-inf \\+ inf"):
+            nature_best_response(model, dual_set(ExpectedShortfall(0.5)), policy, 1)
+
+
+class TestDensityMemo:
+    def test_one_density_per_order_within_a_solve_and_none_across(self, route, monkeypatch):
+        calls = []
+        original = robust_check._dual_density_sorted
+
+        def counted(risk, probs):
+            calls.append(tuple(probs))
+            return original(risk, probs)
+
+        monkeypatch.setattr(robust_check, "_dual_density_sorted", counted)
+        rng = np.random.default_rng(700)
+        first = tie_model(rng, 4, n_states=8)
+        second = MdpModel(
+            n_states=first.n_states,
+            n_actions=first.n_actions,
+            admissible=first.admissible,
+            disturbance=make_distribution(list(range(4)), rng.dirichlet(np.ones(4)).tolist()),
+            transition=first.transition,
+            cost=first.cost,
+            terminal_cost=first.terminal_cost,
+            discount=first.discount,
+        )
+        ds = dual_set(Spectral(StepSpectrum(((0.0, 0.5), (0.5, 1.5)))))
+        counts = []
+        for model in (first, first, second):
+            calls.clear()
+            spec = constant_bounding_spec(model)
+            result = robust_value_iteration(model, ds, spec, 1e-9)
+            # distinct probabilities: distinct orders sort them into distinct lists
+            assert len(calls) == len(set(calls)) > 1
+            counts.append(len(calls))
+            v = [0.0] * model.n_states
+            for _ in range(result.iterations):
+                _, v, _ = sup_loop(model, ds, v)
+            assert bits(result.value) == bits(v)
+        assert counts[0] == counts[1]  # a solve takes nothing from the one before
