@@ -163,10 +163,11 @@ def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, actions
 
     The successor and cost rows are gathered once per solve and action
     set, in ``z_indices`` order as on the pair route: the order of tied
-    values decides the density. Each row's stable sort order becomes an
-    integer code, one density is looked up per distinct code, and each
-    row's products are summed by one ``math.fsum``. A row holding NaN goes
-    through ``_sup``, since Python's sort places NaN where numpy's does not.
+    values decides the density. Each row's stable sort order is read as
+    one byte string, one density is looked up per distinct order, and each
+    row's products are summed by one ``math.fsum``. A row holding NaN is
+    not summed here but goes through ``_sup``, since Python's sort places
+    NaN where numpy's does not.
     """
     pairs = memo.tables.get(actions)
     if pairs is None:
@@ -177,20 +178,17 @@ def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, actions
         pairs = memo.tables[actions] = (xs, acts, model.transition[xs, acts][:, zs], model.cost[xs, acts][:, zs])
     _, _, succ, cost = pairs
     probs = model.disturbance.probs
-    k = len(probs)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or NaN, as pair by pair
         vals = cost + model.discount * np.asarray(cont, dtype=float)[succ]
         orders = np.argsort(vals, axis=1, kind="stable")
-        if k**k < 2**63:
-            codes = orders @ (k ** np.arange(k - 1, -1, -1))
-            _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-            distinct = orders[first]
-        else:
-            distinct, inverse = np.unique(orders, axis=0, return_inverse=True)
+        keys, inverse = np.unique(orders.view(np.dtype((np.void, orders.strides[0]))).ravel(), return_inverse=True)
+        distinct = keys.view(orders.dtype).reshape(-1, orders.shape[1])  # back from row bytes to orders
         q = [_density(risk, probs, order, memo.densities) for order in map(tuple, distinct.tolist())]
-        products = vals * np.array(q)[inverse.reshape(-1)]
+        products = vals * np.array(q)[inverse]
+    nan_rows = np.flatnonzero(np.isnan(vals).any(axis=1))
+    products[nan_rows] = 0.0
     sups = np.fromiter(map(math.fsum, products.tolist()), dtype=float, count=len(vals))
-    for i in np.flatnonzero(np.isnan(vals).any(axis=1)).tolist():
+    for i in nan_rows.tolist():
         sups[i] = _sup(risk, probs, vals[i].tolist(), memo.densities)
     return sups
 

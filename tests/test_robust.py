@@ -477,7 +477,7 @@ class TestBatchedAdversaryTable:
         check_robust_value_iteration(range(600, 615), max_outcomes=8)
 
     def test_wide_laws_with_long_ties(self, route):
-        # 20 outcomes: the batch codes orders by np.unique over rows, and
+        # 20 outcomes: the batch finds distinct orders by np.unique over rows, and
         # only a stable sort keeps each run of ties in outcome order
         rng = np.random.default_rng(640)
         cases = [(tie_model(rng, 20), risk, 3) for risk in oracle_risks(rng)]
@@ -549,6 +549,26 @@ class TestBatchedAdversaryTable:
         policy = Policy(stages=((0, 0, 0),))
         with pytest.raises(ValueError, match="-inf \\+ inf"):
             nature_best_response(model, dual_set(ExpectedShortfall(0.5)), policy, 1)
+
+    def test_stage_values_with_nan_are_not_summed_in_numpy_order(self, route):
+        # the mirror case: Python's sort keeps (inf, nan, -inf) as it is and
+        # ES(0.5) weights -inf by 1, so the sup is NaN, which the value
+        # vector refuses; numpy's order would weight +inf and -inf both and
+        # fsum would raise a bare ValueError
+        model = MdpModel(
+            n_states=3,
+            n_actions=1,
+            admissible=((0,),) * 3,
+            disturbance=make_distribution([0, 1, 2], [0.1, 0.1, 0.8]),
+            transition=[[[0, 1, 2]]] * 3,
+            cost=[[[0.0, 0.0, 0.0]]] * 3,
+            terminal_cost=[math.inf, math.nan, -math.inf],
+        )
+        policy = Policy(stages=((0, 0, 0),))
+        with pytest.raises(RiskMdpError, match="non-finite value nan"):
+            nature_best_response(model, dual_set(ExpectedShortfall(0.5)), policy, 1)
+        with pytest.raises(RiskMdpError, match="non-finite value inf"):
+            robust_game_value(model, dual_set(ExpectedShortfall(0.5)), 1)
 
 
 class TestDensityMemo:
