@@ -326,14 +326,20 @@ class BoundingSpec:
         object.__setattr__(self, "lb", tuple(float(v) for v in self.lb))
         object.__setattr__(self, "ub", tuple(float(v) for v in self.ub))
         object.__setattr__(self, "mode", BoundMode(self.mode))
+        # every check refuses NaN: a NaN weight b(x) would drop out of the
+        # norm and certify any iterate. An infinite envelope stays legal for
+        # verify_bounds; weighted_norm refuses its infinite weight
         ubar_eps, bar_eps = self.eps_split
-        if ubar_eps < 0.0 or bar_eps < 0.0 or abs(ubar_eps + bar_eps - 1.0) > 1e-12:
+        if not (ubar_eps >= 0.0 and bar_eps >= 0.0 and abs(ubar_eps + bar_eps - 1.0) <= 1e-12):
             raise RiskMdpError(f"eps split must be nonnegative and sum to 1, got {self.eps_split!r}")
         if len(self.lb) != len(self.ub):
             raise DimensionMismatch(f"lb has {len(self.lb)} states, ub has {len(self.ub)}")
-        if self.alpha < 0.0:
-            raise RiskMdpError(f"alpha must be >= 0, got {self.alpha!r}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise RiskMdpError(f"alpha must be finite and >= 0, got {self.alpha!r}")
         for x, (lo, hi) in enumerate(zip(self.lb, self.ub)):
+            for name, v in (("lb", lo), ("ub", hi)):
+                if math.isnan(v):
+                    raise RiskMdpError(f"{name}[{x}] is not a number")
             if lo > -ubar_eps + 1e-12:
                 raise RiskMdpError(f"lb[{x}] = {lo!r} exceeds -ubar_eps = {-ubar_eps!r}")
             if hi < bar_eps - 1e-12:
@@ -404,7 +410,11 @@ def validate_model(model: MdpModel) -> list[Diagnostic]:
         if not model.admissible[x]:
             out.append(Diagnostic("EmptyAdmissibleSet", {"state": x}, "no admissible action"))
             continue
-        for a in model.admissible[x]:
+        acts = model.admissible[x]  # sorted, so a repeat follows its first listing
+        for i, a in enumerate(acts):
+            if i and a == acts[i - 1]:
+                out.append(Diagnostic("BadAction", {"state": x, "action": a}, "admissible action listed twice"))
+                continue
             if not 0 <= a < A:
                 out.append(Diagnostic("BadAction", {"state": x, "action": a}, f"action index outside [0, {A})"))
                 continue
@@ -517,6 +527,28 @@ def _stage_values(model: MdpModel, risk: RiskMeasure, v, rule=None):
     ]
 
 
+def _first_min(model: MdpModel, vals) -> tuple[list[float], list[int]]:
+    """Per state, the first strict minimum of its pairs' values, and its action.
+
+    ``vals`` holds one value per admissible pair in ``model._sweep`` order,
+    as a stage step returns them: a list or an array. NaN never wins, ties
+    go to the smallest action, and a state with nothing below +inf gets
+    (+inf, -1). Both kinds of input give the same result.
+    """
+    xs, acts = model._sweep[:2]
+    if isinstance(vals, list):
+        best, actions = [math.inf] * model.n_states, [-1] * model.n_states
+        for x, a, val in zip(xs.tolist(), acts.tolist(), vals):
+            if val < best[x]:
+                best[x], actions[x] = val, a
+        return best, actions
+    table = np.full((model.n_states, model.transition.shape[1]), math.inf)
+    table[xs, acts] = np.where(np.isnan(vals), math.inf, vals)
+    first = table.argmin(axis=1)
+    best = table[np.arange(model.n_states), first]
+    return best.tolist(), np.where(best < math.inf, first, -1).tolist()
+
+
 def bellman_T(model: MdpModel, risk: RiskMeasure, v) -> tuple[ValueFunction, tuple[int, ...]]:
     """One Bellman sweep: per-state minimum over admissible actions.
 
@@ -525,29 +557,18 @@ def bellman_T(model: MdpModel, risk: RiskMeasure, v) -> tuple[ValueFunction, tup
     which makes the returned greedy rule deterministic; a state without
     a finite value raises in ``ValueFunction`` on both routes.
     """
-    vals = _stage_values(model, risk, v)
-    xs, acts = model._sweep[:2]
-    if isinstance(vals, list):  # first strict minimum in sweep order; NaN never wins
-        best, actions = [math.inf] * model.n_states, [-1] * model.n_states
-        for x, a, val in zip(xs.tolist(), acts.tolist(), vals):
-            if val < best[x]:
-                best[x], actions[x] = val, a
-        return ValueFunction(tuple(best)), tuple(actions)
-    table = np.full((model.n_states, model.transition.shape[1]), math.inf)
-    table[xs, acts] = np.where(np.isnan(vals), math.inf, vals)
-    actions = table.argmin(axis=1)
-    best = table[np.arange(model.n_states), actions]
-    return ValueFunction(tuple(best.tolist())), tuple(actions.tolist())
+    best, actions = _first_min(model, _stage_values(model, risk, v))
+    return ValueFunction(tuple(best)), tuple(actions)
 
 
 def weighted_norm(v1, v2, b: Sequence[float]) -> float:
-    """Weighted supremum norm max_x |v1(x) - v2(x)| / b(x), requiring b >= 1."""
+    """Weighted supremum norm max_x |v1(x) - v2(x)| / b(x), requiring finite b >= 1."""
     a1, a2 = _values_of(v1), _values_of(v2)
     if len(a1) != len(a2) or len(a1) != len(b):
         raise DimensionMismatch(f"lengths {len(a1)}, {len(a2)}, {len(b)} differ")
     for w in b:
-        if w < 1.0:
-            raise RiskMdpError(f"norm weights must be >= 1, got {w!r}")
+        if not 1.0 <= w < math.inf:  # a NaN or infinite weight would hide its state
+            raise RiskMdpError(f"norm weights must be finite and >= 1, got {w!r}")
     return max(abs(x - y) / w for x, y, w in zip(a1, a2, b))
 
 

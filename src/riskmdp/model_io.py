@@ -10,7 +10,6 @@ back to the identical in-memory object.
 
 from __future__ import annotations
 
-import json
 import reprlib
 from typing import Any
 
@@ -40,8 +39,6 @@ __all__ = [
     "bounds_to_obj",
     "parse_model_file",
     "model_file_dict",
-    "load_model_file",
-    "dump_model_file",
     "TASK_TYPES",
 ]
 
@@ -345,13 +342,3 @@ def model_file_dict(model: MdpModel, risk, task: dict, bounds: BoundingSpec | No
     doc["task"] = task
     return doc
 
-
-def load_model_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model_file(json.load(fh))
-
-
-def dump_model_file(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")

@@ -14,21 +14,24 @@ of nature's best response. Agreement of all three with the primal solver
 certifies that recursive coherent-risk minimization and the robust
 minimax problem have the same value on these models.
 
-Every route evaluates nature's sup one stage table at a time. Within one
-solve the density of a pair depends only on the sort order of its stage
-values, so each public entry point keeps a memo of one density per order
-and passes it to all its tables. Tables of at least
-``mdp_core.BATCH_MIN_OUTCOMES`` stage outcomes are sorted in numpy and
-summed by one ``math.fsum`` per pair; smaller ones go pair by pair. Both
-give the values of ``DualSet.sup`` bit for bit. The route shares nothing
-with the primal risk kernels but ``_dual_density_sorted``.
+Every route evaluates nature's sup by one stage step, laid out as the
+primal one: a flat value per admissible pair in the sweep's order, or
+one per state at a decision rule, with the per-state first minimum taken
+by ``mdp_core._first_min`` as in ``bellman_T``. Within one solve the
+density of a pair depends only on the sort order of its stage values, so
+each public entry point keeps a memo of one density per order and passes
+it to all its steps. Steps of at least ``mdp_core.BATCH_MIN_OUTCOMES``
+stage outcomes are sorted in numpy and summed by one ``math.fsum`` per
+pair; smaller ones go pair by pair. Both give the values of
+``DualSet.sup`` bit for bit. The stage arithmetic shares nothing with
+the primal risk kernels but ``_dual_density_sorted``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import product
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -72,7 +75,7 @@ class DualSet:
     the spectrum over rank intervals, and mixtures mix. The maximizer is
     comonotone with the values, so the sup is computed greedily after a
     stable sort; for fixed probabilities the density depends on the values
-    only through that order, which the dual route's stage tables reuse.
+    only through that order, which the dual route's stage steps reuse.
     """
 
     risk: RiskMeasure
@@ -114,15 +117,16 @@ def dual_set(risk: RiskMeasure) -> DualSet:
 
 
 class _Memo:
-    """What one solve reuses across its stage tables.
+    """What one solve reuses across its stage steps.
 
     The risk measure and the probabilities are fixed within a solve, so
     nature's maximizing density depends on a pair's stage values only
     through their stable sort order: ``densities`` keeps one density per
     order met, by outcome. ``tables`` keeps the batch's successor and cost
-    rows per action set. Each public entry point makes one and drops it
-    on return, so nothing is shared between solves. A plain class, since
-    building a dataclass costs about 0.5 ms at every import.
+    rows per decision rule (``None``: every admissible pair). Each public
+    entry point makes one and drops it on return, so nothing is shared
+    between solves. A plain class, since building a dataclass costs about
+    0.5 ms at every import.
     """
 
     __slots__ = ("densities", "tables")
@@ -147,36 +151,23 @@ def _sup(risk: RiskMeasure, probs, values: list[float], densities: dict) -> floa
     return math.fsum(map(mul, values, _density(risk, probs, order, densities)))
 
 
-def _batched(model: MdpModel, actions) -> bool:
-    """Whether a table over ``actions`` has enough stage outcomes for the batch."""
-    t, c = model.transition, model.cost
-    return (
-        sum(map(len, actions)) * len(model.z_indices) >= mdp_core.BATCH_MIN_OUTCOMES
-        and isinstance(t, np.ndarray)
-        and isinstance(c, np.ndarray)
-        and t.shape == c.shape
-    )
+def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, rule=None) -> np.ndarray:
+    """Nature's sup at the pairs of ``_adversary_values``, as an array.
 
-
-def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, actions=None):
-    """Nature's sup at every pair of ``actions`` (default: admissible), flat, as an array.
-
-    The successor and cost rows are gathered once per solve and action
-    set, in ``z_indices`` order as on the pair route: the order of tied
-    values decides the density. Each row's stable sort order is read as
-    one byte string, one density is looked up per distinct order, and each
-    row's products are summed by one ``math.fsum``. A row holding NaN is
-    not summed here but goes through ``_sup``, since Python's sort places
-    NaN where numpy's does not.
+    The successor and cost rows are gathered once per solve and rule, in
+    ``z_indices`` order as on the pair route: the order of tied values
+    decides the density. Each row's stable sort order is read as one byte
+    string, one density is looked up per distinct order, and each row's
+    products are summed by one ``math.fsum``. A row holding NaN is not
+    summed here but goes through ``_sup``, since Python's sort places NaN
+    where numpy's does not.
     """
-    pairs = memo.tables.get(actions)
-    if pairs is None:
-        acts_of = model.admissible if actions is None else actions
-        xs = np.repeat(np.arange(len(acts_of)), [len(acts) for acts in acts_of])
-        acts = np.fromiter(chain.from_iterable(acts_of), dtype=np.int64, count=len(xs))
+    rows = memo.tables.get(rule)
+    if rows is None:
+        xs, acts = model._sweep[:2] if rule is None else (np.arange(model.n_states), np.array(rule))
         zs = np.array(model.z_indices)
-        pairs = memo.tables[actions] = (xs, acts, model.transition[xs, acts][:, zs], model.cost[xs, acts][:, zs])
-    _, _, succ, cost = pairs
+        rows = memo.tables[rule] = (model.transition[xs, acts][:, zs], model.cost[xs, acts][:, zs])
+    succ, cost = rows
     probs = model.disturbance.probs
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or NaN, as pair by pair
         vals = cost + model.discount * np.asarray(cont, dtype=float)[succ]
@@ -193,59 +184,30 @@ def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, actions
     return sups
 
 
-def _adversary_table(model: MdpModel, ds: DualSet, cont, memo: _Memo, actions=None) -> list[list[float]]:
-    """Nature's sup at every pair (x, a) against the continuation ``cont``.
+def _adversary_values(model: MdpModel, ds: DualSet, cont, memo: _Memo, rule=None):
+    """Nature's sup against the continuation ``cont`` at many pairs.
 
-    Row x holds one value per action of ``actions[x]`` (a tuple of tuples;
-    default: the admissible actions), in that order. Each value is
+    The dual route's stage step, in the layout of ``mdp_core._stage_values``:
+    without ``rule``, one value per admissible pair in ``model._sweep``
+    order; with a decision rule (a tuple, one admissible action per
+    state), one value per state at that state's rule pair. Each value is
     bit-identical to ``ds.sup`` of the pair's stage values, and each sort
-    order's density comes from the solve's ``memo``. Tables of at least
-    ``mdp_core.BATCH_MIN_OUTCOMES`` stage outcomes (pairs times outcomes)
-    go through ``_batched_sups``; smaller ones go pair by pair.
+    order's density comes from the solve's ``memo``. Steps over at least
+    ``mdp_core.BATCH_MIN_OUTCOMES`` stage outcomes go through
+    ``_batched_sups`` and return an array; smaller ones go pair by pair
+    and return a list.
     """
-    acts_of = model.admissible if actions is None else actions
-    if _batched(model, acts_of):
-        flat = iter(_batched_sups(model, ds.risk, cont, memo, actions).tolist())
-        return [list(islice(flat, len(acts))) for acts in acts_of]
+    xs, acts = model._sweep[:2]  # raises DimensionMismatch unless the tables are (S, A, K)
+    n_pairs = len(xs) if rule is None else len(rule)
+    if n_pairs * len(model.z_indices) >= mdp_core.BATCH_MIN_OUTCOMES:
+        return _batched_sups(model, ds.risk, cont, memo, rule)
     beta, zs, probs = model.discount, model.z_indices, model.disturbance.probs
     trans, costs = model.rows
-    table = []
-    for x, acts in enumerate(acts_of):
-        row = []
-        for a in acts:
-            row_t, row_c = trans[x][a], costs[x][a]
-            row.append(_sup(ds.risk, probs, [row_c[z] + beta * cont[row_t[z]] for z in zs], memo.densities))
-        table.append(row)
-    return table
-
-
-def _adversary_min(model: MdpModel, ds: DualSet, cont, memo: _Memo) -> tuple[list[float], list[int]]:
-    """Per state, the first minimum of nature's sup over the admissible actions, and its action.
-
-    ``_first_min`` semantics on both routes: NaN never wins, ties go to
-    the smallest action, and a state with nothing below +inf gets
-    (+inf, -1).
-    """
-    if not _batched(model, model.admissible):
-        table = _adversary_table(model, ds, cont, memo)
-        picks = [_first_min(row, acts) for row, acts in zip(table, model.admissible)]
-        return [val for val, _ in picks], [a for _, a in picks]
-    sups = _batched_sups(model, ds.risk, cont, memo)
-    xs, acts = memo.tables[None][:2]
-    table = np.full((model.n_states, model.transition.shape[1]), math.inf)
-    table[xs, acts] = np.where(np.isnan(sups), math.inf, sups)
-    best_a = table.argmin(axis=1)
-    best = table[np.arange(model.n_states), best_a]
-    return best.tolist(), np.where(best < math.inf, best_a, -1).tolist()
-
-
-def _first_min(values: Sequence[float], labels: Sequence) -> tuple[float, object]:
-    """First strict minimum scanned from +inf, with its label (-1 if none beats +inf)."""
-    best, best_label = math.inf, -1
-    for val, label in zip(values, labels):
-        if val < best:
-            best, best_label = val, label
-    return best, best_label
+    values = []
+    for x, a in zip(xs.tolist(), acts.tolist()) if rule is None else enumerate(rule):
+        row_t, row_c = trans[x][a], costs[x][a]
+        values.append(_sup(ds.risk, probs, [row_c[z] + beta * cont[row_t[z]] for z in zs], memo.densities))
+    return values
 
 
 def nature_best_response(model: MdpModel, ds: DualSet, policy: Policy, horizon: int) -> ValueFunction:
@@ -259,7 +221,7 @@ def nature_best_response(model: MdpModel, ds: DualSet, policy: Policy, horizon: 
     memo = _Memo()
     w = list(model.terminal_cost)
     for n in range(horizon - 1, -1, -1):
-        w = [row[0] for row in _adversary_table(model, ds, w, memo, tuple((a,) for a in rules[n]))]
+        w = _adversary_values(model, ds, w, memo, rules[n])
     return ValueFunction(tuple(w))
 
 
@@ -272,7 +234,7 @@ def robust_game_value(model: MdpModel, ds: DualSet, horizon: int) -> ValueFuncti
     memo = _Memo()
     g = list(model.terminal_cost)
     for _ in range(horizon):
-        g = _adversary_min(model, ds, g, memo)[0]
+        g = mdp_core._first_min(model, _adversary_values(model, ds, g, memo))[0]
     return ValueFunction(tuple(g))
 
 
@@ -287,10 +249,10 @@ def robust_value_iteration(
     memo = _Memo()
 
     def step(v):
-        return _adversary_min(model, ds, v, memo)[0]
+        return mdp_core._first_min(model, _adversary_values(model, ds, v, memo))[0]
 
     def greedy(v):
-        return _adversary_min(model, ds, v, memo)[1]
+        return mdp_core._first_min(model, _adversary_values(model, ds, v, memo))[1]
 
     return _fixed_point(model, ds.risk, spec, tol, max_iter, [0.0] * model.n_states, step, greedy)
 
@@ -311,40 +273,44 @@ def _enumerated_minimum(model: MdpModel, ds: DualSet, horizon: int) -> tuple[flo
 
     Nature's response at stage n depends only on the rules from n on, so
     the policy tree is walked depth first from the last stage with one
-    adversary table per distinct suffix. The minimum keeps the first
+    dual stage step per distinct suffix. The minimum keeps the first
     minimizer in ``enumerate_markov_policies`` order, as a scan with a
     strict ``<`` over every policy would; each state's value is then read
     from ``nature_best_response`` on its minimizing policy.
     """
-    rules = list(product(*model.admissible))
-    positions = list(product(*(range(len(acts)) for acts in model.admissible)))
-    # per state and action position: the first minimum over the suffixes,
-    # each kept as its rule indices for stages 1..N-1; tuples of indices
-    # order like the enumeration
-    best = [[(math.inf, ())] * len(acts) for acts in model.admissible]
+    xs, acts = model._sweep[:2]
+    # the stage step's flat values hold state x's pairs at positions
+    # starts[x]:starts[x + 1], in action order; a rule picks one per state
+    starts = np.searchsorted(xs, np.arange(model.n_states + 1)).tolist()
+    spans = [range(s, e) for s, e in zip(starts, starts[1:])]
+    acts = acts.tolist()
+    rules = list(product(*([acts[i] for i in span] for span in spans)))
+    picks = list(product(*spans))
+    # per pair: the first minimum over the suffixes, each kept as its rule
+    # indices for stages 1..N-1; tuples of indices order like the enumeration
+    best = [(math.inf, ())] * len(acts)
     memo = _Memo()
 
     def descend(n: int, cont: list[float], suffix: tuple[int, ...]) -> None:
-        table = _adversary_table(model, ds, cont, memo)
+        values = _adversary_values(model, ds, cont, memo)
+        values = values if isinstance(values, list) else values.tolist()
         if n > 0:
-            for r, pos in enumerate(positions):
-                descend(n - 1, [row[j] for row, j in zip(table, pos)], (r, *suffix))
+            for r, pick in enumerate(picks):
+                descend(n - 1, [values[i] for i in pick], (r, *suffix))
             return
-        for row, cell in zip(table, best):
-            for j, val in enumerate(row):
-                if not math.isfinite(val):  # as nature_best_response would reject it
-                    raise RiskMdpError(f"non-finite value {val!r}")
-                if val < cell[j][0] or (val == cell[j][0] and suffix < cell[j][1]):
-                    cell[j] = (val, suffix)
+        for i, val in enumerate(values):
+            if not math.isfinite(val):  # as nature_best_response would reject it
+                raise RiskMdpError(f"non-finite value {val!r}")
+            if val < best[i][0] or (val == best[i][0] and suffix < best[i][1]):
+                best[i] = (val, suffix)
 
     descend(horizon - 1, list(model.terminal_cost), ())
-    first_rule = [acts[0] for acts in model.admissible]
+    first_rule = [acts[span.start] for span in spans]
     responses: dict[tuple, ValueFunction] = {}
     out = []
-    for x, cell in enumerate(best):
-        _, j = _first_min([b for b, _ in cell], range(len(cell)))
-        stage0 = tuple(first_rule[:x] + [model.admissible[x][j]] + first_rule[x + 1 :])
-        stages = (stage0, *(rules[r] for r in cell[j][1]))
+    for x, a in enumerate(mdp_core._first_min(model, [b for b, _ in best])[1]):
+        stage0 = tuple(first_rule[:x] + [a] + first_rule[x + 1 :])
+        stages = (stage0, *(rules[r] for r in best[acts.index(a, starts[x])][1]))
         if stages not in responses:
             responses[stages] = nature_best_response(model, ds, Policy(stages=stages), horizon)
         out.append(responses[stages][x])

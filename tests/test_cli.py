@@ -1,6 +1,7 @@
 """End-to-end command-line tests on temporary model files."""
 
 import json
+import math
 
 import pytest
 
@@ -421,6 +422,11 @@ _MIXTURE = {"kind": "mixture", "first": {"kind": "expectation"}, "second": {"kin
         (_casino_example(win_prob=_DROP), "task.params.win_prob is missing"),
         (_casino_example(horizon=2.7), "task.params.horizon: cannot read 2.7 (not an integer)"),
         (_casino_example(win_prob=1.5), "win probability must lie in [0, 1], got 1.5"),
+        (_with(("bounds", "ub"), [2.5, math.nan]), "ub[1] is not a number"),
+        (_with(("bounds", "alpha"), math.nan), "alpha must be finite and >= 0, got nan"),
+        (_with(("bounds", "eps_split"), [math.nan, math.nan]), "eps split must be nonnegative and sum to 1"),
+        (_with(("bounds", "ub"), [math.inf, math.inf]), "norm weights must be finite and >= 1, got inf"),
+        (_with(("model", "admissible", 0), [0, 0, 1]), "BadAction(state=0, action=0): admissible action listed twice"),
     ],
 )
 def test_malformed_fields_exit_2_with_a_located_message(tmp_path, capsys, doc, located):

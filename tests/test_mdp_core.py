@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from riskmdp import mdp_core
+from riskmdp import mdp_core, robust_check
 from riskmdp.distributions import make_distribution
 from riskmdp.errors import (
     DimensionMismatch,
@@ -110,6 +110,21 @@ class TestValidateModel:
         )
         kinds = {d.kind for d in validate_model(bad)}
         assert "BadDiscount" in kinds and "BadLabel" in kinds
+
+    def test_repeated_admissible_action_located(self):
+        # a repeat would count twice in the policy count, while the sweep
+        # holds each pair once
+        m = two_state_model()
+        bad = MdpModel(
+            n_states=2,
+            n_actions=2,
+            admissible=((0, 0, 1), (0,)),
+            disturbance=m.disturbance,
+            transition=m.transition,
+            cost=m.cost,
+            terminal_cost=m.terminal_cost,
+        )
+        assert [(d.kind, d.where) for d in validate_model(bad)] == [("BadAction", {"state": 0, "action": 0})]
 
 
 class TestStageLaw:
@@ -352,6 +367,29 @@ def wide_random_model(rng):
     )
 
 
+class TestFirstMin:
+    def test_lists_and_arrays_select_alike(self):
+        # the two kinds of stage-step output take the same first strict minimum
+        admissible = ((0, 1, 2), (0, 2), (0, 1, 2), (1,), (0, 1, 2), (0, 2), (1, 2))
+        S = len(admissible)
+        model = MdpModel(
+            n_states=S,
+            n_actions=3,
+            admissible=admissible,
+            disturbance=make_distribution([0], [1.0]),
+            transition=np.zeros((S, 3, 1), dtype=np.int64),
+            cost=np.zeros((S, 3, 1)),
+            terminal_cost=(0.0,) * S,
+        )
+        nan, inf = math.nan, math.inf
+        vals = [0.5, 0.5, 2.0, nan, 3.0, nan, inf, nan, -inf, 0.0, -0.0, 1.0, -0.0, 0.0, inf, -inf]
+        expected = ([0.5, 3.0, inf, -inf, 0.0, -0.0, -inf], [0, 2, -1, 1, 0, 0, 2])
+        for given in (vals, np.array(vals)):
+            best, actions = mdp_core._first_min(model, given)
+            assert (bits(best), actions) == (bits(expected[0]), expected[1])
+            assert type(best) is list and type(actions) is list
+
+
 class TestBatchedSweep:
     """The batched sweep against a loop over the one-pair operator, bit for bit."""
 
@@ -588,7 +626,7 @@ class TestArrayModel:
             ("BadTransition", {"x": 0, "a": 0, "z": 1})
         ]
 
-    def test_sweep_on_a_ragged_model_raises_a_library_error(self):
+    def test_sweep_on_a_ragged_model_raises_a_library_error(self, monkeypatch):
         m = two_state_model()
         ragged = MdpModel(
             n_states=2,
@@ -598,12 +636,27 @@ class TestArrayModel:
             transition=(((0, 1, 0), (1, 1)), ((0, 0), (0, 0))),
             cost=(((1.0, 2.0, 0.0), (0.5, 0.5)), ((0.0, 0.0), (0.0, 0.0))),
             terminal_cost=m.terminal_cost,
+            discount=0.9,  # contractive, so the bounds check reaches the tables
         )
         assert validate_model(ragged)
         with pytest.raises(DimensionMismatch, match="validate_model"):
             bellman_T(ragged, Expectation(), [0.0, 0.0])
         with pytest.raises(DimensionMismatch, match="validate_model"):
             constant_bounding_spec(ragged)
+        # the dual route's steps read the same pair layout, on both routes
+        ds = robust_check.dual_set(ExpectedShortfall(0.5))
+        spec = BoundingSpec(lb=(-5.0, -5.0), ub=(5.0, 5.0))
+        policy = Policy(stages=((0, 0), (1, 0)))
+        for threshold in (0, 10**9):
+            monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", threshold)
+            for solve in (
+                lambda: robust_check.robust_game_value(ragged, ds, 2),
+                lambda: robust_check.nature_best_response(ragged, ds, policy, 2),
+                lambda: robust_check.robust_value_iteration(ragged, ds, spec, 1e-6),
+                lambda: robust_check.verify_equivalence(ragged, ExpectedShortfall(0.5), 2, 1e-9),
+            ):
+                with pytest.raises(DimensionMismatch, match="validate_model"):
+                    solve()
 
     def test_disturbance_wider_than_tables_is_located(self):
         m = two_state_model()
@@ -644,6 +697,12 @@ class TestWeightedNorm:
         with pytest.raises(RiskMdpError):
             weighted_norm([1.0], [0.0], [0.5])
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_nan_and_infinite_weights_rejected(self, weight):
+        # either would hide its state's difference from the norm
+        with pytest.raises(RiskMdpError, match="norm weights must be finite"):
+            weighted_norm([1.0, 5.0], [1.0, 0.0], [1.0, weight])
+
 
 class TestBoundingSpec:
     def test_b_at_least_one(self):
@@ -660,6 +719,21 @@ class TestBoundingSpec:
                 lb=(-1.0, -2.0), ub=(1.0, 1.0), eps_split=(1.0, 0.0),
                 alpha=1.0, mode=BoundMode.BOUNDED_BELOW,
             )
+
+    @pytest.mark.parametrize(
+        "fields, located",
+        [
+            ({"ub": (2.5, math.nan)}, "ub\\[1\\] is not a number"),
+            ({"lb": (math.nan, -2.5)}, "lb\\[0\\] is not a number"),
+            ({"alpha": math.nan}, "alpha must be finite and >= 0, got nan"),
+            ({"alpha": math.inf}, "alpha must be finite and >= 0, got inf"),
+            ({"eps_split": (math.nan, math.nan)}, "eps split must be nonnegative"),
+            ({"eps_split": (math.inf, 0.5)}, "eps split must be nonnegative"),
+        ],
+    )
+    def test_non_finite_fields_refused(self, fields, located):
+        with pytest.raises(RiskMdpError, match=located):
+            BoundingSpec(**dict({"lb": (-2.5, -2.5), "ub": (2.5, 2.5)}, **fields))
 
     def test_global_bounds_scale(self):
         spec = BoundingSpec(lb=(-1.5,), ub=(0.5,), alpha=1.0)

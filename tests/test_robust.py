@@ -1,5 +1,6 @@
 """Adversary DP, minimax game value, and the inf-sup equivalence check."""
 
+import dataclasses
 import json
 import math
 
@@ -506,9 +507,11 @@ class TestBatchedAdversaryTable:
         )
         ds = dual_set(ExpectedShortfall(0.5))
         memo = robust_check._Memo()
-        assert math.isnan(robust_check._adversary_table(model, ds, model.terminal_cost, memo)[0][1])
-        assert robust_check._adversary_min(model, ds, model.terminal_cost, memo) == ([1.7e308], [0])
-        assert robust_check._adversary_min(model, ds, [math.inf], memo) == ([math.inf], [-1])
+        values = robust_check._adversary_values(model, ds, model.terminal_cost, memo)
+        assert math.isnan(values[1])
+        assert mdp_core._first_min(model, values) == ([1.7e308], [0])
+        values = robust_check._adversary_values(model, ds, [math.inf], memo)
+        assert mdp_core._first_min(model, values) == ([math.inf], [-1])
         assert bits(robust_game_value(model, ds, 1)) == bits([1.7e308])
 
     def test_ties_go_to_the_smallest_action(self, route):
@@ -533,6 +536,25 @@ class TestBatchedAdversaryTable:
         _, _, actions = sup_loop(model, ds, list(result.value))
         assert result.policy.stages == (tuple(actions),)
         assert actions[::2] == [0, 0, 0]
+
+    def test_a_repeated_admissible_action_changes_no_value(self, route):
+        # validate_model refuses the repeat; a library caller that skips it
+        # still gets the values of the model without the repeat
+        rng = np.random.default_rng(680)
+        base = tie_model(rng, 3, n_states=2)
+        repeated = MdpModel(
+            n_states=2,
+            n_actions=2,
+            admissible=((0, 0, 1), (1,)),
+            disturbance=base.disturbance,
+            transition=base.transition,
+            cost=base.cost,
+            terminal_cost=[0.5, -0.5],
+        )
+        single = dataclasses.replace(repeated, admissible=((0, 1), (1,)))
+        for horizon in (1, 2, 3):
+            reports = [verify_equivalence(m, ExpectedShortfall(0.5), horizon, 1e-10) for m in (repeated, single)]
+            assert reports[0].passed and bits(reports[0].enumerated_values) == bits(reports[1].enumerated_values)
 
     def test_stage_values_with_nan_sort_as_python_does(self, route):
         # Python's sort of (nan, inf, -inf) keeps NaN first, numpy's puts it

@@ -311,6 +311,26 @@ class TestSolveInfinite:
         with pytest.raises(RiskMdpError, match="tol must be > 0"):
             robust_value_iteration(m, dual_set(ExpectedShortfall(0.8)), spec, tol)
 
+    def test_an_overflowing_weight_never_certifies(self):
+        # b = ub - lb overflows to inf; |v1 - v0| / inf = 0 would certify
+        # the first iterate, 1e308, of a fixed point at 2e308
+        m = MdpModel(
+            n_states=1,
+            n_actions=1,
+            admissible=((0,),),
+            disturbance=make_distribution([0], [1.0]),
+            transition=[[[0]]],
+            cost=[[[1e308]]],
+            terminal_cost=[0.0],
+            discount=0.5,
+        )
+        spec = constant_bounding_spec(m)
+        assert spec.b() == (math.inf,)
+        with pytest.raises(RiskMdpError, match="norm weights must be finite and >= 1, got inf"):
+            solve_infinite(m, Expectation(), spec, 1e-8)
+        with pytest.raises(RiskMdpError, match="norm weights must be finite and >= 1, got inf"):
+            robust_value_iteration(m, dual_set(Expectation()), spec, 1e-8)
+
     def test_default_max_iter_formula(self):
         assert default_max_iter(1e-8, 0.9) == 10 * int(np.ceil(np.log(1e-8) / np.log(0.9)))
         assert default_max_iter(1e-8, 0.0) == 10
