@@ -30,6 +30,7 @@ from .errors import (
     NotCoherent,
     NotContractive,
     RiskMdpError,
+    SumOverflow,
     TooLargeForEnumeration,
     ZeroMass,
 )

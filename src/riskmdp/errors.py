@@ -45,6 +45,10 @@ class EntropicOverflow(RiskMdpError, OverflowError):
     """Entropic risk of a law whose scaled atoms exceed the overflow guard."""
 
 
+class SumOverflow(RiskMdpError, OverflowError):
+    """A correctly rounded sum whose terms hold inf of both signs or overflow on the way."""
+
+
 class NotContractive(RiskMdpError):
     """Growth rate times discount is not below one."""
 

@@ -152,6 +152,7 @@ class MdpModel:
     # than a cached_property, whose __dict__ writes slow every attribute read
     _rows: tuple | None = field(init=False, default=None, repr=False)
     _sweep_tables: tuple | None = field(init=False, default=None, repr=False)
+    _sweep_lists: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         admissible = tuple(tuple(sorted(map(int, row))) for row in self.admissible)
@@ -251,19 +252,53 @@ class MdpModel:
             object.__setattr__(self, "_sweep_tables", (xs, acts, succ, cost, probs[by_prob]))
         return self._sweep_tables
 
+    @property
+    def _pairs(self) -> tuple[list, ...]:
+        """The ``_sweep`` tables as lists of plain numbers, for the pair-by-pair steps.
+
+        Built once per model and shared by every reader: read them, never
+        modify them.
+        """
+        if self._sweep_lists is None:
+            object.__setattr__(self, "_sweep_lists", tuple(t.tolist() for t in self._sweep))
+        return self._sweep_lists
+
 
 @dataclass(frozen=True)
 class ValueFunction:
-    """Per-state value vector with finite entries."""
+    """Per-state value vector with finite entries.
+
+    ``array`` is the same vector as a read-only float64 array. It is kept
+    when the values come as one, as from a batched sweep, and made on
+    first use otherwise; it takes no part in equality, hashing or repr.
+    """
 
     values: tuple[float, ...]
+    _array: np.ndarray | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
-        for v in values:
-            if not math.isfinite(v):
-                raise RiskMdpError(f"non-finite value {v!r}")
-        object.__setattr__(self, "values", values)
+        values = self.values
+        if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
+            arr = values.copy()
+            finite = np.isfinite(arr)
+            if np.count_nonzero(finite) < len(arr):
+                raise RiskMdpError(f"non-finite value {float(arr[finite.argmin()])!r}")
+            arr.flags.writeable = False
+            object.__setattr__(self, "_array", arr)
+            values = arr.tolist()
+        else:
+            values = list(map(float, values))
+            if not all(map(math.isfinite, values)):
+                raise RiskMdpError(f"non-finite value {next(v for v in values if not math.isfinite(v))!r}")
+        object.__setattr__(self, "values", tuple(values))
+
+    @property
+    def array(self) -> np.ndarray:
+        if self._array is None:
+            arr = np.array(self.values, dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, "_array", arr)
+        return self._array
 
     def __getitem__(self, x: int) -> float:
         return self.values[x]
@@ -277,6 +312,10 @@ class ValueFunction:
 
 def _values_of(v) -> Sequence[float]:
     return v.values if isinstance(v, ValueFunction) else v
+
+
+def _array_of(v) -> np.ndarray:
+    return v.array if isinstance(v, ValueFunction) else np.asarray(v, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -514,16 +553,16 @@ def _stage_values(model: MdpModel, risk: RiskMeasure, v, rule=None):
         at[xs, acts] = np.arange(len(xs))
         pick = at[np.arange(model.n_states), rule]
         succ, cost = succ[pick], cost[pick]
-    values = _values_of(v)
     if succ.size >= BATCH_MIN_OUTCOMES:
         # overflowing stage values give inf or NaN, as pair by pair
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = cost + model.discount * np.asarray(values, dtype=float)[succ]
+            rows = cost + model.discount * _array_of(v)[succ]
             return _risk_values_of_rows(risk, rows, probs)
-    beta, p = model.discount, probs.tolist()
+    succ, cost = model._pairs[2:4] if rule is None else (succ.tolist(), cost.tolist())
+    beta, p, values = model.discount, model._pairs[4], _values_of(v)
     return [
         _risk_value_of_pairs(risk, zip([c + beta * values[s] for s, c in zip(row_s, row_c)], p))
-        for row_s, row_c in zip(succ.tolist(), cost.tolist())
+        for row_s, row_c in zip(succ, cost)
     ]
 
 
@@ -535,18 +574,38 @@ def _first_min(model: MdpModel, vals) -> tuple[list[float], list[int]]:
     go to the smallest action, and a state with nothing below +inf gets
     (+inf, -1). Both kinds of input give the same result.
     """
-    xs, acts = model._sweep[:2]
     if isinstance(vals, list):
+        xs, acts = model._pairs[:2]
         best, actions = [math.inf] * model.n_states, [-1] * model.n_states
-        for x, a, val in zip(xs.tolist(), acts.tolist(), vals):
+        for x, a, val in zip(xs, acts, vals):
             if val < best[x]:
                 best[x], actions[x] = val, a
         return best, actions
+    best, actions = _first_min_array(model, vals)
+    return best.tolist(), actions.tolist()
+
+
+def _first_min_array(model: MdpModel, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_first_min`` of an array of pair values, as arrays."""
+    xs, acts = model._sweep[:2]
     table = np.full((model.n_states, model.transition.shape[1]), math.inf)
     table[xs, acts] = np.where(np.isnan(vals), math.inf, vals)
     first = table.argmin(axis=1)
     best = table[np.arange(model.n_states), first]
-    return best.tolist(), np.where(best < math.inf, first, -1).tolist()
+    return best, np.where(best < math.inf, first, -1)
+
+
+def _min_value(model: MdpModel, vals) -> tuple[ValueFunction, list[int]]:
+    """``_first_min`` with the minima as a ``ValueFunction``, which refuses a non-finite one.
+
+    An array of pair values is selected and checked in numpy, without a
+    per-state Python loop.
+    """
+    if isinstance(vals, list):
+        best, actions = _first_min(model, vals)
+        return ValueFunction(best), actions
+    best, actions = _first_min_array(model, vals)
+    return ValueFunction(best), actions.tolist()
 
 
 def bellman_T(model: MdpModel, risk: RiskMeasure, v) -> tuple[ValueFunction, tuple[int, ...]]:
@@ -557,19 +616,35 @@ def bellman_T(model: MdpModel, risk: RiskMeasure, v) -> tuple[ValueFunction, tup
     which makes the returned greedy rule deterministic; a state without
     a finite value raises in ``ValueFunction`` on both routes.
     """
-    best, actions = _first_min(model, _stage_values(model, risk, v))
-    return ValueFunction(tuple(best)), tuple(actions)
+    best, actions = _min_value(model, _stage_values(model, risk, v))
+    return best, tuple(actions)
+
+
+def _norm_weights(b: Sequence[float]) -> np.ndarray:
+    """The weights ``b`` as an array, refused unless each is finite and >= 1.
+
+    A NaN or infinite weight would hide its state's difference from the
+    norm. Weights fixed for a solve are checked once.
+    """
+    w = np.array(b, dtype=float)
+    ok = (w >= 1.0) & (w < math.inf)
+    if not ok.all():
+        x = int(ok.argmin())
+        raise RiskMdpError(f"norm weights must be finite and >= 1, got {float(w[x])!r} at state {x}")
+    return w
+
+
+def _sup_norm(a1: np.ndarray, a2: np.ndarray, w: np.ndarray) -> float:
+    """max_x |a1(x) - a2(x)| / w(x) over arrays, with weights from ``_norm_weights``."""
+    if len(a1) != len(a2) or len(a1) != len(w):
+        raise DimensionMismatch(f"lengths {len(a1)}, {len(a2)}, {len(w)} differ")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, as the scalar difference gives
+        return float(np.max(np.abs(a1 - a2) / w))
 
 
 def weighted_norm(v1, v2, b: Sequence[float]) -> float:
     """Weighted supremum norm max_x |v1(x) - v2(x)| / b(x), requiring finite b >= 1."""
-    a1, a2 = _values_of(v1), _values_of(v2)
-    if len(a1) != len(a2) or len(a1) != len(b):
-        raise DimensionMismatch(f"lengths {len(a1)}, {len(a2)}, {len(b)} differ")
-    for w in b:
-        if not 1.0 <= w < math.inf:  # a NaN or infinite weight would hide its state
-            raise RiskMdpError(f"norm weights must be finite and >= 1, got {w!r}")
-    return max(abs(x - y) / w for x, y, w in zip(a1, a2, b))
+    return _sup_norm(_array_of(v1), _array_of(v2), _norm_weights(b))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .distributions import (
     make_distribution,
     pushforward,
 )
-from .errors import EntropicOverflow, InvalidSpec, NotCoherent
+from .errors import EntropicOverflow, InvalidSpec, NotCoherent, SumOverflow
 
 __all__ = [
     "Expectation",
@@ -336,7 +336,7 @@ def _value(
     cum: Sequence[float],
 ) -> float:
     if isinstance(risk, Expectation):
-        return math.fsum(a * p for a, p in zip(atoms, probs))
+        return _fsum(a * p for a, p in zip(atoms, probs))
     if isinstance(risk, ValueAtRisk):
         return atoms[bisect.bisect_left(cum, risk.level)]
     if isinstance(risk, ExpectedShortfall):
@@ -352,7 +352,7 @@ def _value(
     if isinstance(risk, Distortion):
         g = risk.g
         gs = [g(s) for s in surv]
-        return math.fsum(a * (gs[i] - gs[i + 1]) for i, a in enumerate(atoms))
+        return _fsum(a * (gs[i] - gs[i + 1]) for i, a in enumerate(atoms))
     if isinstance(risk, Spectral):
         gbar = risk.phi.gbar
         acc = 0.0
@@ -366,7 +366,7 @@ def _value(
         gamma = risk.gamma
         _entropic_guard(gamma, max(abs(a) for a in atoms))
         mx = max(gamma * a for a in atoms)
-        acc = math.fsum(p * math.exp(gamma * a - mx) for a, p in zip(atoms, probs))
+        acc = _fsum(p * math.exp(gamma * a - mx) for a, p in zip(atoms, probs))
         return (mx + math.log(acc)) / gamma
     if isinstance(risk, Mixture):
         w = risk.weight
@@ -374,6 +374,23 @@ def _value(
             risk.second, atoms, probs, surv, cum
         )
     raise InvalidSpec(f"unknown risk specification {risk!r}")
+
+
+def _fsum(terms: Iterable[float]) -> float:
+    """``math.fsum``, raising ``SumOverflow`` where fsum raises.
+
+    fsum refuses terms holding both -inf and +inf (ValueError) and finite
+    terms whose partial sums overflow (OverflowError); stage values of
+    costs near the float range give both.
+    """
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError) as exc:
+        raise _sum_overflow(exc) from exc
+
+
+def _sum_overflow(exc: Exception) -> SumOverflow:
+    return SumOverflow(f"sum out of float range ({exc})")
 
 
 def _entropic_guard(gamma: float, scale: float) -> None:
@@ -393,7 +410,7 @@ def _risk_value_of_pairs(risk: RiskMeasure, pairs: Iterable) -> float:
     """
     atoms, probs = _merge_sorted_pairs(sorted(pairs))
     if type(risk) is Expectation:
-        return math.fsum(a * p for a, p in zip(atoms, probs))
+        return _fsum(a * p for a, p in zip(atoms, probs))
     surv, cum = _levels(probs)
     return _value(risk, atoms, probs, surv, cum)
 
@@ -451,18 +468,82 @@ class _RowLaws:
         return np.add.accumulate(np.where(self.end, terms, 0.0), axis=1)[:, -1] + 0.0
 
 
+# Tables of at least this many rows (and three columns) are summed by
+# _certified_sums, with fsum only for the rows it leaves undecided; below
+# it, one fsum per row is faster. The sum is the same either way.
+CERTIFIED_MIN_ROWS = 200
+
+
 def _fsum_rows(terms: np.ndarray) -> np.ndarray:
     """Correctly rounded row sums, equal to ``math.fsum`` of each row.
 
     One IEEE addition is correctly rounded, so two columns need no more;
-    adding 0.0 turns a -0.0 sum into the +0.0 that fsum returns.
+    adding 0.0 turns a -0.0 sum into the +0.0 that fsum returns. Where
+    fsum raises, ``SumOverflow`` is raised for the first such row.
     """
-    if terms.shape[1] <= 2:
+    n, m = terms.shape
+    if m <= 2:
         total = terms[:, 0]
-        if terms.shape[1] == 2:
+        if m == 2:
             total = total + terms[:, 1]
         return total + 0.0
-    return np.fromiter(map(math.fsum, terms.tolist()), dtype=float, count=len(terms))
+    if n < CERTIFIED_MIN_ROWS:
+        return _fsum_each(terms)
+    sums, certified = _certified_sums(terms)
+    rest = np.flatnonzero(~certified)
+    if len(rest):
+        sums[rest] = _fsum_each(terms[rest])
+    return sums
+
+
+def _fsum_each(terms: np.ndarray) -> np.ndarray:
+    """``_fsum`` of each row of a 2-d array, by one bare ``math.fsum`` call per row."""
+    try:
+        return np.fromiter(map(math.fsum, terms.tolist()), dtype=float, count=len(terms))
+    except (ValueError, OverflowError) as exc:
+        raise _sum_overflow(exc) from exc
+
+
+_TINY = 2.0**-1074  # the smallest subnormal
+_SAFE = 2.0**1020  # below this no partial sum of a row, here or in fsum, overflows
+
+
+def _certified_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sum rounded once, and whether that equals the row's ``math.fsum``.
+
+    A tree of TwoSum steps (Knuth; Ogita, Rump & Oishi 2005, "Accurate sum
+    and dot product") gives a rounded sum ``s`` and m - 1 errors that add
+    up exactly to the rest. Their float sum ``c`` is off by at most
+    gamma_{m-2} * sum|err|, which ``delta`` bounds with room for the
+    rounding of sum|err| itself. ``s + c`` is rounded once to ``r`` and one
+    more TwoSum gives its exact residual ``e``, so the exact row sum lies
+    within ``delta`` of ``r + e``. If that interval lies strictly inside
+    ``r``'s rounding interval (half the gap to each neighbour; below a
+    power of two that gap is half as wide), the row rounds to ``r``, which
+    is what fsum returns. Zero results, ties and near-ties, and rows that
+    are not finite are left undecided; so is every row of a table with an
+    entry too large for its partial sums to stay clear of overflow.
+    """
+    n, m = terms.shape
+    if not np.abs(terms).max(initial=0.0) < _SAFE / m:  # NaN fails too
+        return np.zeros(n), np.zeros(n, dtype=bool)
+    s, errs = terms.T.copy(), []  # one contiguous row per column: the tree works on blocks
+    while len(s) > 1:
+        half = len(s) // 2
+        a, b = s[:half], s[half : 2 * half]
+        hi = a + b
+        bv = hi - a
+        errs.append((a - (hi - bv)) + (b - bv))
+        s = hi if len(s) == 2 * half else np.concatenate((hi, s[2 * half :]))
+    s, err = s[0], np.concatenate(errs)
+    c = err.sum(axis=0)
+    delta = np.abs(err).sum(axis=0) * (m * 2.0**-52) + _TINY
+    r = s + c
+    rv = r - s
+    e = (s - (r - rv)) + (c - rv)
+    up = (np.nextafter(r, math.inf) - r) * 0.5
+    down = (r - np.nextafter(r, -math.inf)) * 0.5
+    return r, (r != 0.0) & (e + delta < up) & (e - delta > -down)
 
 
 def _g_array(g: DistortionFunction, u: np.ndarray) -> np.ndarray:
@@ -634,7 +715,7 @@ def dual_sup(risk: RiskMeasure, dist: DiscreteDistribution) -> tuple[float, tupl
     floating-point noise well below 1e-12.
     """
     q = _dual_density_sorted(risk, dist.probs)
-    value = math.fsum(a * qi for a, qi in zip(dist.atoms, q))
+    value = _fsum(a * qi for a, qi in zip(dist.atoms, q))
     return value, tuple(q)
 
 

@@ -45,6 +45,9 @@ from .risk_measures import (
     ExpectedShortfall,
     RiskMeasure,
     _dual_density_sorted,
+    _fsum,
+    _fsum_each,
+    _sum_overflow,
     describe,
     is_coherent,
 )
@@ -91,7 +94,7 @@ class DualSet:
         q = [0.0] * len(values)
         for rank, i in enumerate(order):
             q[i] = q_sorted[rank]
-        value = math.fsum(values[i] * q[i] for i in range(len(values)))
+        value = _fsum(values[i] * q[i] for i in range(len(values)))
         return value, tuple(q)
 
     def feasible(self, q: Sequence[float], probs: Sequence[float], tol: float = 1e-12) -> bool:
@@ -148,7 +151,11 @@ def _density(risk: RiskMeasure, probs, order: tuple[int, ...], densities: dict) 
 def _sup(risk: RiskMeasure, probs, values: list[float], densities: dict) -> float:
     """``DualSet.sup`` of one pair's stage values, with the density from the memo."""
     order = tuple(sorted(range(len(values)), key=values.__getitem__))
-    return math.fsum(map(mul, values, _density(risk, probs, order, densities)))
+    q = _density(risk, probs, order, densities)
+    try:  # inline, not through _fsum: this runs once per pair
+        return math.fsum(map(mul, values, q))
+    except (ValueError, OverflowError) as exc:
+        raise _sum_overflow(exc) from exc
 
 
 def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, rule=None) -> np.ndarray:
@@ -170,7 +177,7 @@ def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, rule=No
     succ, cost = rows
     probs = model.disturbance.probs
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or NaN, as pair by pair
-        vals = cost + model.discount * np.asarray(cont, dtype=float)[succ]
+        vals = cost + model.discount * mdp_core._array_of(cont)[succ]
         orders = np.argsort(vals, axis=1, kind="stable")
         keys, inverse = np.unique(orders.view(np.dtype((np.void, orders.strides[0]))).ravel(), return_inverse=True)
         distinct = keys.view(orders.dtype).reshape(-1, orders.shape[1])  # back from row bytes to orders
@@ -178,7 +185,7 @@ def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, rule=No
         products = vals * np.array(q)[inverse]
     nan_rows = np.flatnonzero(np.isnan(vals).any(axis=1))
     products[nan_rows] = 0.0
-    sups = np.fromiter(map(math.fsum, products.tolist()), dtype=float, count=len(vals))
+    sups = _fsum_each(products)
     for i in nan_rows.tolist():
         sups[i] = _sup(risk, probs, vals[i].tolist(), memo.densities)
     return sups
@@ -197,14 +204,15 @@ def _adversary_values(model: MdpModel, ds: DualSet, cont, memo: _Memo, rule=None
     ``_batched_sups`` and return an array; smaller ones go pair by pair
     and return a list.
     """
-    xs, acts = model._sweep[:2]  # raises DimensionMismatch unless the tables are (S, A, K)
+    xs = model._sweep[0]  # raises DimensionMismatch unless the tables are (S, A, K)
     n_pairs = len(xs) if rule is None else len(rule)
     if n_pairs * len(model.z_indices) >= mdp_core.BATCH_MIN_OUTCOMES:
         return _batched_sups(model, ds.risk, cont, memo, rule)
     beta, zs, probs = model.discount, model.z_indices, model.disturbance.probs
     trans, costs = model.rows
+    cont = mdp_core._values_of(cont)
     values = []
-    for x, a in zip(xs.tolist(), acts.tolist()) if rule is None else enumerate(rule):
+    for x, a in zip(*model._pairs[:2]) if rule is None else enumerate(rule):
         row_t, row_c = trans[x][a], costs[x][a]
         values.append(_sup(ds.risk, probs, [row_c[z] + beta * cont[row_t[z]] for z in zs], memo.densities))
     return values
@@ -222,7 +230,7 @@ def nature_best_response(model: MdpModel, ds: DualSet, policy: Policy, horizon: 
     w = list(model.terminal_cost)
     for n in range(horizon - 1, -1, -1):
         w = _adversary_values(model, ds, w, memo, rules[n])
-    return ValueFunction(tuple(w))
+    return ValueFunction(w)
 
 
 def robust_game_value(model: MdpModel, ds: DualSet, horizon: int) -> ValueFunction:
@@ -235,7 +243,7 @@ def robust_game_value(model: MdpModel, ds: DualSet, horizon: int) -> ValueFuncti
     g = list(model.terminal_cost)
     for _ in range(horizon):
         g = mdp_core._first_min(model, _adversary_values(model, ds, g, memo))[0]
-    return ValueFunction(tuple(g))
+    return ValueFunction(g)
 
 
 def robust_value_iteration(
@@ -245,11 +253,15 @@ def robust_value_iteration(
     tol: float,
     max_iter: int | None = None,
 ) -> InfiniteSolveResult:
-    """Minimax fixed-point iteration with the same stopping rule as the primal solver."""
+    """Minimax fixed-point iteration with the same stopping rule as the primal solver.
+
+    Raises on the first iterate holding a non-finite value, as the primal
+    sweep does.
+    """
     memo = _Memo()
 
     def step(v):
-        return mdp_core._first_min(model, _adversary_values(model, ds, v, memo))[0]
+        return mdp_core._min_value(model, _adversary_values(model, ds, v, memo))[0]
 
     def greedy(v):
         return mdp_core._first_min(model, _adversary_values(model, ds, v, memo))[1]

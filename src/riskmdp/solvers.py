@@ -38,11 +38,11 @@ from .mdp_core import (
     MdpModel,
     Policy,
     ValueFunction,
+    _norm_weights,
     _stage_values,
-    _values_of,
+    _sup_norm,
     bellman_T,
     verify_bounds,
-    weighted_norm,
 )
 from .risk_measures import (
     RiskMeasure,
@@ -202,10 +202,11 @@ def _verified_bounds(model: MdpModel, risk, spec: BoundingSpec):
 def _fixed_point(model: MdpModel, risk, spec: BoundingSpec, tol, max_iter, v, step, greedy):
     """Iterate ``v <- step(v)`` until the a-posteriori bound certifies ``tol``.
 
-    Checks ``tol`` and the infinite-horizon preconditions, then records
-    the weighted residual and its bound q/(1-q) * residual per iteration.
-    ``step`` may return any sequence of values; ``greedy`` maps the final
-    value to the stationary rule of the result.
+    Checks ``tol``, the infinite-horizon preconditions and the norm
+    weights once, then records the weighted residual and its bound
+    q/(1-q) * residual per iteration. ``step`` maps a ``ValueFunction`` to
+    the next one, which refuses a non-finite iterate; ``greedy`` maps the
+    final value to the stationary rule of the result.
     """
     if not tol > 0.0:
         raise RiskMdpError(f"tol must be > 0, got {tol!r}")
@@ -215,7 +216,8 @@ def _fixed_point(model: MdpModel, risk, spec: BoundingSpec, tol, max_iter, v, st
     q = spec.modulus(model.discount)
     if q >= 1.0:
         raise NotContractive(f"alpha * discount = {q:g} must be < 1")
-    weight = spec.b()
+    weight = _norm_weights(spec.b())
+    v = v if isinstance(v, ValueFunction) else ValueFunction(v)
     rate = q / (1.0 - q)
     if max_iter is None:
         max_iter = default_max_iter(tol, q)
@@ -223,12 +225,12 @@ def _fixed_point(model: MdpModel, risk, spec: BoundingSpec, tol, max_iter, v, st
     residual = bound = math.inf
     while len(trace) < max_iter and not bound <= tol:
         nxt = step(v)
-        residual = weighted_norm(nxt, v, weight)
+        residual = _sup_norm(nxt.array, v.array, weight)
         bound = rate * residual
         trace.append((residual, bound))
         v = nxt
     return InfiniteSolveResult(
-        value=ValueFunction(_values_of(v)),
+        value=v,
         policy=Policy(stages=(tuple(greedy(v)),), stationary=True),
         iterations=len(trace),
         residual=residual,
@@ -294,7 +296,7 @@ def check_contraction(
     report = _verified_bounds(model, risk, spec)
     if report.global_lb is None:
         raise NotContractive(f"alpha * discount = {report.modulus:g} must be < 1")
-    weight = spec.b()
+    weight = _norm_weights(spec.b())  # before the draws, which an infinite envelope breaks
     rng = np.random.default_rng(seed)
     glb = np.asarray(report.global_lb)
     gub = np.asarray(report.global_ub)
@@ -302,12 +304,12 @@ def check_contraction(
     for _ in range(trials):
         v1 = rng.uniform(glb, gub)
         v2 = rng.uniform(glb, gub)
-        denom = weighted_norm(v1.tolist(), v2.tolist(), weight)
+        denom = _sup_norm(v1, v2, weight)
         if denom == 0.0:
             continue
         t1, _ = bellman_T(model, risk, v1.tolist())
         t2, _ = bellman_T(model, risk, v2.tolist())
-        ratio = weighted_norm(t1, t2, weight) / denom
+        ratio = _sup_norm(t1.array, t2.array, weight) / denom
         if ratio > worst:
             worst = ratio
     return worst

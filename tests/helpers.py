@@ -195,3 +195,24 @@ def make_enumeration_model(rng: np.random.Generator) -> MdpModel:
     return make_random_model(
         rng, max_states=3, max_actions=2, max_outcomes=3, beta=0.9, zero_terminal=True
     )
+
+
+def make_huge_cost_model(seed: int) -> MdpModel:
+    """Seeded 7-state, 2-action, 5-outcome model with costs and terminal costs near the float range.
+
+    Its stage values overflow to both -inf and +inf, so a correctly
+    rounded stage sum meets -inf + inf.
+    """
+    from riskmdp.distributions import make_distribution
+
+    rng = np.random.default_rng(seed)
+    S, A, K = 7, 2, 5
+    return MdpModel(
+        n_states=S,
+        n_actions=A,
+        admissible=((0, 1),) * S,
+        disturbance=make_distribution(list(range(K)), rng.dirichlet(np.ones(K)).tolist()),
+        transition=rng.integers(0, S, (S, A, K)).tolist(),
+        cost=(rng.uniform(-1.0, 1.0, (S, A, K)) * 1.7e308).tolist(),
+        terminal_cost=(rng.uniform(-1.0, 1.0, S) * 1.7e308).tolist(),
+    )

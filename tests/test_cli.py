@@ -15,7 +15,9 @@ from riskmdp.model_io import (
     parse_model_file,
     risk_to_obj,
 )
-from riskmdp.risk_measures import Expectation, ExpectedShortfall
+from riskmdp.risk_measures import Expectation, ExpectedShortfall, Mixture
+
+from helpers import make_huge_cost_model
 
 
 def write(path, doc):
@@ -427,6 +429,10 @@ _MIXTURE = {"kind": "mixture", "first": {"kind": "expectation"}, "second": {"kin
         (_with(("bounds", "eps_split"), [math.nan, math.nan]), "eps split must be nonnegative and sum to 1"),
         (_with(("bounds", "ub"), [math.inf, math.inf]), "norm weights must be finite and >= 1, got inf"),
         (_with(("model", "admissible", 0), [0, 0, 1]), "BadAction(state=0, action=0): admissible action listed twice"),
+        (
+            _with(("bounds", "ub"), [math.inf, math.inf], dict(README_MODEL, task={"type": "check-contraction"})),
+            "norm weights must be finite and >= 1, got inf at state 0",
+        ),
     ],
 )
 def test_malformed_fields_exit_2_with_a_located_message(tmp_path, capsys, doc, located):
@@ -434,6 +440,16 @@ def test_malformed_fields_exit_2_with_a_located_message(tmp_path, capsys, doc, l
     assert main([doc["task"]["type"], path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert located in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("task", [{"type": "solve-finite", "horizon": 1}, {"type": "robust-check", "horizon": 1}])
+def test_a_stage_sum_out_of_float_range_exits_2(tmp_path, capsys, task):
+    # stage values overflow to -inf and +inf, which math.fsum refuses
+    doc = model_file_dict(make_huge_cost_model(0), Mixture(0.5, ExpectedShortfall(0.8), Expectation()), task)
+    path = write(tmp_path / "m.json", doc)
+    assert main([task["type"], path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "sum out of float range (-inf + inf in fsum)" in err and "Traceback" not in err
 
 
 def test_integral_floats_read_as_integers(tmp_path):

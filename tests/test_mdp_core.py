@@ -679,6 +679,28 @@ class TestArrayModel:
         assert costs and all(type(c) is float for c in costs)
 
 
+class TestValueFunction:
+    def test_the_array_view_is_read_only_and_outside_equality(self):
+        from_array = ValueFunction(np.array([1.0, -0.0, 2.5]))
+        from_tuple = ValueFunction((1.0, -0.0, 2.5))
+        assert from_array == from_tuple and hash(from_array) == hash(from_tuple)
+        assert repr(from_array) == repr(from_tuple) == "ValueFunction(values=(1.0, -0.0, 2.5))"
+        for v in (from_array, from_tuple):
+            assert v.array.dtype == np.float64 and not v.array.flags.writeable
+            assert bits(v.array) == bits(v.values) and type(v.values[0]) is float
+
+    def test_an_array_is_copied_not_frozen(self):
+        given = np.array([1.0, 2.0])
+        v = ValueFunction(given)
+        given[0] = 5.0
+        assert v.values == (1.0, 2.0) and v.array[0] == 1.0
+
+    @pytest.mark.parametrize("kind", [list, np.array])
+    def test_the_first_non_finite_state_is_named(self, kind):
+        with pytest.raises(RiskMdpError, match="^non-finite value -inf$"):
+            ValueFunction(kind([1.0, -math.inf, math.nan]))
+
+
 class TestWeightedNorm:
     def test_zero(self):
         assert weighted_norm([1.0, 2.0], [1.0, 2.0], [1.0, 1.0]) == 0.0

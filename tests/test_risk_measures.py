@@ -1,6 +1,7 @@
 """Evaluation, dual representation, and representation-consistency tests."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskmdp.distributions import expectation, make_distribution, pushforward, quantile
-from riskmdp.errors import InvalidSpec, NotCoherent
+from riskmdp import risk_measures
+from riskmdp.errors import InvalidSpec, NotCoherent, SumOverflow
 from riskmdp.risk_measures import (
     Distortion,
     DistortionFunction,
@@ -19,6 +21,8 @@ from riskmdp.risk_measures import (
     Spectral,
     StepSpectrum,
     ValueAtRisk,
+    _certified_sums,
+    _fsum_rows,
     describe,
     dual_sup,
     evaluate,
@@ -317,3 +321,146 @@ def test_point_mass_invariance_all_kinds(x):
         Mixture(0.5, Expectation(), ExpectedShortfall(0.5)),
     ):
         assert evaluate(risk, d) == pytest.approx(x, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Correctly rounded row sums: the certified numpy sum against math.fsum
+
+ULP1 = 2.0**-52  # the gap above 1.0; the gap below it is half as wide
+TINY = 2.0**-1074
+BIG = 2.0**1015  # four of these stay clear of overflow; the certified path takes them
+
+HARD_ROWS = [
+    # cancellation
+    [1e16, 1.0, -1e16, 1e-16],
+    [1.0, 1e100, 1.0, -1e100],
+    [0.1, 0.2, -0.3, 0.0],
+    [3.0, -1e-17, -3.0, 1e-17 * 0.5],
+    # subnormals
+    [TINY, TINY, TINY, 0.0],
+    [2.0**-1070, -(2.0**-1073), TINY, 3 * TINY],
+    [2.0**-1022, -TINY, 0.0, 0.0],
+    # signed zeros: fsum never returns -0.0
+    [-0.0, -0.0, -0.0, -0.0],
+    [0.0, -0.0, 0.0, -0.0],
+    [1.5, -0.0, -1.5, -0.0],
+    # exact halfway cases, which go to the even neighbour, and near ones
+    [1.0, ULP1 / 2, 0.0, 0.0],
+    [1.0 + ULP1, ULP1 / 2, 0.0, 0.0],
+    [1.0, -ULP1 / 4, 0.0, 0.0],
+    [1.0 - ULP1 / 2, -ULP1 / 4, 0.0, 0.0],
+    [1.0, ULP1 / 2, 2.0**-80, 0.0],
+    [1.0, ULP1 / 2, -(2.0**-80), 0.0],
+    [1.0, -ULP1 / 4, 2.0**-90, -(2.0**-200)],
+    # huge and tiny together
+    [BIG, 1e-300, -BIG, TINY],
+    [BIG, BIG, -BIG, 1.0],
+    [1e300, 1e-300, 1.0, -1e300],
+    [BIG, -BIG / 3, 1e-30, -1e-300],
+]
+
+
+def _tiled(rows):
+    """``rows`` repeated into a table of at least ``CERTIFIED_MIN_ROWS`` rows."""
+    reps = -(-risk_measures.CERTIFIED_MIN_ROWS // len(rows))
+    return np.array(rows * reps, dtype=float)
+
+
+def _fsum_hexes(table):
+    return [math.fsum(row).hex() for row in table.tolist()]
+
+
+def _exact_fallbacks(table):
+    """Rows that must fall back: an exact sum of zero or exactly halfway between two floats."""
+    out = []
+    for row in table.tolist():
+        exact = sum(map(Fraction, row))
+        near = math.fsum(row)
+        other = math.nextafter(near, math.inf if exact > Fraction(near) else -math.inf)
+        out.append(exact == 0 or exact == (Fraction(near) + Fraction(other)) / 2)
+    return np.array(out)
+
+
+class TestCertifiedSums:
+    def test_hard_rows_match_fsum_bit_for_bit(self):
+        table = _tiled(HARD_ROWS)
+        assert [v.hex() for v in _fsum_rows(table).tolist()] == _fsum_hexes(table)
+        sums, certified = _certified_sums(table)
+        assert certified.any()
+        assert [v.hex() for v in sums[certified].tolist()] == _fsum_hexes(table[certified])
+
+    def test_non_finite_rows_are_left_to_fsum(self):
+        inf, nan = math.inf, math.nan
+        table = _tiled([[inf, 1.0, 2.0, 3.0], [-inf, 1.0, 0.0, 0.0], [nan, 1.0, 2.0, 0.0], [inf, inf, 1.0, -1.0], [1.0, 2.0, 3.0, 4.0]])
+        assert not _certified_sums(table)[1].any()
+        assert [v.hex() for v in _fsum_rows(table).tolist()] == _fsum_hexes(table)
+
+    def test_entries_near_the_float_range_are_left_to_fsum(self):
+        # a pair of such entries could overflow on the way, so the guard
+        # sends the whole table to fsum
+        table = _tiled([[1e308, -1e308, 1e308, 1.0], [1.0, 2.0, 3.0, 0.5]])
+        assert not _certified_sums(table)[1].any()
+        assert [v.hex() for v in _fsum_rows(table).tolist()] == _fsum_hexes(table)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([math.inf, -math.inf, 0.0, 1.0], "-inf \\+ inf in fsum"),
+            ([1.7e308, 1.7e308, -1.7e308, 0.0], "intermediate overflow in fsum"),
+        ],
+    )
+    def test_what_fsum_refuses_raises_sum_overflow(self, row, message):
+        table = _tiled([[1.0, 2.0, 3.0, 4.0], row])
+        with pytest.raises(SumOverflow, match=message):
+            _fsum_rows(table)
+        with pytest.raises(SumOverflow, match=message):
+            _fsum_rows(table[:2])  # below the size gate, one fsum per row
+
+    def test_the_rows_that_fall_back_are_exactly_the_ties_and_zeros(self):
+        # sums placed at multiples of a quarter of the gap around random
+        # floats, above and below powers of two: the half-gap points are
+        # exact ties and must fall back; the quarter points lie a quarter
+        # gap inside their interval and must be certified
+        rng = np.random.default_rng(7)
+        rows = []
+        for base in [1.0, 2.0, 0.5] + rng.uniform(1.0, 1e6, 60).tolist():
+            for j in range(-3, 4):
+                gap = math.nextafter(base, math.inf) - base if j > 0 else base - math.nextafter(base, -math.inf)
+                hi, lo = base * 3.0, -base * 2.0
+                rows.append([hi, j * gap / 4, lo, 0.0])
+        rows += [[2.0, -1.0, -1.0, 0.0], [-0.0, 0.0, -0.0, 0.0], [5.0, -5.0, 1e-300, -1e-300]]
+        table = np.array(rows)
+        assert len(table) >= risk_measures.CERTIFIED_MIN_ROWS
+        sums, certified = _certified_sums(table)
+        expected = _exact_fallbacks(table)
+        assert (~certified).sum() == expected.sum() == 2 * 63 + 3
+        assert (~certified == expected).all()
+        assert [v.hex() for v in _fsum_rows(table).tolist()] == _fsum_hexes(table)
+
+    def test_sweep_tables_rarely_fall_back(self):
+        rng = np.random.default_rng(3)
+        table = rng.uniform(-10.0, 10.0, (900, 8)) * rng.dirichlet(np.ones(8), 900)
+        sums, certified = _certified_sums(table)
+        assert (~certified).sum() == _exact_fallbacks(table).sum() < 40
+        assert [v.hex() for v in _fsum_rows(table).tolist()] == _fsum_hexes(table)
+
+
+_binary = st.builds(math.ldexp, st.integers(-(2**53), 2**53), st.integers(-1126, 960))
+_term = st.one_of(_binary, st.floats(allow_nan=False, allow_infinity=False, width=64), st.sampled_from([0.0, -0.0, TINY, ULP1, 1.0]))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_certified_sums_equal_fsum_on_random_rows(data):
+    m = data.draw(st.integers(3, 12))
+    rows = data.draw(st.lists(st.lists(_term, min_size=m, max_size=m), min_size=1, max_size=6))
+    table = np.array(rows, dtype=float)
+    sums, certified = _certified_sums(table)
+    assert [v.hex() for v in sums[certified].tolist()] == _fsum_hexes(table[certified])
+    try:
+        expected = _fsum_hexes(_tiled(rows))
+    except (ValueError, OverflowError):
+        with pytest.raises(SumOverflow):
+            _fsum_rows(_tiled(rows))
+    else:
+        assert [v.hex() for v in _fsum_rows(_tiled(rows)).tolist()] == expected

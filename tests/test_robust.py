@@ -9,9 +9,9 @@ import pytest
 
 from riskmdp import mdp_core, robust_check
 from riskmdp.distributions import make_distribution
-from riskmdp.errors import NotCoherent, RiskMdpError, TooLargeForEnumeration
+from riskmdp.errors import NotCoherent, RiskMdpError, SumOverflow, TooLargeForEnumeration
 from riskmdp.examples import build_casino
-from riskmdp.mdp_core import MdpModel, Policy, constant_bounding_spec
+from riskmdp.mdp_core import BoundingSpec, MdpModel, Policy, constant_bounding_spec
 from riskmdp.risk_measures import (
     Entropic,
     Expectation,
@@ -34,7 +34,7 @@ from riskmdp.robust_check import (
 )
 from riskmdp.solvers import evaluate_policy_finite, solve_finite, solve_infinite
 
-from helpers import classic_finite_dp, make_enumeration_model, make_random_model
+from helpers import classic_finite_dp, make_enumeration_model, make_huge_cost_model, make_random_model
 
 
 def random_policy(rng, model, horizon):
@@ -591,6 +591,46 @@ class TestBatchedAdversaryTable:
             nature_best_response(model, dual_set(ExpectedShortfall(0.5)), policy, 1)
         with pytest.raises(RiskMdpError, match="non-finite value inf"):
             robust_game_value(model, dual_set(ExpectedShortfall(0.5)), 1)
+
+
+class TestOutOfRangeStageValues:
+    RISK = Mixture(0.5, ExpectedShortfall(0.8), Expectation())
+
+    def test_a_sum_fsum_refuses_raises_sum_overflow_on_both_routes(self, route):
+        model = make_huge_cost_model(0)
+        with pytest.raises(SumOverflow, match="-inf \\+ inf in fsum"):
+            solve_finite(model, self.RISK, 1)
+        with pytest.raises(SumOverflow, match="-inf \\+ inf in fsum"):
+            robust_game_value(model, dual_set(self.RISK), 1)
+        with pytest.raises(SumOverflow, match="-inf \\+ inf in fsum"):
+            verify_equivalence(model, self.RISK, 1, 1e-10)
+
+    def test_robust_value_iteration_stops_on_the_first_non_finite_iterate(self, route, monkeypatch):
+        # ES(0.5) skips the -inf outcome below its level, so the primal
+        # stage value and the bounds are finite; nature's density puts 0 on
+        # it, and 0 * -inf makes the first sup NaN and the minimum +inf
+        model = MdpModel(
+            n_states=1,
+            n_actions=1,
+            admissible=((0,),),
+            disturbance=make_distribution([0, 1], [0.25, 0.75]),
+            transition=[[[0, 0]]],
+            cost=[[[-math.inf, 1.0]]],
+            terminal_cost=[0.0],
+            discount=0.5,
+        )
+        steps = []
+        original = robust_check._adversary_values
+
+        def counted(*args):
+            steps.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(robust_check, "_adversary_values", counted)
+        spec = BoundingSpec(lb=(-3.0,), ub=(3.0,))
+        with pytest.raises(RiskMdpError, match="non-finite value inf"):
+            robust_value_iteration(model, dual_set(ExpectedShortfall(0.5)), spec, 1e-8)
+        assert len(steps) == 1
 
 
 class TestDensityMemo:
