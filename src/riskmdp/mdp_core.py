@@ -36,7 +36,14 @@ from .errors import (
     NotContractive,
     RiskMdpError,
 )
-from .risk_measures import RiskMeasure, _risk_value_of_pairs, _risk_values_of_rows
+from .risk_measures import (
+    RiskMeasure,
+    _check_entropic_guards,
+    _risk_value_of_pairs,
+    _risk_values_of_rows,
+    _row_laws,
+    _row_values,
+)
 
 __all__ = [
     "MdpModel",
@@ -538,7 +545,25 @@ def bellman_L(model: MdpModel, risk: RiskMeasure, v, x: int, a: int) -> float:
 BATCH_MIN_OUTCOMES = 48
 
 
-def _stage_values(model: MdpModel, risk: RiskMeasure, v, rule=None):
+class _SweepMemo:
+    """What one infinite-horizon solve keeps across its full sweeps.
+
+    Near the fixed point a sweep's stage laws keep their sort order, so
+    ``law`` holds every admissible pair's law shape (a ``_RowLaws``) and
+    ``weights`` what the solve's risk measure reads of it; ``succ`` and
+    ``cost`` are ``model._sweep``'s tables permuted into each row's
+    ``law.order``, made from the second sweep on. A solve makes one and
+    drops it on return, so no solve reads another's shapes. A plain class,
+    since building a dataclass costs about 0.5 ms at every import.
+    """
+
+    __slots__ = ("law", "weights", "succ", "cost")
+
+    def __init__(self) -> None:
+        self.law = self.weights = self.succ = self.cost = None
+
+
+def _stage_values(model: MdpModel, risk: RiskMeasure, v, rule=None, memo: _SweepMemo | None = None):
     """The one-stage operator at many pairs, each value bit-identical to ``bellman_L``.
 
     Without ``rule``: one value per admissible pair, in ``model._sweep``
@@ -546,6 +571,10 @@ def _stage_values(model: MdpModel, risk: RiskMeasure, v, rule=None):
     value per state, at that state's rule pair. Steps over at least
     ``BATCH_MIN_OUTCOMES`` stage outcomes are evaluated in one batch and
     return an array; smaller ones go pair by pair and return a list.
+
+    A batched full sweep given a solve's ``memo`` sorts only the laws
+    whose order changed since the memo's last sweep (``_memo_values``);
+    fixed-rule and pair-by-pair steps do not read it.
     """
     xs, acts, succ, cost, probs = model._sweep
     if rule is not None:
@@ -556,6 +585,8 @@ def _stage_values(model: MdpModel, risk: RiskMeasure, v, rule=None):
     if succ.size >= BATCH_MIN_OUTCOMES:
         # overflowing stage values give inf or NaN, as pair by pair
         with np.errstate(over="ignore", invalid="ignore"):
+            if memo is not None and rule is None:
+                return _memo_values(model, risk, _array_of(v), memo)
             rows = cost + model.discount * _array_of(v)[succ]
             return _risk_values_of_rows(risk, rows, probs)
     succ, cost = model._pairs[2:4] if rule is None else (succ.tolist(), cost.tolist())
@@ -564,6 +595,39 @@ def _stage_values(model: MdpModel, risk: RiskMeasure, v, rule=None):
         _risk_value_of_pairs(risk, zip([c + beta * values[s] for s, c in zip(row_s, row_c)], p))
         for row_s, row_c in zip(succ, cost)
     ]
+
+
+def _memo_values(model: MdpModel, risk: RiskMeasure, v: np.ndarray, memo: _SweepMemo) -> np.ndarray:
+    """A batched full sweep's values, reusing the law shapes kept in ``memo``.
+
+    The first sweep builds every law, as without a memo. Later sweeps lay
+    each pair's stage values out in its kept order, the same IEEE
+    operations as the unsorted rows, and rebuild only the rows whose
+    order or ties changed; tied columns are merged as a fresh build
+    merges them. The values are bit-identical to a sweep without a memo.
+    """
+    succ, cost, probs = model._sweep[2:]
+    beta, law = model.discount, memo.law
+    if law is None:
+        law, weights = _row_laws(risk, cost + beta * v[succ], probs)
+        memo.law, memo.weights = law, weights
+        return _row_values(risk, law, iter(weights))
+    if memo.succ is None:
+        rows = np.arange(len(succ))[:, None]
+        memo.succ, memo.cost = succ[rows, law.order], cost[rows, law.order]
+    atom = memo.cost + beta * v[memo.succ]
+    _check_entropic_guards(risk, atom)
+    stale = law.stale(atom)
+    if len(stale):
+        fresh, weights = _row_laws(risk, cost[stale] + beta * v[succ[stale]], probs)
+        law.splice(stale, fresh)
+        for kept, new in zip(memo.weights, weights):
+            kept[stale] = new
+        memo.succ[stale] = succ[stale[:, None], fresh.order]
+        memo.cost[stale] = cost[stale[:, None], fresh.order]
+        atom[stale] = fresh.atom
+    law.atom = law.merge(atom)
+    return _row_values(risk, law, iter(memo.weights))
 
 
 def _first_min(model: MdpModel, vals) -> tuple[list[float], list[int]]:
@@ -608,15 +672,19 @@ def _min_value(model: MdpModel, vals) -> tuple[ValueFunction, list[int]]:
     return ValueFunction(best), actions.tolist()
 
 
-def bellman_T(model: MdpModel, risk: RiskMeasure, v) -> tuple[ValueFunction, tuple[int, ...]]:
+def bellman_T(
+    model: MdpModel, risk: RiskMeasure, v, memo: _SweepMemo | None = None
+) -> tuple[ValueFunction, tuple[int, ...]]:
     """One Bellman sweep: per-state minimum over admissible actions.
 
     The stage step evaluates every admissible pair, bit-identical to
     ``bellman_L``. Ties are broken toward the smallest action index,
     which makes the returned greedy rule deterministic; a state without
-    a finite value raises in ``ValueFunction`` on both routes.
+    a finite value raises in ``ValueFunction`` on both routes. A solve
+    that sweeps repeatedly passes its ``_SweepMemo``, which keeps the
+    stage laws' sort orders between sweeps; the result is the same.
     """
-    best, actions = _min_value(model, _stage_values(model, risk, v))
+    best, actions = _min_value(model, _stage_values(model, risk, v, None, memo))
     return best, tuple(actions)
 
 

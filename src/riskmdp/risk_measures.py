@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -423,49 +423,101 @@ class _RowLaws:
     """The laws of the rows of ``values``, each row weighted by ``probs``.
 
     ``probs`` must be ascending. Then a stable sort of each row on its
-    values puts the pairs in the order that ``sorted`` gives to (value,
-    probability) tuples, and column i of the tables below holds the i-th
-    sorted pair. Pairs with equal values form one atom. ``end`` marks the
-    last column of each atom; ``atom`` and ``prob`` are the atom's value
-    and its probabilities summed left to right, read at ``end`` columns.
+    values (``order``) puts the pairs in the order that ``sorted`` gives
+    to (value, probability) tuples, and column i of the tables below holds
+    the i-th sorted pair. Pairs with equal values form one atom. ``end``
+    marks the last column of each atom; ``atom`` and ``prob`` are the
+    atom's value and its probabilities summed left to right, read at
+    ``end`` columns.
 
     Column j of ``levels`` is the survival level after the atoms that end
     before column j, telescoped atom by atom from 1 with the last level
     pinned to 0; ``cum_levels`` is its complement. Both are what the
     scalar route computes, bit for bit.
+
+    Everything but ``atom`` is the law's shape, which depends on the
+    values only through ``order`` and ``end``; ``ties`` lists the columns
+    that some row merges into the next. A caller whose values move can
+    keep the shape of every row that ``stale`` does not name, lay the new
+    values out in ``order``, ``merge`` them and rebuild only the stale
+    rows (``splice``).
     """
 
+    SHAPE = ("order", "prob", "end", "levels", "cum_levels")
+
     def __init__(self, values: np.ndarray, probs: np.ndarray):
-        self.values, self.probs = values, probs
         n, m = values.shape
         order = np.argsort(values, axis=1, kind="stable")
         atom = values[np.arange(n)[:, None], order]
         prob = probs[order]
         end = np.ones((n, m), dtype=bool)
         end[:, :-1] = atom[:, 1:] != atom[:, :-1]
-        for i in np.flatnonzero(~end.all(axis=0)).tolist():
-            # merge column i into column i + 1 where they hold one atom
-            same = ~end[:, i]
-            atom[:, i + 1] = np.where(same, atom[:, i], atom[:, i + 1])
-            prob[:, i + 1] = np.where(same, prob[:, i] + prob[:, i + 1], prob[:, i + 1])
+        self.order, self.end = order, end
+        self.ties = np.flatnonzero(~end.all(axis=0)).tolist()
+        self.atom = self.merge(atom, prob)
         # subtracting 0.0 inside an atom leaves every level exact
         levels = np.empty((n, m + 1))
         levels[:, 0] = 1.0
         levels[:, 1:] = np.where(end, prob, 0.0)
         np.subtract.accumulate(levels, axis=1, out=levels)
         levels[:, -1] = 0.0
-        self.atom, self.prob, self.end = atom, prob, end
-        self.levels = levels
+        self.prob, self.levels = prob, levels
         self.cum_levels = 1.0 - levels
 
-    def running_sum(self, terms: np.ndarray) -> np.ndarray:
-        """The scalar route's plain left-to-right ``acc += term`` over the atoms.
+    def merge(self, atom: np.ndarray, prob: np.ndarray | None = None) -> np.ndarray:
+        """Fold each column of ``atom`` into the next where the two hold one atom, in place.
 
-        Other columns add 0.0, which leaves such a sum exact. The scalar
-        sum starts at +0.0, so it is never -0.0; adding 0.0 at the end
-        gives the same sign to a zero sum.
+        The atom keeps the value of its first column, so of -0.0 and +0.0
+        the first stays; ``prob``, when given, sums the atom's
+        probabilities left to right.
         """
-        return np.add.accumulate(np.where(self.end, terms, 0.0), axis=1)[:, -1] + 0.0
+        end = self.end
+        for i in self.ties:
+            same = ~end[:, i]
+            atom[:, i + 1] = np.where(same, atom[:, i], atom[:, i + 1])
+            if prob is not None:
+                prob[:, i + 1] = np.where(same, prob[:, i] + prob[:, i + 1], prob[:, i + 1])
+        return atom
+
+    def stale(self, atom: np.ndarray) -> np.ndarray:
+        """The rows whose values, laid out in ``order``, no longer have this shape.
+
+        A row keeps its shape when a stable sort of it in its original
+        layout gives ``order`` again with the same ties: strictly ascending
+        across each atom's end and equal inside it. NaN fails both tests.
+        """
+        n, m = atom.shape
+        # compared as one flat run, since numpy steps slowly through short
+        # rows; the pairs that straddle two rows are let through
+        flat = atom.ravel()
+        lo, hi = flat[:-1], flat[1:]
+        keeps = np.ones(n * m, dtype=bool)
+        keeps[:-1] = np.where(self.end.ravel()[:-1], lo < hi, lo == hi)
+        keeps[m - 1 :: m] = True
+        if keeps.all():  # the usual case, and cheaper than a test per row
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(~keeps.reshape(n, m).all(axis=1))
+
+    def splice(self, rows: np.ndarray, fresh: "_RowLaws") -> None:
+        """Write the shape of ``fresh``, the laws of ``rows`` rebuilt, over theirs."""
+        for name in self.SHAPE:
+            getattr(self, name)[rows] = getattr(fresh, name)
+        self.ties = np.flatnonzero(~self.end.all(axis=0)).tolist()
+
+
+def _running_sums(terms: np.ndarray) -> np.ndarray:
+    """The scalar route's plain left-to-right ``acc += term`` over each row.
+
+    Columns that are not an atom's end hold 0.0, which leaves such a sum
+    exact. The sum starts at +0.0, as the scalar one does, so it is never
+    -0.0. The columns are added one at a time, from a transposed copy:
+    numpy steps slowly through short rows.
+    """
+    cols = terms.T.copy()
+    total = cols[0] + 0.0
+    for col in cols[1:]:
+        total += col
+    return total
 
 
 # Tables of at least this many rows (and three columns) are summed by
@@ -572,28 +624,53 @@ def _gbar_array(phi: StepSpectrum, x: np.ndarray) -> np.ndarray:
     return np.where(x >= 1.0, 1.0, np.where(x <= 0.0, 0.0, inner))
 
 
-def _row_values(risk: RiskMeasure, law: _RowLaws) -> np.ndarray:
-    atom, end = law.atom, law.end
+def _weights(risk: RiskMeasure, law: _RowLaws) -> list[np.ndarray]:
+    """What ``risk`` reads of the shape of ``law``: arrays with one entry per row.
+
+    VaR keeps the column of its quantile, ES the mask and increments of
+    its tail, distortion and spectral measures their level increments;
+    the expectation and the entropic measure read ``prob`` and ``end``
+    directly. A mixture lists its first component's arrays, then its
+    second's.
+    """
+    if isinstance(risk, (Expectation, Entropic)):
+        return []
     cum = law.cum_levels[:, 1:]
+    if isinstance(risk, ValueAtRisk):
+        return [np.argmax(law.end & (cum >= risk.level), axis=1)]
+    if isinstance(risk, ExpectedShortfall):
+        prev = law.cum_levels[:, :-1]
+        lo = np.where(prev > risk.level, prev, risk.level)
+        return [law.end & (cum > lo), cum - lo]
+    if isinstance(risk, Distortion):
+        gs = _g_array(risk.g, law.levels)
+        return [gs[:, :-1] - gs[:, 1:]]
+    if isinstance(risk, Spectral):
+        gbar = _gbar_array(risk.phi, law.cum_levels)
+        return [gbar[:, 1:] - gbar[:, :-1]]
+    if isinstance(risk, Mixture):
+        return _weights(risk.first, law) + _weights(risk.second, law)
+    raise InvalidSpec(f"unknown risk specification {risk!r}")
+
+
+def _row_values(risk: RiskMeasure, law: _RowLaws, weights: Iterator[np.ndarray]) -> np.ndarray:
+    """Each row's risk value from its atoms and ``iter(_weights(risk, law))``."""
+    atom, end = law.atom, law.end
     if isinstance(risk, Expectation):
         return _fsum_rows(np.where(end, atom * law.prob, 0.0))
     if isinstance(risk, ValueAtRisk):
-        first = np.argmax(end & (cum >= risk.level), axis=1)
-        return atom[np.arange(len(atom)), first]
+        return atom[np.arange(len(atom)), next(weights)]
     if isinstance(risk, ExpectedShortfall):
-        alpha = risk.level
-        prev = law.cum_levels[:, :-1]
-        lo = np.where(prev > alpha, prev, alpha)
-        return law.running_sum(np.where(cum > lo, atom * (cum - lo), 0.0)) / (1.0 - alpha)
+        tail, inc = next(weights), next(weights)
+        return _running_sums(np.where(tail, atom * inc, 0.0)) / (1.0 - risk.level)
     if isinstance(risk, Distortion):
-        gs = _g_array(risk.g, law.levels)
-        return _fsum_rows(np.where(end, atom * (gs[:, :-1] - gs[:, 1:]), 0.0))
+        return _fsum_rows(np.where(end, atom * next(weights), 0.0))
     if isinstance(risk, Spectral):
-        gbar = _gbar_array(risk.phi, law.cum_levels)
-        return law.running_sum(atom * (gbar[:, 1:] - gbar[:, :-1]))
+        return _running_sums(np.where(end, atom * next(weights), 0.0))
     if isinstance(risk, Mixture):
         w = risk.weight
-        return w * _row_values(risk.first, law) + (1.0 - w) * _row_values(risk.second, law)
+        first = _row_values(risk.first, law, weights)  # consumes the first component's weights
+        return w * first + (1.0 - w) * _row_values(risk.second, law, weights)
     if isinstance(risk, Entropic):
         gamma = risk.gamma
         scaled = gamma * atom
@@ -630,12 +707,21 @@ def _check_entropic_guards(risk: RiskMeasure, values: np.ndarray) -> None:
     gammas = _entropic_gammas(risk)
     if not gammas:
         return
-    scale = np.abs(values).max(axis=1)  # the largest |atom| of each row's law
+    # the largest |atom| of each row's law, from a transposed copy, since
+    # numpy steps slowly through short rows
+    scale = np.abs(values).T.copy().max(axis=0)
     tripped = max(gammas) * scale > ENTROPIC_GUARD  # rounding keeps gamma * scale monotone
     if tripped.any():
         row_scale = float(scale[tripped.argmax()])
         for gamma in gammas:
             _entropic_guard(gamma, row_scale)
+
+
+def _row_laws(risk: RiskMeasure, values: np.ndarray, probs: np.ndarray) -> tuple[_RowLaws, list]:
+    """The laws of the rows of ``values`` and their ``_weights``, after the entropic guard."""
+    _check_entropic_guards(risk, values)
+    law = _RowLaws(values, probs)
+    return law, _weights(risk, law)
 
 
 def _risk_values_of_rows(risk: RiskMeasure, values: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -649,8 +735,8 @@ def _risk_values_of_rows(risk: RiskMeasure, values: np.ndarray, probs: np.ndarra
     the first row it would raise on. Used by the Bellman sweep and the
     bound verification.
     """
-    _check_entropic_guards(risk, values)
-    return _row_values(risk, _RowLaws(values, probs))
+    law, weights = _row_laws(risk, values, probs)
+    return _row_values(risk, law, iter(weights))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InfeasiblePolicy,
     NotContractive,
     NotCoherent,
@@ -38,6 +39,7 @@ from .mdp_core import (
     MdpModel,
     Policy,
     ValueFunction,
+    _SweepMemo,
     _norm_weights,
     _stage_values,
     _sup_norm,
@@ -202,11 +204,12 @@ def _verified_bounds(model: MdpModel, risk, spec: BoundingSpec):
 def _fixed_point(model: MdpModel, risk, spec: BoundingSpec, tol, max_iter, v, step, greedy):
     """Iterate ``v <- step(v)`` until the a-posteriori bound certifies ``tol``.
 
-    Checks ``tol``, the infinite-horizon preconditions and the norm
-    weights once, then records the weighted residual and its bound
-    q/(1-q) * residual per iteration. ``step`` maps a ``ValueFunction`` to
-    the next one, which refuses a non-finite iterate; ``greedy`` maps the
-    final value to the stationary rule of the result.
+    Checks ``tol``, the infinite-horizon preconditions, the norm weights
+    and the length of the start ``v`` once, before the first step, then
+    records the weighted residual and its bound q/(1-q) * residual per
+    iteration. ``step`` maps a ``ValueFunction`` to the next one, which
+    refuses a non-finite iterate; ``greedy`` maps the final value to the
+    stationary rule of the result.
     """
     if not tol > 0.0:
         raise RiskMdpError(f"tol must be > 0, got {tol!r}")
@@ -218,6 +221,8 @@ def _fixed_point(model: MdpModel, risk, spec: BoundingSpec, tol, max_iter, v, st
         raise NotContractive(f"alpha * discount = {q:g} must be < 1")
     weight = _norm_weights(spec.b())
     v = v if isinstance(v, ValueFunction) else ValueFunction(v)
+    if len(v) != model.n_states:
+        raise DimensionMismatch(f"start has {len(v)} values, model has {model.n_states} states")
     rate = q / (1.0 - q)
     if max_iter is None:
         max_iter = default_max_iter(tol, q)
@@ -255,13 +260,18 @@ def solve_infinite(
     residual times q/(1-q) drops to ``tol``, and returns the greedy
     stationary policy for the final value. When the iteration budget runs
     out the partial result is returned with ``converged=False``.
+
+    Every sweep, the greedy one included, shares one ``_SweepMemo`` made
+    here, so a stage law is sorted again only when its order changes;
+    the memo is dropped on return.
     """
+    memo = _SweepMemo()
 
     def step(v):
-        return bellman_T(model, risk, v)[0]
+        return bellman_T(model, risk, v, memo)[0]
 
     def greedy(v):
-        return bellman_T(model, risk, v)[1]
+        return bellman_T(model, risk, v, memo)[1]
 
     v = ValueFunction((0.0,) * model.n_states) if start is None else start
     return _fixed_point(model, risk, spec, tol, max_iter, v, step, greedy)

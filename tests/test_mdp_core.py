@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskmdp import mdp_core, robust_check
 from riskmdp.distributions import make_distribution
@@ -41,6 +43,7 @@ from riskmdp.risk_measures import (
     Spectral,
     StepSpectrum,
     ValueAtRisk,
+    _RowLaws,
     evaluate,
 )
 from riskmdp.solvers import evaluate_policy_finite, weak_increase_check
@@ -557,6 +560,152 @@ class TestBatchedSweep:
             report = verify_bounds(m, risk, spec)
             growth = [v.lhs for v in report.violations if v.inequality == "ub_growth"]
             assert growth and all(lhs == math.inf for lhs in growth), risk
+
+
+def outcome(call):
+    """Bit patterns of a stage step's values (and actions), or the error it raised."""
+    try:
+        got = call()
+    except RiskMdpError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, tuple):  # bellman_T
+        return bits(got[0]), got[1]
+    return bits(got)
+
+
+# stage values of these costs and values tie often, include both zeros,
+# infinities of both signs and NaN, and trip the entropic guard (2000)
+MEMO_COSTS = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
+MEMO_VALUES = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0) * 4 + (
+    math.inf,
+    -math.inf,
+    math.nan,
+    2000.0,
+    1e308,
+)
+
+
+@st.composite
+def memo_cases(draw):
+    """A small model and a sequence of value vectors, each changing a few states of the last."""
+    S, A, K = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    admissible = tuple(
+        tuple(sorted(draw(st.sets(st.integers(0, A - 1), min_size=1)))) for _ in range(S)
+    )
+    weights = draw(st.lists(st.sampled_from((0.0, 1.0, 1.0, 2.0, 5.0)), min_size=K, max_size=K))
+    if sum(weights) == 0.0:
+        weights[0] = 1.0
+
+    def table(cell):
+        return np.array(draw(st.lists(cell, min_size=S * A * K, max_size=S * A * K))).reshape(S, A, K)
+
+    model = MdpModel(
+        n_states=S,
+        n_actions=A,
+        admissible=admissible,
+        disturbance=make_distribution(list(range(K)), [w / sum(weights) for w in weights]),
+        transition=table(st.integers(0, S - 1)),
+        cost=table(st.sampled_from(MEMO_COSTS)),
+        terminal_cost=(0.0,) * S,
+        discount=draw(st.sampled_from((1.0, 0.9, 0.5))),
+    )
+    value = st.sampled_from(MEMO_VALUES)
+    v = draw(st.lists(value, min_size=S, max_size=S))
+    sequence = [v]
+    for _ in range(draw(st.integers(1, 7))):
+        v = list(v)
+        for x in draw(st.sets(st.integers(0, S - 1), max_size=2)):
+            v[x] = draw(value)
+        sequence.append(v)
+    return model, sequence
+
+
+class TestSweepMemo:
+    """Full sweeps through one solve's _SweepMemo against sweeps without one, bit for bit."""
+
+    @settings(max_examples=300)
+    @given(case=memo_cases(), risk=st.sampled_from(EVERY_KIND))
+    def test_every_sweep_matches_a_sweep_without_memo(self, case, risk):
+        model, sequence = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mdp_core, "BATCH_MIN_OUTCOMES", 0)
+            pairs, sweep = mdp_core._SweepMemo(), mdp_core._SweepMemo()
+            for v in sequence:
+                expected = outcome(lambda: mdp_core._stage_values(model, risk, v))
+                assert outcome(lambda: mdp_core._stage_values(model, risk, v, None, pairs)) == expected
+                expected = outcome(lambda: bellman_T(model, risk, v))
+                assert outcome(lambda: bellman_T(model, risk, v, sweep)) == expected
+
+    def test_orders_ties_and_signed_zeros_that_change_between_sweeps(self, monkeypatch):
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", 0)
+        # state 0 ranks v(0) against v(1), state 2 the other way round; at
+        # v(2) = -0.0 state 1 ties -0.0 with +0.0, which keeps -0.0
+        model = MdpModel(
+            n_states=3,
+            n_actions=1,
+            admissible=((0,),) * 3,
+            disturbance=make_distribution([0, 1], [0.3, 0.7]),
+            transition=[[[0, 1]], [[2, 2]], [[1, 0]]],
+            cost=[[[0.0, 0.0]], [[-0.0, 0.0]], [[0.0, 0.0]]],
+            terminal_cost=(0.0,) * 3,
+            discount=0.9,
+        )
+        sequence = (
+            [1.0, 1.0, -0.0],  # ties
+            [1.0, 2.0, -0.0],  # the ties come apart
+            [2.0, 1.0, -0.0],  # the orders turn
+            [1.0, 2.0, -0.0],  # and turn back
+            [1.0, 1.0, -0.0],  # the ties return
+            [1.0, 1.0, -0.0],
+        )
+        for risk in EVERY_KIND:
+            memo = mdp_core._SweepMemo()
+            for v in sequence:
+                expected = mdp_core._stage_values(model, risk, v)
+                assert bits(mdp_core._stage_values(model, risk, v, None, memo)) == bits(expected), (risk, v)
+            assert memo.succ is not None  # the later sweeps reused the shapes
+        memo = mdp_core._SweepMemo()
+        for _ in range(2):  # built, then reused
+            var = mdp_core._stage_values(model, ValueAtRisk(0.5), [0.0, 0.0, -0.0], None, memo)
+            assert bits(var)[1] == "-0x0.0p+0"
+
+    def test_fixed_rule_and_pairwise_steps_leave_the_memo_alone(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        m = make_random_model(rng, zero_terminal=True)
+        v = rng.uniform(-1, 1, m.n_states).tolist()
+        for threshold in (0, 10**9):
+            monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", threshold)
+            memo = mdp_core._SweepMemo()
+            rule = [acts[0] for acts in m.admissible]
+            fixed = mdp_core._stage_values(m, ExpectedShortfall(0.5), v, rule, memo)
+            assert bits(fixed) == bits(mdp_core._stage_values(m, ExpectedShortfall(0.5), v, rule))
+            assert memo.law is None
+        mdp_core._stage_values(m, ExpectedShortfall(0.5), v, None, memo)
+        assert memo.law is None  # pair by pair
+
+
+ROW_POOL = (-1.0, -0.0, 0.0, 1.0, 2.0, math.inf, -math.inf, math.nan)
+
+
+class TestRowLawShape:
+    @settings(max_examples=300)
+    @given(
+        old=st.lists(st.lists(st.sampled_from(ROW_POOL), min_size=4, max_size=4), min_size=1, max_size=6),
+        new=st.lists(st.lists(st.sampled_from(ROW_POOL), min_size=4, max_size=4), min_size=6, max_size=6),
+    )
+    def test_a_row_is_stale_exactly_when_a_stable_sort_changes_its_shape(self, old, new):
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        old = np.array(old)
+        new = np.array(new[: len(old)])
+        kept = _RowLaws(old, probs)
+        fresh = _RowLaws(new, probs)
+        stale = set(kept.stale(np.take_along_axis(new, kept.order, axis=1)).tolist())
+        for i in range(len(old)):
+            same = (kept.order[i] == fresh.order[i]).all() and (kept.end[i] == fresh.end[i]).all()
+            if np.isnan(new[i]).any():
+                assert i in stale  # NaN fails both tests, so its row is always rebuilt
+            else:
+                assert (i not in stale) == same, (old[i], new[i])
 
 
 class TestArrayModel:

@@ -1,15 +1,17 @@
 """Backward induction, fixed-point iteration, contraction and convergence checks."""
 
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
-from riskmdp import solvers
+from riskmdp import mdp_core, solvers
 
 from riskmdp.distributions import make_distribution
 from riskmdp.errors import (
+    DimensionMismatch,
     InfeasiblePolicy,
     NotCoherent,
     NotContractive,
@@ -25,11 +27,20 @@ from riskmdp.mdp_core import (
     BoundMode,
     MdpModel,
     Policy,
+    ValueFunction,
     bellman_T,
     constant_bounding_spec,
     weighted_norm,
 )
-from riskmdp.risk_measures import Entropic, Expectation, ExpectedShortfall, ValueAtRisk
+from riskmdp.risk_measures import (
+    Entropic,
+    Expectation,
+    ExpectedShortfall,
+    Mixture,
+    Spectral,
+    StepSpectrum,
+    ValueAtRisk,
+)
 from riskmdp.robust_check import dual_set, robust_value_iteration
 from riskmdp.solvers import (
     check_contraction,
@@ -300,6 +311,60 @@ class TestSolveInfinite:
             res = solve_infinite(m, ExpectedShortfall(0.8), constant_bounding_spec(m), 1e-10, max_iter)
             assert len(calls) == res.iterations + 1
         assert res.iterations == 0
+
+    @pytest.mark.parametrize("threshold", [0, 10**9], ids=["batch", "pairwise"])
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["shorter", "longer"])
+    def test_a_start_of_the_wrong_length_is_refused_before_the_first_sweep(
+        self, monkeypatch, threshold, extra
+    ):
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", threshold)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bellman_T(*args)
+
+        monkeypatch.setattr(solvers, "bellman_T", counted)
+        m = make_random_model(np.random.default_rng(10), zero_terminal=True)
+        n = m.n_states
+        start = ValueFunction((0.0,) * (n + extra))
+        message = f"start has {n + extra} values, model has {n} states"
+        with pytest.raises(DimensionMismatch, match=message):
+            solve_infinite(m, ExpectedShortfall(0.8), constant_bounding_spec(m), 1e-8, start=start)
+        assert calls == []
+
+    def test_each_solve_sorts_every_law_on_its_first_sweep(self, monkeypatch):
+        # two models of one shape in a row: a memo kept from the first solve
+        # would lay the second's values out by the first's tables
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", 0)
+        built = []
+        row_laws = mdp_core._row_laws
+
+        def counted(risk, values, probs):
+            built.append(len(values))
+            return row_laws(risk, values, probs)
+
+        monkeypatch.setattr(mdp_core, "_row_laws", counted)
+        rng = np.random.default_rng(31)
+        first = make_random_model(rng, max_states=8, zero_terminal=True)
+        second = dataclasses.replace(first, cost=rng.uniform(-1, 1, first.cost.shape))
+        spec = BoundingSpec(lb=(-1.5,) * first.n_states, ub=(1.5,) * first.n_states)  # costs lie in [-1, 1]
+        spectral = Spectral(StepSpectrum(((0.0, 0.5), (0.5, 1.5))))
+        for risk in (ExpectedShortfall(0.6), ValueAtRisk(0.5), Mixture(0.5, spectral, Expectation())):
+            for m in (first, second, first):
+                built.clear()
+                got = solve_infinite(m, risk, spec, 1e-10)
+                assert built[0] == len(m._sweep[0]), risk
+
+                def step(v):
+                    return bellman_T(m, risk, v)[0]
+
+                def greedy(v):
+                    return bellman_T(m, risk, v)[1]
+
+                fresh = solvers._fixed_point(m, risk, spec, 1e-10, None, [0.0] * m.n_states, step, greedy)
+                assert [v.hex() for v in got.value] == [v.hex() for v in fresh.value], risk
+                assert got.policy == fresh.policy and got.trace == fresh.trace, risk
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_tol_must_be_positive_in_both_solvers(self, tol):
