@@ -498,11 +498,19 @@ class _RowLaws:
             return np.empty(0, dtype=np.intp)
         return np.flatnonzero(~keeps.reshape(n, m).all(axis=1))
 
-    def splice(self, rows: np.ndarray, fresh: "_RowLaws") -> None:
+    def splice(self, rows: np.ndarray, fresh: "_RowLaws", names: Sequence[str] = SHAPE) -> None:
         """Write the shape of ``fresh``, the laws of ``rows`` rebuilt, over theirs."""
-        for name in self.SHAPE:
+        for name in names:
             getattr(self, name)[rows] = getattr(fresh, name)
         self.ties = np.flatnonzero(~self.end.all(axis=0)).tolist()
+
+    def take(self, rows: np.ndarray, names: Sequence[str]) -> "_RowLaws":
+        """A copy of ``rows``' tables ``names`` (``end`` among them), for a caller that reads no others."""
+        sub = _RowLaws.__new__(_RowLaws)
+        for name in names:
+            setattr(sub, name, np.take(getattr(self, name), rows, axis=0))
+        sub.ties = [i for i in self.ties if not sub.end[:, i].all()]
+        return sub
 
 
 def _running_sums(terms: np.ndarray) -> np.ndarray:
@@ -677,8 +685,12 @@ def _row_values(risk: RiskMeasure, law: _RowLaws, weights: Iterator[np.ndarray])
         mx = scaled[:, -1:]  # the top atom has the largest product, as gamma > 0
         terms = np.zeros_like(scaled)
         # numpy's exp and log differ from libm's in the last bit; the scalar
-        # route uses libm's, so these two go through the math module
-        terms[end] = law.prob[end] * _libm(math.exp, (scaled - mx)[end])
+        # route uses libm's, so these two go through the math module. The top
+        # column's shift is exactly 0.0 in a finite row, and prob * exp(0.0)
+        # is prob; a NaN row stays NaN through mx
+        inner = end[:, :-1]
+        terms[:, :-1][inner] = law.prob[:, :-1][inner] * _libm(math.exp, (scaled[:, :-1] - mx)[inner])
+        terms[:, -1] = law.prob[:, -1]
         return (mx[:, 0] + _libm(math.log, _fsum_rows(terms))) / gamma
     raise InvalidSpec(f"unknown risk specification {risk!r}")
 
@@ -686,6 +698,182 @@ def _row_values(risk: RiskMeasure, law: _RowLaws, weights: Iterator[np.ndarray])
 def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     """``fn`` of each entry of the 1-d array ``x``, rounded as the math module rounds."""
     return np.fromiter(map(fn, x.tolist()), dtype=float, count=len(x))
+
+
+# ---------------------------------------------------------------------------
+# Rounding bounds of the batched evaluation
+
+_U = 2.0**-53  # unit roundoff: one IEEE operation is off by at most u times its exact result
+# second-order terms (products of two or more roundings, each term at most
+# m * u <= 2**-30 for rows of fewer than 2**23 columns) fit in this factor
+_SECOND_ORDER = 1.0 + 2.0**-20
+_LIBM_ERR = 4 * _U  # libm's exp and log taken within 2 ulps; glibc documents under 1
+_WEIGHT_ARRAYS = {Expectation: 0, Entropic: 0, ValueAtRisk: 1, ExpectedShortfall: 2, Distortion: 1, Spectral: 1}
+
+
+def _level_error(probs: np.ndarray) -> float:
+    """A bound delta on |computed level - exact level| for rows over ``probs``.
+
+    The exact cumulative level after sorted column j is F_j = min(1, p_1 +
+    ... + p_j), the top one pinned to 1 as the computed one is; the
+    survival level is 1 - F_j. With m columns and s = sum(p): an atom's
+    probability is summed left to right (m - 1 roundings in all), each
+    telescoping step ``S - p`` rounds once at a magnitude of at most 1,
+    and ``1 - S`` once more, which gives m * (s + 1) * u + 2u; the cap at 1
+    moves F_j by at most |1 - s|, bounded from ``fsum`` (correctly rounded,
+    so within 2u of s).
+    """
+    return ((2 * len(probs) + 3) * _U + _mass_error(probs)) * _SECOND_ORDER
+
+
+def _mass_error(probs: np.ndarray) -> float:
+    """A bound on |1 - s| for the exact sum s of ``probs``: ``fsum`` rounds s once."""
+    return abs(1.0 - math.fsum(probs.tolist())) + 2 * _U
+
+
+def _rounding_bound(risk: RiskMeasure, probs: np.ndarray) -> tuple[float, float, float]:
+    """``(slope, floor, lip)``: the batched evaluation's rounding, per kind.
+
+    For a row of m = len(probs) columns whose float atoms are at most M
+    in magnitude, |computed value - exact value| <= slope * M + floor,
+    where the exact value is the kind's formula in real arithmetic on the
+    same float atoms and probabilities, with the levels F_j of
+    ``_level_error`` (error delta). The exact value changes by at most
+    lip times the largest change of an atom. With u = 2**-53 and
+    ``_SECOND_ORDER`` for the products of roundings:
+
+    - Expectation, sum p_k a_k: atom probabilities (m - 1 roundings), the
+      products (1) and ``fsum`` (1, correctly rounded), each relative to
+      at most s * M: slope (m + 1) u s. lip = s, the sum of the
+      probabilities, which need not be 1.
+    - Expected shortfall at level alpha, the weights G(F_j) - G(F_{j-1})
+      with G(t) = max(t, alpha): summation by parts moves the sum by
+      sum_j |G(F^_j) - G(F_j)| |a_{j+1} - a_j| <= 2 M delta, since the
+      atoms are sorted. The increment (1), product (1) and running sum
+      (m - 1) round relative to M (1 - alpha), and 1 - alpha and the
+      division add 2u: slope (m + 5) u + 2 delta / (1 - alpha). lip = 1.
+    - Distortion g over survival levels: the same summation by parts
+      with eta + L delta per level, where L is g's largest slope (1 for
+      the identity, 1 / (1 - level) for es_cap) and eta g's own rounding
+      (3u for es_cap, 6u for a knot interpolation); weights (1),
+      products (1) and ``fsum`` (1) round relative to V M, V = 1 + 2 m
+      (eta + L delta) bounding the sum of |weights|: slope 2 (eta + L
+      delta) + 3 u V. lip = 1. A step distortion (var_indicator) has no
+      finite bound.
+    - Spectral phi with n steps and integral I: gbar's float prefix sums
+      and its evaluation (3 roundings per step, 3 more at the point) are
+      within eta = (3 n + 3) u max(I, 1) + |1 - I|, the top level reads
+      1 where the exact gbar(1) is I, and gbar's slope is max phi:
+      slope 2 (eta + max phi delta) + |1 - I| + (m + 1) u V, V = I +
+      2 m (eta + max phi delta). lip = I.
+    - Entropic gamma, computed as gamma a_m + log sum_j p_j exp(d_j) with
+      d_j = gamma a_j - gamma a_m: gamma a_m is within u gamma M and each
+      d_j within 4 u gamma M, libm's exp and log within ``_LIBM_ERR``
+      relative, |log of the sum| <= 2 gamma M + |log s|; the sum's terms
+      are positive, so its relative error is (m + 1) u + ``_LIBM_ERR``
+      plus m * 2**-1074 / min(p) of underflow; the final addition and the
+      division by gamma add 2u: slope 7 u + 2 ``_LIBM_ERR``, floor ((m + 1) u + ``_LIBM_ERR`` +
+      underflow + (``_LIBM_ERR`` + 3 u) |log s|) / gamma, plus |log s| /
+      gamma so that |value| <= lip M + floor holds for mixtures. lip = 1:
+      the measure is translation invariant on any positive weights.
+    - Mixture w, 1 - w: the components' bounds weighted, plus 2u of the
+      two products and the sum, relative to |component values| <= (lip
+      + slope) M + 2 floor. lip is the weighted sum of the components'.
+    - Value at risk: the value is one of the row's atoms, exactly, read
+      at a level within delta of alpha, so it lies between the exact
+      quantiles at alpha - delta and alpha + delta; slope and floor are
+      0 and ``_quantile_windows`` bounds that bracket from the row.
+    """
+    m, ds = len(probs), _mass_error(probs)
+    extra = (m * 2.0**-1074 / float(probs.min()), ds * 1.01)  # underflow in exp, |log s|
+    return _kind_bound(risk, m, ds, _level_error(probs), extra)
+
+
+def _kind_bound(risk: RiskMeasure, m: int, ds: float, delta: float, extra) -> tuple[float, float, float]:
+    u, f = _U, _SECOND_ORDER
+    if isinstance(risk, Expectation):
+        s_hi = 1.0 + ds
+        return (m + 1) * u * s_hi * f, 0.0, s_hi
+    if isinstance(risk, ValueAtRisk):
+        return 0.0, 0.0, 1.0
+    if isinstance(risk, ExpectedShortfall):
+        return ((m + 5) * u + 2 * delta / (1.0 - risk.level)) * f, 0.0, 1.0
+    if isinstance(risk, Distortion):
+        g = risk.g
+        if g.form == "var_indicator":
+            return math.inf, math.inf, 1.0
+        if g.form == "identity":
+            eta, slope = 0.0, 1.0
+        elif g.form == "es_cap":
+            eta, slope = 3 * u, 1.0 / (1.0 - g.level)
+        else:
+            eta = 6 * u
+            slope = max((g1 - g0) / (u1 - u0) for (u0, g0), (u1, g1) in zip(g.knots, g.knots[1:]))
+        eps = (eta + slope * delta) * f
+        return (2 * eps + 3 * u * (1.0 + 2 * m * eps)) * f, 0.0, 1.0
+    if isinstance(risk, Spectral):
+        phi = risk.phi
+        n = len(phi.breakpoints)
+        total = phi._prefix[-1]
+        spread = 3 * n * u * max(total, 1.0) * f  # |prefix sum - I|
+        lip = total + spread
+        off = abs(1.0 - total) + spread  # >= |1 - I|
+        eta = (3 * n + 3) * u * max(lip, 1.0) * f + off
+        eps = (eta + max(p for _, p in phi.breakpoints) * delta) * f
+        return (2 * eps + off + (m + 1) * u * (lip + 2 * m * eps)) * f, 0.0, lip
+    if isinstance(risk, Entropic):
+        underflow, log_s = extra
+        rel = (m + 1) * u + _LIBM_ERR + underflow + (_LIBM_ERR + 3 * u) * log_s
+        return (7 * u + 2 * _LIBM_ERR) * f, (rel * f + log_s) / risk.gamma, 1.0
+    if isinstance(risk, Mixture):
+        w1, w2 = risk.weight, 1.0 - risk.weight
+        a1, b1, l1 = _kind_bound(risk.first, m, ds, delta, extra)
+        a2, b2, l2 = _kind_bound(risk.second, m, ds, delta, extra)
+        slope = w1 * a1 + w2 * a2 + 2 * u * (w1 * (l1 + a1) + w2 * (l2 + a2))
+        floor = (w1 * b1 + w2 * b2) * (1.0 + 4 * u)
+        return slope * f, floor * f, (w1 * l1 + w2 * l2) * f
+    raise InvalidSpec(f"unknown risk specification {risk!r}")
+
+
+def _quantile_windows(risk: RiskMeasure, law: _RowLaws, weights: Iterator, delta: float):
+    """How far each row's value may lie above and below its bracket, or None.
+
+    A value at risk at level alpha reads the atom at column j* of its
+    row; the exact quantiles at alpha -+ delta lie between the atoms at the
+    first end columns whose computed level reaches fl(alpha -+ 3 delta)
+    (the extra delta covers the computed levels' error, the third the
+    rounding of the shifted level). Returns ``(down, up)``: per row, the
+    sum over the value-at-risk parts of ``risk``, each weighted as the
+    mixture weights it, of atom(j*) - atom(j_lo) and atom(j_hi) -
+    atom(j*); ``weights`` is ``iter(_weights(risk, law))``, and ``law.atom``
+    holds the merged atoms.
+    """
+    parts = []
+
+    def walk(r, scale):
+        if isinstance(r, Mixture):
+            walk(r.first, scale * r.weight)
+            walk(r.second, scale * (1.0 - r.weight))
+        elif isinstance(r, ValueAtRisk):
+            parts.append((r.level, scale, next(weights)))
+        else:
+            for _ in range(_WEIGHT_ARRAYS[type(r)]):
+                next(weights)
+
+    walk(risk, 1.0)
+    if not parts:
+        return None
+    atom, rows = law.atom, np.arange(len(law.atom))
+    cum, end = law.cum_levels[:, 1:], law.end
+    down, up = np.zeros(len(atom)), np.zeros(len(atom))
+    for level, scale, col in parts:
+        lo = np.argmax(end & (cum >= level - 3 * delta), axis=1)
+        top = level + 3 * delta
+        hi = np.argmax(end & (cum >= top), axis=1) if top <= 1.0 else len(cum[0]) - 1
+        at = atom[rows, col]
+        down += scale * (at - atom[rows, lo])
+        up += scale * (atom[rows, hi] - at)
+    return down, up
 
 
 def _entropic_gammas(risk: RiskMeasure) -> list[float]:

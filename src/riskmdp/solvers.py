@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -169,7 +169,12 @@ def evaluate_policy_finite(model, risks, policy: Policy, horizon: int) -> list[V
 
 @dataclass(frozen=True)
 class InfiniteSolveResult:
-    """Fixed-point iteration output with the a-posteriori error bound."""
+    """Fixed-point iteration output with the a-posteriori error bound.
+
+    ``pair_evaluations`` counts the one-stage risk evaluations the solve
+    made, the final greedy call's included: the admissible pairs times
+    (iterations + 1), less the pairs that value iteration left out.
+    """
 
     value: ValueFunction
     policy: Policy
@@ -179,6 +184,7 @@ class InfiniteSolveResult:
     modulus: float
     converged: bool
     trace: tuple[tuple[float, float], ...]
+    pair_evaluations: int
 
 
 def default_max_iter(tol: float, modulus: float) -> int:
@@ -243,6 +249,7 @@ def _fixed_point(model: MdpModel, risk, spec: BoundingSpec, tol, max_iter, v, st
         modulus=q,
         converged=bound <= tol,
         trace=tuple(trace),
+        pair_evaluations=len(model._sweep[0]) * (len(trace) + 1),
     )
 
 
@@ -263,7 +270,11 @@ def solve_infinite(
 
     Every sweep, the greedy one included, shares one ``_SweepMemo`` made
     here, so a stage law is sorted again only when its order changes;
-    the memo is dropped on return.
+    the memo is dropped on return. The sweeps of the iteration leave out
+    the pairs that the memo's certified test proves larger than their
+    state's minimum, which changes no value, action or trace; the greedy
+    call evaluates every pair. ``pair_evaluations`` counts what was
+    evaluated.
     """
     memo = _SweepMemo()
 
@@ -271,10 +282,12 @@ def solve_infinite(
         return bellman_T(model, risk, v, memo)[0]
 
     def greedy(v):
+        memo.eliminate = False
         return bellman_T(model, risk, v, memo)[1]
 
     v = ValueFunction((0.0,) * model.n_states) if start is None else start
-    return _fixed_point(model, risk, spec, tol, max_iter, v, step, greedy)
+    result = _fixed_point(model, risk, spec, tol, max_iter, v, step, greedy)
+    return replace(result, pair_evaluations=result.pair_evaluations - memo.skipped)
 
 
 def check_contraction(

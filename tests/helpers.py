@@ -8,6 +8,9 @@ they check.
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 
 from riskmdp.mdp_core import MdpModel
@@ -216,3 +219,131 @@ def make_huge_cost_model(seed: int) -> MdpModel:
         cost=(rng.uniform(-1.0, 1.0, (S, A, K)) * 1.7e308).tolist(),
         terminal_cost=(rng.uniform(-1.0, 1.0, S) * 1.7e308).tolist(),
     )
+
+
+# ---------------------------------------------------------------------------
+# Exact stage values, the reference of the batched evaluation's rounding bound
+
+EXACT_DIGITS = 60  # decimal precision of the entropic kind's exp and log
+
+
+def _exact_law(atoms, probs):
+    """Distinct sorted atoms and exact cumulative levels min(1, mass up to the atom), the top one 1."""
+    pairs = sorted(zip(atoms, probs))
+    values, masses = [], []
+    for a, p in pairs:
+        if values and a == values[-1]:
+            masses[-1] += Fraction(p)
+        else:
+            values.append(a)
+            masses.append(Fraction(p))
+    cum, acc = [], Fraction(0)
+    for w in masses:
+        acc += w
+        cum.append(min(acc, Fraction(1)))
+    cum[-1] = Fraction(1)
+    return [Fraction(a) for a in values], cum
+
+
+def _exact_quantile(values, cum, level):
+    return next((a for a, f in zip(values, cum) if f >= level), values[-1])
+
+
+def _exact_distortion(g, t):
+    if g.form == "identity":
+        return t
+    if g.form == "var_indicator":
+        return Fraction(1) if t > 1 - Fraction(g.level) else Fraction(0)
+    if g.form == "es_cap":
+        return min(t / (1 - Fraction(g.level)), Fraction(1))
+    knots = [(Fraction(u), Fraction(v)) for u, v in g.knots]
+    if t <= 0:
+        return Fraction(0)
+    if t >= 1:
+        return Fraction(1)
+    for (u0, g0), (u1, g1) in zip(knots, knots[1:]):
+        if u0 <= t <= u1:
+            return g0 + (g1 - g0) * (t - u0) / (u1 - u0)
+    raise AssertionError("knots cover [0, 1]")
+
+
+def _exact_gbar(phi, t):
+    """The integral of the step spectrum from 0 to t, exactly; at t = 1 its whole mass."""
+    steps = [(Fraction(u), Fraction(p)) for u, p in phi.breakpoints]
+    total = Fraction(0)
+    for j, (u, p) in enumerate(steps):
+        right = steps[j + 1][0] if j + 1 < len(steps) else Fraction(1)
+        total += p * (max(min(t, right), u) - u)
+    return total
+
+
+def exact_stage_value(risk, atoms, probs, shift=Fraction(0)):
+    """The exact value of ``risk`` on the law of float ``atoms`` weighted by float ``probs``.
+
+    Real arithmetic on the given floats: Fractions for the linear kinds and
+    60-digit decimals for the entropic kind's exp and log (a mixture with an
+    entropic part is a Decimal). The expectation is sum p a, whatever the
+    probabilities sum to; the quantile kinds read the levels of
+    ``_exact_law``. Values at risk are read at their level plus ``shift``,
+    the bracket that the rounding bound gives them. Shares no code with
+    ``riskmdp``.
+    """
+    from riskmdp.risk_measures import (
+        Distortion,
+        Entropic,
+        Expectation,
+        ExpectedShortfall,
+        Mixture,
+        Spectral,
+        ValueAtRisk,
+    )
+
+    if isinstance(risk, Expectation):
+        return sum((Fraction(a) * Fraction(p) for a, p in zip(atoms, probs)), Fraction(0))
+    if isinstance(risk, Entropic):
+        with localcontext() as ctx:
+            ctx.prec = EXACT_DIGITS
+            gamma = Decimal(risk.gamma)
+            total = sum(Decimal(p) * (gamma * Decimal(a)).exp() for a, p in zip(atoms, probs))
+            return total.ln() / gamma
+    if isinstance(risk, Mixture):
+        first = exact_stage_value(risk.first, atoms, probs, shift)
+        second = exact_stage_value(risk.second, atoms, probs, shift)
+        w1, w2 = risk.weight, 1.0 - risk.weight
+        if isinstance(first, Decimal) or isinstance(second, Decimal):
+            with localcontext() as ctx:
+                ctx.prec = EXACT_DIGITS
+                return Decimal(w1) * _decimal(first) + Decimal(w2) * _decimal(second)
+        return Fraction(w1) * first + Fraction(w2) * second
+    values, cum = _exact_law(atoms, probs)
+    previous = [Fraction(0)] + cum[:-1]
+    if isinstance(risk, ValueAtRisk):
+        return _exact_quantile(values, cum, Fraction(risk.level) + shift)
+    if isinstance(risk, ExpectedShortfall):
+        alpha = Fraction(risk.level)
+        weights = [max(f, alpha) - max(e, alpha) for e, f in zip(previous, cum)]
+        return sum((a * w for a, w in zip(values, weights)), Fraction(0)) / (1 - alpha)
+    if isinstance(risk, Distortion):
+        return sum(
+            (a * (_exact_distortion(risk.g, 1 - e) - _exact_distortion(risk.g, 1 - f)) for a, e, f in zip(values, previous, cum)),
+            Fraction(0),
+        )
+    if isinstance(risk, Spectral):
+        return sum(
+            (a * (_exact_gbar(risk.phi, f) - _exact_gbar(risk.phi, e)) for a, e, f in zip(values, previous, cum)),
+            Fraction(0),
+        )
+    raise AssertionError(f"unknown kind {risk!r}")
+
+
+def _decimal(x):
+    return x if isinstance(x, Decimal) else Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def exact_difference(computed, exact):
+    """computed - exact, exactly for a Fraction and at 60 digits for a Decimal."""
+    if isinstance(exact, Decimal):
+        with localcontext() as ctx:
+            ctx.prec = EXACT_DIGITS
+            return Decimal(computed) - exact
+    return Fraction(computed) - exact

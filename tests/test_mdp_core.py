@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskmdp import mdp_core, robust_check
+from riskmdp import mdp_core, robust_check, solvers
 from riskmdp.distributions import make_distribution
 from riskmdp.errors import (
     DimensionMismatch,
@@ -16,6 +16,7 @@ from riskmdp.errors import (
     InfeasibleAction,
     NotContractive,
     RiskMdpError,
+    SumOverflow,
 )
 from riskmdp.examples import build_casino
 from riskmdp.mdp_core import (
@@ -391,6 +392,31 @@ class TestFirstMin:
             best, actions = mdp_core._first_min(model, given)
             assert (bits(best), actions) == (bits(expected[0]), expected[1])
             assert type(best) is list and type(actions) is list
+
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_arrays_select_as_the_list_route_does(self, data):
+        # single-action states, states whose pairs are all +inf or NaN, and
+        # signed zeros; values and actions compared by float.hex
+        S, A = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+        admissible = tuple(
+            tuple(sorted(data.draw(st.sets(st.integers(0, A - 1), min_size=1, max_size=A)))) for _ in range(S)
+        )
+        model = MdpModel(
+            n_states=S,
+            n_actions=A,
+            admissible=admissible,
+            disturbance=make_distribution([0], [1.0]),
+            transition=np.zeros((S, A, 1), dtype=np.int64),
+            cost=np.zeros((S, A, 1)),
+            terminal_cost=(0.0,) * S,
+        )
+        pool = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 0.5])
+        vals = data.draw(st.lists(pool, min_size=len(model._sweep[0]), max_size=len(model._sweep[0])))
+        expected = mdp_core._first_min(model, vals)
+        best, actions = mdp_core._first_min(model, np.array(vals))
+        assert (bits(best), actions) == (bits(expected[0]), expected[1])
 
 
 class TestBatchedSweep:
@@ -1049,3 +1075,229 @@ class TestFixedRuleStep:
                     assert got is expected, risk
                     outcomes.add(got)
         assert outcomes == {True, False}
+
+
+ALL_KINDS = (Expectation, ValueAtRisk, ExpectedShortfall, Distortion, Spectral, Entropic)
+
+
+def plain_solve(m, risk, spec, tol, max_iter=None):
+    """A solve through sweeps that evaluate every pair, as outcome(); errors name the sweep they stopped."""
+    calls = []
+
+    def step(v):
+        calls.append(1)
+        return bellman_T(m, risk, v)[0]
+
+    def greedy(v):
+        return bellman_T(m, risk, v)[1]
+
+    try:
+        got = solvers._fixed_point(m, risk, spec, tol, max_iter, [0.0] * m.n_states, step, greedy)
+    except RiskMdpError as exc:
+        return type(exc), str(exc), len(calls)
+    return bits(got.value), got.policy, got.trace, got.iterations
+
+
+def eliminating_solve(m, risk, spec, tol, max_iter=None):
+    """``solve_infinite`` as plain_solve reports it, and its pair_evaluations."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return bellman_T(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "bellman_T", counted)
+        try:
+            got = solvers.solve_infinite(m, risk, spec, tol, max_iter)
+        except RiskMdpError as exc:
+            return (type(exc), str(exc), len(calls)), None
+    return (bits(got.value), got.policy, got.trace, got.iterations), got.pair_evaluations
+
+
+def masks_of_each_sweep(monkeypatch):
+    """Record the evaluated-pair mask of every sweep that the elimination test decides."""
+    masks = []
+    sweep = mdp_core._Elimination.sweep
+
+    def recorded(self, *args):
+        out = sweep(self, *args)
+        masks.append(self.mask.copy())
+        return out
+
+    monkeypatch.setattr(mdp_core._Elimination, "sweep", recorded)
+    return masks
+
+
+def chain_model(costs, transitions, probs=(1.0,)):
+    """A model with one (x, a) row per entry of ``costs``: {state: [(cost row, successor row), ...]}."""
+    S = len(costs)
+    A = max(len(acts) for acts in costs)
+    K = len(probs)
+    cost = np.zeros((S, A, K))
+    succ = np.zeros((S, A, K), dtype=np.int64)
+    for x in range(S):
+        for a, (c, t) in enumerate(zip(costs[x], transitions[x])):
+            cost[x, a], succ[x, a] = c, t
+    return MdpModel(
+        n_states=S,
+        n_actions=A,
+        admissible=tuple(tuple(range(len(acts))) for acts in costs),
+        disturbance=make_distribution(list(range(K)), list(probs)),
+        transition=succ,
+        cost=cost,
+        terminal_cost=(0.0,) * S,
+        discount=0.9,
+    )
+
+
+class TestElimination:
+    """Value iteration that leaves provably larger pairs out, against sweeps of every pair, bit for bit."""
+
+    @pytest.mark.parametrize("threshold", [0, 48, 10**9], ids=["batch", "default", "pairwise"])
+    @pytest.mark.parametrize("gate", ["default", "every kind"])
+    def test_solves_match_sweeps_that_evaluate_every_pair(self, monkeypatch, threshold, gate):
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", threshold)
+        if gate == "every kind":
+            monkeypatch.setattr(mdp_core, "ELIMINATION_KINDS", ALL_KINDS)
+        rng = np.random.default_rng(2026)
+        skipped = 0
+        for i in range(9):
+            m = wide_random_model(rng) if i % 3 == 0 else coarse_random_model(rng)
+            if threshold == 10**9 and i % 3 == 0:
+                continue  # pair by pair, the wide models take long and eliminate nothing
+            spec = constant_bounding_spec(m)
+            for risk in EVERY_KIND:
+                if m.discount == 1.0:
+                    continue  # alpha * discount must stay below 1
+                got, evaluations = eliminating_solve(m, risk, spec, 1e-9)
+                assert got == plain_solve(m, risk, spec, 1e-9), (i, risk)
+                if evaluations is not None:
+                    full = len(m._sweep[0]) * (got[3] + 1)
+                    assert evaluations <= full
+                    skipped += full - evaluations
+                    if threshold == 10**9 or (gate == "default" and "Entropic" not in repr(risk)):
+                        assert evaluations == full, (i, risk)
+        assert (skipped > 0) == (threshold != 10**9)
+
+    def test_a_pair_whose_lower_bound_meets_the_least_upper_bound_is_kept(self):
+        # the test is strict: the pair whose upper bound is the least never leaves
+        lower = np.array([1.0, 1.0, 2.0, 0.5, 3.0])
+        upper = np.array([1.0, 1.5, 2.5, 0.5, 3.5])
+        starts, seg = np.array([0, 3]), np.array([0, 0, 0, 1, 1])
+        assert mdp_core._dominated(lower, upper, starts, seg).tolist() == [False, False, True, False, True]
+        # a NaN lower bound keeps its pair; a NaN upper bound keeps its state's
+        nan = np.array([math.nan, 5.0, 6.0, 0.5, 3.0])
+        assert mdp_core._dominated(nan, upper, starts, seg).tolist() == [False, True, True, False, True]
+        assert not mdp_core._dominated(nan, np.where(upper == 1.5, math.nan, upper), starts, seg)[:3].any()
+
+    def test_a_zero_cost_model_keeps_every_pair(self, monkeypatch):
+        # every bound is 0 and ties with its state's least upper bound
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", 0)
+        masks = masks_of_each_sweep(monkeypatch)
+        m = chain_model([[[0.0, 0.0]] * 2, [[0.0, 0.0]] * 2], [[[0, 1], [1, 0]], [[1, 1], [0, 0]]], (0.5, 0.5))
+        spec = BoundingSpec(lb=(-0.5,) * 2, ub=(0.5,) * 2)
+        for risk in (Entropic(0.5), Mixture(0.5, Entropic(1.0), ExpectedShortfall(0.5))):
+            memo = mdp_core._SweepMemo()
+            for _ in range(4):
+                assert outcome(lambda: bellman_T(m, risk, [0.0, 0.0], memo)) == outcome(lambda: bellman_T(m, risk, [0.0, 0.0]))
+        assert len(masks) == 6 and all(mask.all() for mask in masks)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-15], ids=["tie", "below the bound"])
+    def test_near_ties_keep_both_actions(self, monkeypatch, gap):
+        # state 0's two actions have the same law, or one 1e-15 apart: the
+        # test may skip neither, and the tie goes to action 0 as without it
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", 0)
+        monkeypatch.setattr(mdp_core, "ELIMINATION_KINDS", ALL_KINDS)
+        masks = masks_of_each_sweep(monkeypatch)
+        law = [0.3, 0.7]
+        m = chain_model(
+            [[law, [0.3 + gap, 0.7], [2.0, 2.0]], [[0.1, 0.4]], [[0.2, -0.1]]],
+            [[[1, 2], [1, 2], [1, 1]], [[2, 1]], [[2, 0]]],
+            (0.25, 0.75),
+        )
+        spec = constant_bounding_spec(m)
+        for risk in (Expectation(), ExpectedShortfall(0.5), ValueAtRisk(0.5), Entropic(1e-3), Mixture(0.4, Entropic(0.5), ValueAtRisk(0.6))):
+            masks.clear()
+            got, _ = eliminating_solve(m, risk, spec, 1e-12)
+            assert got == plain_solve(m, risk, spec, 1e-12), risk
+            assert masks and all(mask[0] and mask[1] for mask in masks), risk
+            assert any(not mask[2] for mask in masks), risk  # the clear loser does leave
+
+    def test_rounding_noise_between_near_ties_is_covered(self, monkeypatch):
+        # entropic at gamma 1e-3 rounds its sum to noise 1e3 times larger
+        # than its drift near the fixed point; the actions of each state are
+        # 1e-15 apart, so a bound without that noise skips the wrong one
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", 0)
+        h = float.fromhex
+        cost = [
+            [[h("0x1.ee447822582e0p-5"), h("0x1.d55b4d3fa36e6p-2")], [h("0x1.ee447822582eap-5"), h("0x1.d55b4d3fa36efp-2")]],
+            [[h("0x1.22c372957f6a0p-6"), h("0x1.dc4c35ac69b7ep-1")], [h("0x1.22c372957f6a6p-6"), h("0x1.dc4c35ac69b76p-1")]],
+            [[h("0x1.e0ba1b19913a4p-1"), h("0x1.7ac2ab70aca40p-2")], [h("0x1.e0ba1b199139cp-1"), h("0x1.7ac2ab70aca47p-2")]],
+        ]
+        succ = [[[0, 0], [0, 0]], [[0, 2], [2, 0]], [[1, 0], [0, 1]]]
+        m = chain_model(cost, succ, (h("0x1.8d1245e695b7fp-1"), h("0x1.cbb6e865a91fep-3")))
+        spec = BoundingSpec(lb=(-1.5,) * 3, ub=(1.5,) * 3)
+        got, evaluations = eliminating_solve(m, Entropic(1e-3), spec, 1e-300, 400)
+        assert got == plain_solve(m, Entropic(1e-3), spec, 1e-300, 400)
+        assert evaluations < 6 * 401
+
+    def test_drift_adds_up_over_the_sweeps_a_pair_is_left_out(self, monkeypatch):
+        # (0, 0) costs 5 and leads to state 1, whose value falls by 0.9^n a
+        # sweep towards -10: each sweep's drift is below its gap of 5 to
+        # (0, 1), but their sum passes it and (0, 0) wins from sweep 9 on
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", 0)
+        masks = masks_of_each_sweep(monkeypatch)
+        m = chain_model([[[5.0], [0.0]], [[-1.0]], [[0.0]]], [[[1], [2]], [[1]], [[2]]])
+        spec = BoundingSpec(lb=(-5.5,) * 3, ub=(5.5,) * 3)
+        got, _ = eliminating_solve(m, Entropic(0.5), spec, 1e-9)
+        assert got == plain_solve(m, Entropic(0.5), spec, 1e-9)
+        assert got[1].stages[0][0] == 0
+        assert not masks[1][0] and masks[-1][0]  # left out early, evaluated again once it can win
+
+    def test_a_left_out_pair_that_trips_the_entropic_guard_raises_at_the_same_sweep(self, monkeypatch):
+        # (0, 0) costs 600 against 0 and is left out from the second sweep;
+        # its successor's value climbs towards 200, so its atom passes 700
+        # in the ninth sweep
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", 0)
+        masks = masks_of_each_sweep(monkeypatch)
+        m = chain_model([[[600.0], [0.0]], [[20.0]], [[0.0]]], [[[1], [2]], [[1]], [[2]]])
+        spec = constant_bounding_spec(m)
+        got, _ = eliminating_solve(m, Entropic(1.0), spec, 1e-9)
+        expected = plain_solve(m, Entropic(1.0), spec, 1e-9)
+        assert expected[0] is EntropicOverflow and expected[2] == 9
+        assert got == expected
+        assert not masks[1][0] and not masks[-1][0]
+
+    def test_a_left_out_pair_whose_atoms_overflow_raises_at_the_same_sweep(self, monkeypatch):
+        # (0, 0) is about 8.5e307 above (0, 1); its atoms pass the float
+        # range, to +inf and -inf together, as the values of states 1 and 2
+        # grow, and its sum raises as without the test
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", 0)
+        monkeypatch.setattr(mdp_core, "ELIMINATION_KINDS", ALL_KINDS)
+        big, step = 1.7e308, 2e306
+        m = chain_model(
+            [[[big, -big, 0.0], [0.0] * 3], [[step] * 3], [[-step] * 3], [[0.0] * 3]],
+            [[[1, 2, 3], [3, 3, 3]], [[1, 1, 1]], [[2, 2, 2]], [[3, 3, 3]]],
+            (0.7, 0.2, 0.1),
+        )
+        spec = BoundingSpec(lb=(-3e306,) * 4, ub=(1e308,) * 4)
+        got, _ = eliminating_solve(m, Expectation(), spec, 1e-9)
+        expected = plain_solve(m, Expectation(), spec, 1e-9)
+        assert expected[0] is SumOverflow and "-inf + inf" in expected[1]
+        assert got == expected
+
+    def test_the_greedy_call_evaluates_every_pair(self, monkeypatch):
+        skipped = []
+
+        def counted(m, risk, v, memo):
+            before = memo.skipped
+            out = bellman_T(m, risk, v, memo)
+            skipped.append(memo.skipped - before)
+            return out
+
+        monkeypatch.setattr(solvers, "bellman_T", counted)
+        m = wide_random_model(np.random.default_rng(5))
+        got = solvers.solve_infinite(m, Entropic(0.5), constant_bounding_spec(m), 1e-9)
+        assert len(skipped) == got.iterations + 1 and skipped[-1] == 0 and sum(skipped) > 0
+        assert got.pair_evaluations == len(m._sweep[0]) * (got.iterations + 1) - sum(skipped)

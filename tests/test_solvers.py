@@ -296,6 +296,43 @@ class TestSolveInfinite:
             gap = weighted_norm(from_zero.value, from_ub.value, spec.b())
             assert gap <= 2 * tol
 
+    @pytest.mark.parametrize(
+        "risk",
+        [ExpectedShortfall(0.8), Entropic(0.5), Mixture(0.5, Entropic(0.3), ValueAtRisk(0.7))],
+        ids=["ES", "entropic", "mixture"],
+    )
+    def test_pair_by_pair_a_solve_evaluates_every_pair_in_every_sweep(self, monkeypatch, risk):
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", 10**9)
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            m = make_random_model(rng, max_states=9, zero_terminal=True)
+            for max_iter in (None, 2, 0):
+                res = solve_infinite(m, risk, constant_bounding_spec(m), 1e-9, max_iter)
+                assert res.pair_evaluations == len(m._sweep[0]) * (res.iterations + 1)
+
+    def test_the_dual_route_evaluates_every_pair_in_every_sweep(self):
+        m = make_random_model(np.random.default_rng(4), max_states=9, zero_terminal=True)
+        res = robust_value_iteration(m, dual_set(ExpectedShortfall(0.6)), constant_bounding_spec(m), 1e-9)
+        assert res.pair_evaluations == len(m._sweep[0]) * (res.iterations + 1)
+
+    def test_an_entropic_solve_leaves_pairs_out(self):
+        # the seeded model's states each have a clear best action, so most of
+        # the sweeps' other pairs are left out; values and trace do not change
+        rng = np.random.default_rng(8)
+        m = make_random_model(rng, max_states=40, max_actions=5, max_outcomes=6, zero_terminal=True)
+        res = solve_infinite(m, Entropic(0.5), constant_bounding_spec(m), 1e-9)
+        full = len(m._sweep[0]) * (res.iterations + 1)
+        assert full * 0.2 < res.pair_evaluations < full * 0.9
+        memo = mdp_core._SweepMemo()
+        memo.eliminate = False
+        kept = solvers._fixed_point(
+            m, Entropic(0.5), constant_bounding_spec(m), 1e-9, None, [0.0] * m.n_states,
+            lambda v: bellman_T(m, Entropic(0.5), v, memo)[0], lambda v: bellman_T(m, Entropic(0.5), v)[1],
+        )
+        assert [v.hex() for v in res.value] == [v.hex() for v in kept.value]
+        assert res.policy == kept.policy and res.trace == kept.trace
+        assert kept.pair_evaluations == full
+
     def test_one_call_through_bellman_T_per_sweep_and_one_for_the_policy(self, monkeypatch):
         calls = []
 
