@@ -44,11 +44,8 @@ from .risk_measures import (
     Entropic,
     Mixture,
     RiskMeasure,
-    ValueAtRisk,
     _check_entropic_guards,
     _entropic_gammas,
-    _level_error,
-    _quantile_windows,
     _risk_value_of_pairs,
     _risk_values_of_rows,
     _rounding_bound,
@@ -564,8 +561,10 @@ class _SweepMemo:
     ``weights`` what the solve's risk measure reads of it; ``succ`` and
     ``cost`` are ``model._sweep``'s tables permuted into each row's
     ``law.order``. ``elim`` is the ``_Elimination`` state of the
-    minimizing sweeps, which ``bellman_T`` makes while ``eliminate`` is
-    set; ``skipped`` counts the pair evaluations they left out. A solve
+    minimizing sweeps, which ``_memo_values`` keeps while ``eliminate`` is
+    set (the first sweep clears it where ``_eliminates`` says no, the
+    solve before its greedy call); ``skipped`` counts the pair
+    evaluations they left out. A solve
     makes one and drops it on return, so no solve reads another's shapes.
     A plain class, since building a dataclass costs about 0.5 ms at every
     import.
@@ -585,7 +584,6 @@ def _stage_values(
     v,
     rule=None,
     memo: _SweepMemo | None = None,
-    eliminate: bool = False,
 ):
     """The one-stage operator at many pairs, each value bit-identical to ``bellman_L``.
 
@@ -597,10 +595,10 @@ def _stage_values(
 
     A batched full sweep given a solve's ``memo`` sorts only the laws
     whose order changed since the memo's last sweep (``_memo_values``).
-    With ``eliminate`` as well, for a caller that only takes each state's
-    first minimum, pairs that provably cannot be it are left out and read
-    +inf (``_Elimination``). Fixed-rule and pair-by-pair steps do not read
-    the memo.
+    While ``memo.eliminate`` is set, for a caller that only takes each
+    state's first minimum, pairs that provably cannot be it are left out
+    and read +inf (``_Elimination``). Fixed-rule and pair-by-pair steps do
+    not read the memo.
     """
     xs, acts, succ, cost, probs = model._sweep
     if rule is not None:
@@ -612,7 +610,7 @@ def _stage_values(
         # overflowing stage values give inf or NaN, as pair by pair
         with np.errstate(over="ignore", invalid="ignore"):
             if memo is not None and rule is None:
-                return _memo_values(model, risk, _array_of(v), memo, eliminate)
+                return _memo_values(model, risk, _array_of(v), memo)
             rows = cost + model.discount * _array_of(v)[succ]
             return _risk_values_of_rows(risk, rows, probs)
     succ, cost = model._pairs[2:4] if rule is None else (succ.tolist(), cost.tolist())
@@ -623,9 +621,7 @@ def _stage_values(
     ]
 
 
-def _memo_values(
-    model: MdpModel, risk: RiskMeasure, v: np.ndarray, memo: _SweepMemo, eliminate: bool = False
-) -> np.ndarray:
+def _memo_values(model: MdpModel, risk: RiskMeasure, v: np.ndarray, memo: _SweepMemo) -> np.ndarray:
     """A batched full sweep's values, reusing the law shapes kept in ``memo``.
 
     The first sweep builds every law, as without a memo. Later sweeps lay
@@ -634,24 +630,24 @@ def _memo_values(
     order or ties changed; tied columns are merged as a fresh build
     merges them. The values are bit-identical to a sweep without a memo.
 
-    With ``eliminate``, a sweep after one that left ``memo.elim`` in place
-    evaluates only the pairs that state does not rule out, and the others
-    read +inf; any other sweep evaluates every pair and, with
-    ``eliminate``, starts the state afresh from them. The state is
-    dropped while a sweep runs, so a sweep that raises leaves none. The
-    first sweep clears ``memo.eliminate`` for a risk measure with no part
-    in ``ELIMINATION_KINDS``.
+    While ``memo.eliminate`` is set, a sweep after one that left
+    ``memo.elim`` in place evaluates only the pairs that state does not
+    rule out, and the others read +inf; any other sweep evaluates every
+    pair and, with ``memo.eliminate``, starts the state afresh from them.
+    The state is dropped while a sweep runs, so a sweep that raises leaves
+    none. The first sweep clears ``memo.eliminate`` where ``_eliminates``
+    says no.
     """
     elim, memo.elim = memo.elim, None
-    if eliminate and elim is not None:
+    if memo.eliminate and elim is not None:
         vals = elim.sweep(model, risk, v, memo)
         memo.elim = elim
         return vals
     succ, cost, probs = model._sweep[2:]
     beta, law = model.discount, memo.law
     if law is None:
-        if not _has_kind(risk, ELIMINATION_KINDS):
-            memo.eliminate = eliminate = False
+        if not _eliminates(model, risk):
+            memo.eliminate = False
         law, weights = _row_laws(risk, cost + beta * v[succ], probs)
         memo.law, memo.weights = law, weights
         vals = _row_values(risk, law, iter(weights))
@@ -671,19 +667,41 @@ def _memo_values(
             atom[stale] = fresh.atom
         law.atom = law.merge(atom)
         vals = _row_values(risk, law, iter(memo.weights))
-    if eliminate:
+    if memo.eliminate:
         memo.elim = _Elimination(model, risk, v, vals, memo)
     return vals
 
 
-# Kinds whose pairs a solve's minimizing sweeps may leave out: those with a
-# part in this tuple, directly or in a mixture. Leaving a row out saves its
-# evaluation, but the test costs bookkeeping on every pair of every sweep;
-# only the entropic kind, with a libm call per atom, evaluates a row dearly
-# enough to gain. Measured on the seed-1 infinite_cli models (2-core host),
-# the entropic solve fell from 74 to 52 ms, while the six others took 6% to
-# 110% longer, cash balance 21% at a 96% skip share.
+# A solve's minimizing sweeps leave pairs out only where that measured
+# faster (the per-model tables in CHANGES.md, 2-core host). A left-out row
+# saves its evaluation, but the test costs bookkeeping at every sweep:
+# some 10 to 25 us, plus at every pair about what an entropic row spends
+# on one outcome. So the risk measure needs a part in ELIMINATION_KINDS,
+# directly or in a mixture: the entropic kind, whose libm call per outcome
+# makes a row dear (the other kinds lost at every size tried, cash balance
+# 21% at a 96% skip share). And the outcomes of the pairs beyond each
+# state's first, less one per pair, must reach ELIMINATION_MIN_OUTCOMES:
+# entropic models broke even at 100 to 170 of these and lost up to 29%
+# below, so the gate keeps a margin.
 ELIMINATION_KINDS = (Entropic,)
+ELIMINATION_MIN_OUTCOMES = 200
+
+
+def _eliminates(model: MdpModel, risk: RiskMeasure) -> bool:
+    """Whether a solve's minimizing sweeps leave pairs out: the gate above, and a finite rounding bound.
+
+    Value at risk and the step distortion have no finite bound
+    (``_rounding_bound``), so the test could never leave one of their
+    pairs out.
+    """
+    probs = model._sweep[4]
+    pairs, outcomes = model._sweep[2].shape
+    return (
+        _has_kind(risk, ELIMINATION_KINDS)
+        and (pairs - model.n_states) * outcomes - pairs >= ELIMINATION_MIN_OUTCOMES
+        and math.isfinite(_rounding_bound(risk, probs)[0])
+    )
+
 
 def _permute_tables(model: MdpModel, memo: _SweepMemo) -> None:
     """Make ``memo.succ`` and ``memo.cost``: the sweep tables laid out in each row's kept order."""
@@ -703,8 +721,8 @@ class _Elimination:
     pair's exact one-stage value moves by at most lip * beta times the
     largest change among its successors' values (MacQueen 1967, "A test
     for suboptimal actions in Markovian decision problems"; Puterman
-    1994, sec. 6.7.2). ``_rounding_bound`` and ``_quantile_windows`` tie
-    the computed value to that exact value.
+    1994, sec. 6.7.2). ``_rounding_bound`` ties the computed value to
+    that exact value.
 
     For each pair the state keeps ``lo`` and ``hi``, certified bounds on
     the exact value at the iterate where the pair was last evaluated,
@@ -724,21 +742,20 @@ class _Elimination:
     test.
 
     The evaluated pairs (``mask``, ``rows``) keep compacted copies of the
-    tables their evaluation reads (``law``, with only the ``fields`` it
-    needs, ``weights``, ``succ`` and ``cost``). These are gathered again
+    tables their evaluation reads (``law``, with only ``_RowLaws.VALUES``,
+    ``weights``, ``succ`` and ``cost``). These are gathered again
     only when the set of evaluated pairs changes; rows rebuilt as stale
     are written to them and to the memo's full tables.
     """
 
     __slots__ = (
-        "v", "lo", "hi", "drift", "mask", "rows", "law", "weights", "succ", "cost", "fields",
-        "slope", "floor", "lip", "rate", "cost_max", "delta", "windows", "starts", "seg", "succ_t", "gamma",
+        "v", "lo", "hi", "drift", "mask", "rows", "law", "weights", "succ", "cost",
+        "slope", "floor", "lip", "rate", "cost_max", "starts", "seg", "succ_t", "gamma",
     )
 
     def __init__(self, model: MdpModel, risk: RiskMeasure, v: np.ndarray, vals: np.ndarray, memo: _SweepMemo):
         xs, _, succ, cost, probs = model._sweep
         self.slope, self.floor, self.lip = _rounding_bound(risk, probs)
-        self.delta = _level_error(probs)
         self.rate = model.discount * self.lip * _GROW
         self.cost_max = float(np.abs(cost).max(initial=0.0))
         new = np.empty(len(xs), dtype=bool)
@@ -747,14 +764,12 @@ class _Elimination:
         self.starts, self.seg = np.flatnonzero(new), np.cumsum(new) - 1
         self.succ_t = succ.T.copy()  # the drift's gather reads one contiguous row per outcome
         self.gamma = max(_entropic_gammas(risk), default=0.0)
-        self.windows = _has_kind(risk, (ValueAtRisk,))
-        self.fields = ("end", "prob", "cum_levels") if self.windows else ("end", "prob")
         if memo.succ is None:
             _permute_tables(model, memo)
         self.mask = np.ones(len(vals), dtype=bool)
         self.rows = np.arange(len(vals))
         self.law, self.weights, self.succ, self.cost = memo.law, memo.weights, memo.succ, memo.cost
-        self.lo, self.hi = self._bounds(risk, vals, self._slack(model.discount, v, succ.shape[1])[0])
+        self.lo, self.hi = _bounds(vals, self._slack(model.discount, v, succ.shape[1])[0])
         self.drift = np.zeros(len(vals))
         self.v = v
 
@@ -767,19 +782,6 @@ class _Elimination:
         # the kind's rounding, and lip times each atom's two roundings
         inner = self.slope * scale + self.floor + self.lip * _U * (scale + big)
         return (inner * _SECOND_ORDER + _FLOOR) * _GROW, scale
-
-    def _bounds(self, risk: RiskMeasure, vals: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
-        """``lo`` and ``hi`` of the evaluated pairs, whose shapes ``self.law`` holds.
-
-        The 2u |value| term and the factor ``_GROW`` cover the rounding of
-        the two subtractions, so that lo and hi bound the exact values;
-        a non-finite value gives a NaN or infinite end that rules nothing out.
-        """
-        down = up = slack + 2 * _U * np.abs(vals)
-        if self.windows:
-            below, above = _quantile_windows(risk, self.law, iter(self.weights), self.delta)
-            down, up = down + below, up + above
-        return vals - down * _GROW, vals + up * _GROW
 
     def sweep(self, model: MdpModel, risk: RiskMeasure, v: np.ndarray, memo: _SweepMemo) -> np.ndarray:
         """The minimizing sweep's pair values at ``v``, +inf at the pairs it leaves out."""
@@ -796,7 +798,7 @@ class _Elimination:
             if len(rows) == n:
                 self.law, self.weights, self.succ, self.cost = memo.law, memo.weights, memo.succ, memo.cost
             else:
-                self.law = memo.law.take(rows, self.fields)
+                self.law = memo.law.take(rows)
                 self.weights = [np.take(w, rows, axis=0) for w in memo.weights]
                 self.succ, self.cost = np.take(memo.succ, rows, axis=0), np.take(memo.cost, rows, axis=0)
         rows, law = self.rows, self.law
@@ -816,14 +818,14 @@ class _Elimination:
             for kept, new in zip(memo.weights, weights):
                 kept[at] = new
             if part:
-                law.splice(stale, fresh, self.fields)
+                law.splice(stale, fresh, law.VALUES)
                 self.succ[stale], self.cost[stale] = fresh_succ, fresh_cost
                 for kept, new in zip(self.weights, weights):
                     kept[stale] = new
             atom[stale] = fresh.atom
         law.atom = law.merge(atom)
         vals = _row_values(risk, law, iter(self.weights))
-        self.lo[rows], self.hi[rows] = self._bounds(risk, vals, slack)
+        self.lo[rows], self.hi[rows] = _bounds(vals, slack)
         drift[rows] = 0.0
         self.drift, self.v = drift, v
         if not part:
@@ -832,6 +834,17 @@ class _Elimination:
         out = np.full(n, math.inf)
         out[rows] = vals
         return out
+
+
+def _bounds(vals: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """``lo`` and ``hi``: certified bounds on the exact values of pairs computed as ``vals``.
+
+    The 2u |value| term and the factor ``_GROW`` cover the rounding of the
+    two subtractions; a non-finite value gives a NaN or infinite end that
+    rules nothing out.
+    """
+    reach = (slack + 2 * _U * np.abs(vals)) * _GROW
+    return vals - reach, vals + reach
 
 
 def _has_kind(risk: RiskMeasure, kinds: tuple) -> bool:
@@ -920,8 +933,7 @@ def bellman_T(
     is set, leaves out the pairs that its ``_Elimination`` proves larger
     than their state's minimum; the result is the same.
     """
-    eliminate = memo is not None and memo.eliminate
-    best, actions = _min_value(model, _stage_values(model, risk, v, None, memo, eliminate))
+    best, actions = _min_value(model, _stage_values(model, risk, v, None, memo))
     return best, tuple(actions)
 
 

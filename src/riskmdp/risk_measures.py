@@ -444,6 +444,7 @@ class _RowLaws:
     """
 
     SHAPE = ("order", "prob", "end", "levels", "cum_levels")
+    VALUES = ("end", "prob")  # the shape tables ``_row_values`` reads, besides ``atom`` and the weights
 
     def __init__(self, values: np.ndarray, probs: np.ndarray):
         n, m = values.shape
@@ -504,10 +505,10 @@ class _RowLaws:
             getattr(self, name)[rows] = getattr(fresh, name)
         self.ties = np.flatnonzero(~self.end.all(axis=0)).tolist()
 
-    def take(self, rows: np.ndarray, names: Sequence[str]) -> "_RowLaws":
-        """A copy of ``rows``' tables ``names`` (``end`` among them), for a caller that reads no others."""
+    def take(self, rows: np.ndarray) -> "_RowLaws":
+        """A copy of ``rows``' ``VALUES`` tables, for a caller that only evaluates them."""
         sub = _RowLaws.__new__(_RowLaws)
-        for name in names:
+        for name in self.VALUES:
             setattr(sub, name, np.take(getattr(self, name), rows, axis=0))
         sub.ties = [i for i in self.ties if not sub.end[:, i].all()]
         return sub
@@ -683,14 +684,14 @@ def _row_values(risk: RiskMeasure, law: _RowLaws, weights: Iterator[np.ndarray])
         gamma = risk.gamma
         scaled = gamma * atom
         mx = scaled[:, -1:]  # the top atom has the largest product, as gamma > 0
-        terms = np.zeros_like(scaled)
         # numpy's exp and log differ from libm's in the last bit; the scalar
         # route uses libm's, so these two go through the math module. The top
-        # column's shift is exactly 0.0 in a finite row, and prob * exp(0.0)
-        # is prob; a NaN row stays NaN through mx
-        inner = end[:, :-1]
-        terms[:, :-1][inner] = law.prob[:, :-1][inner] * _libm(math.exp, (scaled[:, :-1] - mx)[inner])
-        terms[:, -1] = law.prob[:, -1]
+        # column (always an atom's end) has a shift of exactly 0.0 in a finite
+        # row, and prob * exp(0.0) is prob; a NaN row stays NaN through mx
+        terms = np.where(end, law.prob, 0.0)
+        inner = end.copy()
+        inner[:, -1] = False
+        terms[inner] *= _libm(math.exp, (scaled - mx)[inner])
         return (mx[:, 0] + _libm(math.log, _fsum_rows(terms))) / gamma
     raise InvalidSpec(f"unknown risk specification {risk!r}")
 
@@ -708,7 +709,6 @@ _U = 2.0**-53  # unit roundoff: one IEEE operation is off by at most u times its
 # m * u <= 2**-30 for rows of fewer than 2**23 columns) fit in this factor
 _SECOND_ORDER = 1.0 + 2.0**-20
 _LIBM_ERR = 4 * _U  # libm's exp and log taken within 2 ulps; glibc documents under 1
-_WEIGHT_ARRAYS = {Expectation: 0, Entropic: 0, ValueAtRisk: 1, ExpectedShortfall: 2, Distortion: 1, Spectral: 1}
 
 
 def _level_error(probs: np.ndarray) -> float:
@@ -779,10 +779,10 @@ def _rounding_bound(risk: RiskMeasure, probs: np.ndarray) -> tuple[float, float,
     - Mixture w, 1 - w: the components' bounds weighted, plus 2u of the
       two products and the sum, relative to |component values| <= (lip
       + slope) M + 2 floor. lip is the weighted sum of the components'.
-    - Value at risk: the value is one of the row's atoms, exactly, read
-      at a level within delta of alpha, so it lies between the exact
-      quantiles at alpha - delta and alpha + delta; slope and floor are
-      0 and ``_quantile_windows`` bounds that bracket from the row.
+    - Value at risk reads one of the row's atoms at a level within delta
+      of alpha, so a level's rounding may move it by a whole gap between
+      atoms: like the step distortion, it has no finite bound, and a
+      mixture with it none either.
     """
     m, ds = len(probs), _mass_error(probs)
     extra = (m * 2.0**-1074 / float(probs.min()), ds * 1.01)  # underflow in exp, |log s|
@@ -795,7 +795,7 @@ def _kind_bound(risk: RiskMeasure, m: int, ds: float, delta: float, extra) -> tu
         s_hi = 1.0 + ds
         return (m + 1) * u * s_hi * f, 0.0, s_hi
     if isinstance(risk, ValueAtRisk):
-        return 0.0, 0.0, 1.0
+        return math.inf, math.inf, 1.0
     if isinstance(risk, ExpectedShortfall):
         return ((m + 5) * u + 2 * delta / (1.0 - risk.level)) * f, 0.0, 1.0
     if isinstance(risk, Distortion):
@@ -833,47 +833,6 @@ def _kind_bound(risk: RiskMeasure, m: int, ds: float, delta: float, extra) -> tu
         floor = (w1 * b1 + w2 * b2) * (1.0 + 4 * u)
         return slope * f, floor * f, (w1 * l1 + w2 * l2) * f
     raise InvalidSpec(f"unknown risk specification {risk!r}")
-
-
-def _quantile_windows(risk: RiskMeasure, law: _RowLaws, weights: Iterator, delta: float):
-    """How far each row's value may lie above and below its bracket, or None.
-
-    A value at risk at level alpha reads the atom at column j* of its
-    row; the exact quantiles at alpha -+ delta lie between the atoms at the
-    first end columns whose computed level reaches fl(alpha -+ 3 delta)
-    (the extra delta covers the computed levels' error, the third the
-    rounding of the shifted level). Returns ``(down, up)``: per row, the
-    sum over the value-at-risk parts of ``risk``, each weighted as the
-    mixture weights it, of atom(j*) - atom(j_lo) and atom(j_hi) -
-    atom(j*); ``weights`` is ``iter(_weights(risk, law))``, and ``law.atom``
-    holds the merged atoms.
-    """
-    parts = []
-
-    def walk(r, scale):
-        if isinstance(r, Mixture):
-            walk(r.first, scale * r.weight)
-            walk(r.second, scale * (1.0 - r.weight))
-        elif isinstance(r, ValueAtRisk):
-            parts.append((r.level, scale, next(weights)))
-        else:
-            for _ in range(_WEIGHT_ARRAYS[type(r)]):
-                next(weights)
-
-    walk(risk, 1.0)
-    if not parts:
-        return None
-    atom, rows = law.atom, np.arange(len(law.atom))
-    cum, end = law.cum_levels[:, 1:], law.end
-    down, up = np.zeros(len(atom)), np.zeros(len(atom))
-    for level, scale, col in parts:
-        lo = np.argmax(end & (cum >= level - 3 * delta), axis=1)
-        top = level + 3 * delta
-        hi = np.argmax(end & (cum >= top), axis=1) if top <= 1.0 else len(cum[0]) - 1
-        at = atom[rows, col]
-        down += scale * (at - atom[rows, lo])
-        up += scale * (atom[rows, hi] - at)
-    return down, up
 
 
 def _entropic_gammas(risk: RiskMeasure) -> list[float]:

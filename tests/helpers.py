@@ -245,10 +245,6 @@ def _exact_law(atoms, probs):
     return [Fraction(a) for a in values], cum
 
 
-def _exact_quantile(values, cum, level):
-    return next((a for a, f in zip(values, cum) if f >= level), values[-1])
-
-
 def _exact_distortion(g, t):
     if g.form == "identity":
         return t
@@ -277,16 +273,15 @@ def _exact_gbar(phi, t):
     return total
 
 
-def exact_stage_value(risk, atoms, probs, shift=Fraction(0)):
+def exact_stage_value(risk, atoms, probs):
     """The exact value of ``risk`` on the law of float ``atoms`` weighted by float ``probs``.
 
     Real arithmetic on the given floats: Fractions for the linear kinds and
     60-digit decimals for the entropic kind's exp and log (a mixture with an
     entropic part is a Decimal). The expectation is sum p a, whatever the
-    probabilities sum to; the quantile kinds read the levels of
-    ``_exact_law``. Values at risk are read at their level plus ``shift``,
-    the bracket that the rounding bound gives them. Shares no code with
-    ``riskmdp``.
+    probabilities sum to; the level kinds read the levels of ``_exact_law``.
+    Value at risk, which has no finite rounding bound, is not covered.
+    Shares no code with ``riskmdp``.
     """
     from riskmdp.risk_measures import (
         Distortion,
@@ -295,7 +290,6 @@ def exact_stage_value(risk, atoms, probs, shift=Fraction(0)):
         ExpectedShortfall,
         Mixture,
         Spectral,
-        ValueAtRisk,
     )
 
     if isinstance(risk, Expectation):
@@ -307,8 +301,8 @@ def exact_stage_value(risk, atoms, probs, shift=Fraction(0)):
             total = sum(Decimal(p) * (gamma * Decimal(a)).exp() for a, p in zip(atoms, probs))
             return total.ln() / gamma
     if isinstance(risk, Mixture):
-        first = exact_stage_value(risk.first, atoms, probs, shift)
-        second = exact_stage_value(risk.second, atoms, probs, shift)
+        first = exact_stage_value(risk.first, atoms, probs)
+        second = exact_stage_value(risk.second, atoms, probs)
         w1, w2 = risk.weight, 1.0 - risk.weight
         if isinstance(first, Decimal) or isinstance(second, Decimal):
             with localcontext() as ctx:
@@ -317,8 +311,6 @@ def exact_stage_value(risk, atoms, probs, shift=Fraction(0)):
         return Fraction(w1) * first + Fraction(w2) * second
     values, cum = _exact_law(atoms, probs)
     previous = [Fraction(0)] + cum[:-1]
-    if isinstance(risk, ValueAtRisk):
-        return _exact_quantile(values, cum, Fraction(risk.level) + shift)
     if isinstance(risk, ExpectedShortfall):
         alpha = Fraction(risk.level)
         weights = [max(f, alpha) - max(e, alpha) for e, f in zip(previous, cum)]

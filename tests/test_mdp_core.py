@@ -1078,6 +1078,7 @@ class TestFixedRuleStep:
 
 
 ALL_KINDS = (Expectation, ValueAtRisk, ExpectedShortfall, Distortion, Spectral, Entropic)
+DEFAULT_MIN_OUTCOMES = mdp_core.ELIMINATION_MIN_OUTCOMES
 
 
 def plain_solve(m, risk, spec, tol, max_iter=None):
@@ -1154,6 +1155,11 @@ def chain_model(costs, transitions, probs=(1.0,)):
 class TestElimination:
     """Value iteration that leaves provably larger pairs out, against sweeps of every pair, bit for bit."""
 
+    @pytest.fixture(autouse=True)
+    def small_models_eliminate(self, monkeypatch):
+        # the models here lie far below the size gate, which has its own test
+        monkeypatch.setattr(mdp_core, "ELIMINATION_MIN_OUTCOMES", -(10**9))
+
     @pytest.mark.parametrize("threshold", [0, 48, 10**9], ids=["batch", "default", "pairwise"])
     @pytest.mark.parametrize("gate", ["default", "every kind"])
     def test_solves_match_sweeps_that_evaluate_every_pair(self, monkeypatch, threshold, gate):
@@ -1217,7 +1223,8 @@ class TestElimination:
             (0.25, 0.75),
         )
         spec = constant_bounding_spec(m)
-        for risk in (Expectation(), ExpectedShortfall(0.5), ValueAtRisk(0.5), Entropic(1e-3), Mixture(0.4, Entropic(0.5), ValueAtRisk(0.6))):
+        es_cap = Distortion(DistortionFunction(form="es_cap", level=0.5))
+        for risk in (Expectation(), ExpectedShortfall(0.5), es_cap, Entropic(1e-3), Mixture(0.4, Entropic(0.5), Spectral(StepSpectrum(((0.0, 0.5), (0.5, 1.5)))))):
             masks.clear()
             got, _ = eliminating_solve(m, risk, spec, 1e-12)
             assert got == plain_solve(m, risk, spec, 1e-12), risk
@@ -1286,6 +1293,49 @@ class TestElimination:
         expected = plain_solve(m, Expectation(), spec, 1e-9)
         assert expected[0] is SumOverflow and "-inf + inf" in expected[1]
         assert got == expected
+
+    @pytest.mark.parametrize(
+        "risk",
+        [
+            ValueAtRisk(0.7),
+            Mixture(0.5, Entropic(0.5), ValueAtRisk(0.7)),
+            Mixture(0.5, Entropic(0.5), Distortion(DistortionFunction(form="var_indicator", level=0.7))),
+        ],
+        ids=["VaR", "entropic and VaR", "entropic and step distortion"],
+    )
+    def test_a_risk_measure_without_a_finite_bound_keeps_every_pair(self, monkeypatch, risk):
+        # no test would leave one of its pairs out, so none is made
+        monkeypatch.setattr(mdp_core, "ELIMINATION_KINDS", ALL_KINDS)
+        masks = masks_of_each_sweep(monkeypatch)
+        m = wide_random_model(np.random.default_rng(5))
+        spec = constant_bounding_spec(m)
+        got, evaluations = eliminating_solve(m, risk, spec, 1e-9)
+        assert got == plain_solve(m, risk, spec, 1e-9)
+        assert not masks and evaluations == len(m._sweep[0]) * (got[3] + 1)
+
+    def test_the_size_gate(self, monkeypatch):
+        # S states of two actions over K = 4 outcomes: the pairs beyond each
+        # state's first have 4 S outcomes, less one per pair S (4 - 2) = 2 S
+        monkeypatch.setattr(mdp_core, "ELIMINATION_MIN_OUTCOMES", DEFAULT_MIN_OUTCOMES)
+        rng = np.random.default_rng(3)
+        K = 4
+
+        def model(S):
+            return chain_model(
+                [[rng.uniform(0, 1, K).tolist() for _ in range(2)] for _ in range(S)],
+                [[rng.integers(0, S, K).tolist() for _ in range(2)] for _ in range(S)],
+                (0.25,) * K,
+            )
+
+        at, below = model(DEFAULT_MIN_OUTCOMES // 2), model(DEFAULT_MIN_OUTCOMES // 2 - 1)
+        assert mdp_core._eliminates(at, Entropic(0.5)) and not mdp_core._eliminates(below, Entropic(0.5))
+        assert mdp_core._eliminates(at, Mixture(0.5, ExpectedShortfall(0.9), Entropic(0.5)))
+        assert not mdp_core._eliminates(at, ExpectedShortfall(0.9))
+        assert not mdp_core._eliminates(at, Mixture(0.5, Entropic(0.5), ValueAtRisk(0.9)))
+        for m, eliminated in ((at, True), (below, False)):
+            memo = mdp_core._SweepMemo()
+            bellman_T(m, Entropic(0.5), [0.0] * m.n_states, memo)
+            assert memo.eliminate == eliminated and (memo.elim is not None) == eliminated
 
     def test_the_greedy_call_evaluates_every_pair(self, monkeypatch):
         skipped = []

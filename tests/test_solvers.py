@@ -317,9 +317,12 @@ class TestSolveInfinite:
 
     def test_an_entropic_solve_leaves_pairs_out(self):
         # the seeded model's states each have a clear best action, so most of
-        # the sweeps' other pairs are left out; values and trace do not change
-        rng = np.random.default_rng(8)
-        m = make_random_model(rng, max_states=40, max_actions=5, max_outcomes=6, zero_terminal=True)
+        # the sweeps' other pairs are left out; values and trace do not change.
+        # It passes the size gate: 58 pairs beyond each state's first, 8
+        # outcomes, 84 pairs: 58 * 8 - 84 = 380
+        rng = np.random.default_rng(9)
+        m = make_random_model(rng, max_states=60, max_actions=5, max_outcomes=8, zero_terminal=True)
+        assert mdp_core._eliminates(m, Entropic(0.5))
         res = solve_infinite(m, Entropic(0.5), constant_bounding_spec(m), 1e-9)
         full = len(m._sweep[0]) * (res.iterations + 1)
         assert full * 0.2 < res.pair_evaluations < full * 0.9
