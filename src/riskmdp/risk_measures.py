@@ -487,17 +487,7 @@ class _RowLaws:
         layout gives ``order`` again with the same ties: strictly ascending
         across each atom's end and equal inside it. NaN fails both tests.
         """
-        n, m = atom.shape
-        # compared as one flat run, since numpy steps slowly through short
-        # rows; the pairs that straddle two rows are let through
-        flat = atom.ravel()
-        lo, hi = flat[:-1], flat[1:]
-        keeps = np.ones(n * m, dtype=bool)
-        keeps[:-1] = np.where(self.end.ravel()[:-1], lo < hi, lo == hi)
-        keeps[m - 1 :: m] = True
-        if keeps.all():  # the usual case, and cheaper than a test per row
-            return np.empty(0, dtype=np.intp)
-        return np.flatnonzero(~keeps.reshape(n, m).all(axis=1))
+        return _stale_rows(atom, self.end, np.less, np.equal)
 
     def splice(self, rows: np.ndarray, fresh: "_RowLaws", names: Sequence[str] = SHAPE) -> None:
         """Write the shape of ``fresh``, the laws of ``rows`` rebuilt, over theirs."""
@@ -512,6 +502,26 @@ class _RowLaws:
             setattr(sub, name, np.take(getattr(self, name), rows, axis=0))
         sub.ties = [i for i in self.ties if not sub.end[:, i].all()]
         return sub
+
+
+def _stale_rows(laid: np.ndarray, mask: np.ndarray, where_set, where_clear) -> np.ndarray:
+    """The indices, ascending, of the rows of ``laid`` with a neighbour pair that fails its test.
+
+    Columns j and j + 1 of a row must pass ``where_set`` where ``mask`` is
+    set at column j and ``where_clear`` elsewhere; both are comparison
+    ufuncs, which NaN fails.
+    """
+    n, m = laid.shape
+    # compared as one flat run, since numpy steps slowly through short
+    # rows; the pairs that straddle two rows are let through
+    flat = laid.ravel()
+    lo, hi = flat[:-1], flat[1:]
+    keeps = np.ones(n * m, dtype=bool)
+    keeps[:-1] = np.where(mask.ravel()[:-1], where_set(lo, hi), where_clear(lo, hi))
+    keeps[m - 1 :: m] = True
+    if keeps.all():  # the usual case, and cheaper than a test per row
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(~keeps.reshape(n, m).all(axis=1))
 
 
 def _running_sums(terms: np.ndarray) -> np.ndarray:
@@ -538,15 +548,19 @@ CERTIFIED_MIN_ROWS = 200
 def _fsum_rows(terms: np.ndarray) -> np.ndarray:
     """Correctly rounded row sums, equal to ``math.fsum`` of each row.
 
-    One IEEE addition is correctly rounded, so two columns need no more;
-    adding 0.0 turns a -0.0 sum into the +0.0 that fsum returns. Where
-    fsum raises, ``SumOverflow`` is raised for the first such row.
+    One IEEE addition is correctly rounded, so two columns need no more
+    where the sum is finite; adding 0.0 turns a -0.0 sum into the +0.0
+    that fsum returns. Where fsum raises, ``SumOverflow`` is raised for
+    the first such row.
     """
     n, m = terms.shape
     if m <= 2:
         total = terms[:, 0]
         if m == 2:
             total = total + terms[:, 1]
+            rest = ~np.isfinite(total)
+            if rest.any():  # fsum raises for inf + -inf and for a finite sum that overflows
+                total[rest] = _fsum_each(terms[rest])
         return total + 0.0
     if n < CERTIFIED_MIN_ROWS:
         return _fsum_each(terms)

@@ -21,10 +21,14 @@ by ``mdp_core._first_min`` as in ``bellman_T``. Within one solve the
 density of a pair depends only on the sort order of its stage values, so
 each public entry point keeps a memo of one density per order and passes
 it to all its steps. Steps of at least ``mdp_core.BATCH_MIN_OUTCOMES``
-stage outcomes are sorted in numpy and summed by one ``math.fsum`` per
-pair; smaller ones go pair by pair. Both give the values of
+stage outcomes go through numpy, and the memo also keeps each pair's
+sort order and density from one step to the next: near a fixed point
+most sweeps keep every order, and a step sorts again only the pairs
+whose order changed. Each pair's products are summed by one
+``math.fsum``. Smaller steps go pair by pair. Both give the values of
 ``DualSet.sup`` bit for bit. The stage arithmetic shares nothing with
-the primal risk kernels but ``_dual_density_sorted``.
+the primal risk kernels but ``_dual_density_sorted`` and the order test
+``_stale_rows``.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .risk_measures import (
     _dual_density_sorted,
     _fsum,
     _fsum_each,
+    _stale_rows,
     _sum_overflow,
     describe,
     is_coherent,
@@ -125,11 +130,15 @@ class _Memo:
     The risk measure and the probabilities are fixed within a solve, so
     nature's maximizing density depends on a pair's stage values only
     through their stable sort order: ``densities`` keeps one density per
-    order met, by outcome. ``tables`` keeps the batch's successor and cost
-    rows per decision rule (``None``: every admissible pair). Each public
-    entry point makes one and drops it on return, so nothing is shared
-    between solves. A plain class, since building a dataclass costs about
-    0.5 ms at every import.
+    order met, by outcome. ``tables`` keeps, per decision rule (``None``:
+    every admissible pair), what ``_batched_sups`` carries from one step
+    to the next: the successor and cost rows, and from the rule's last
+    step each row's stable order (as indices into the raveled rows), the
+    mask of the sorted positions whose tie with the next one is in
+    outcome order, and the row's density by outcome. Each public entry
+    point makes one and drops it on return, so nothing is shared between
+    solves. A plain class, since building a dataclass costs about 0.5 ms
+    at every import.
     """
 
     __slots__ = ("densities", "tables")
@@ -161,29 +170,46 @@ def _sup(risk: RiskMeasure, probs, values: list[float], densities: dict) -> floa
 def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, rule=None) -> np.ndarray:
     """Nature's sup at the pairs of ``_adversary_values``, as an array.
 
-    The successor and cost rows are gathered once per solve and rule, in
-    ``z_indices`` order as on the pair route: the order of tied values
-    decides the density. Each row's stable sort order is read as one byte
-    string, one density is looked up per distinct order, and each row's
-    products are summed by one ``math.fsum``. A row holding NaN is not
-    summed here but goes through ``_sup``, since Python's sort places NaN
-    where numpy's does not.
+    A rule's first step gathers its successor and cost rows in
+    ``z_indices`` order, as on the pair route (the order of tied values
+    decides the density), sorts every row and looks up one density per
+    distinct stable order, read as one byte string. ``memo.tables`` keeps
+    the orders and densities, and later steps sort again only the rows
+    that a stable sort would order differently: laid out in the kept
+    order, each neighbour pair must be strictly ascending, or equal where
+    the kept order has the two in outcome order (``allow``). Each row's
+    products are summed by one ``math.fsum``. A row holding NaN fails that
+    test and goes through ``_sup``, since Python's sort places NaN where
+    numpy's does not (a one-outcome row has no test, but one order).
     """
-    rows = memo.tables.get(rule)
-    if rows is None:
+    table = memo.tables.get(rule)
+    if table is None:
         xs, acts = model._sweep[:2] if rule is None else (np.arange(model.n_states), np.array(rule))
         zs = np.array(model.z_indices)
-        rows = memo.tables[rule] = (model.transition[xs, acts][:, zs], model.cost[xs, acts][:, zs])
-    succ, cost = rows
+        table = memo.tables[rule] = [model.transition[xs, acts][:, zs], model.cost[xs, acts][:, zs], None, None, None]
+    succ, cost, flat, allow, q = table  # flat: each row's kept order, as indices into the raveled values
     probs = model.disturbance.probs
+    n, m = succ.shape
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or NaN, as pair by pair
         vals = cost + model.discount * mdp_core._array_of(cont)[succ]
-        orders = np.argsort(vals, axis=1, kind="stable")
-        keys, inverse = np.unique(orders.view(np.dtype((np.void, orders.strides[0]))).ravel(), return_inverse=True)
-        distinct = keys.view(orders.dtype).reshape(-1, orders.shape[1])  # back from row bytes to orders
-        q = [_density(risk, probs, order, memo.densities) for order in map(tuple, distinct.tolist())]
-        products = vals * np.array(q)[inverse]
-    nan_rows = np.flatnonzero(np.isnan(vals).any(axis=1))
+        if flat is None:  # the rule's first step builds every row
+            stale = np.arange(n)
+            flat, allow, q = np.empty((n, m), dtype=np.intp), np.zeros((n, m), dtype=bool), np.empty((n, m))
+            table[2:] = flat, allow, q
+        else:
+            stale = _stale_rows(vals.ravel()[flat], allow, np.less_equal, np.less)
+        nan_rows = stale[:0]
+        if len(stale):
+            fresh = vals[stale]
+            orders = np.argsort(fresh, axis=1, kind="stable")
+            keys, inverse = np.unique(orders.view(np.dtype((np.void, orders.strides[0]))).ravel(), return_inverse=True)
+            distinct = keys.view(orders.dtype).reshape(-1, m)  # back from row bytes to orders
+            densities = [_density(risk, probs, order, memo.densities) for order in map(tuple, distinct.tolist())]
+            q[stale] = np.array(densities)[inverse]
+            flat[stale] = orders + (stale * m)[:, None]
+            allow[stale, :-1] = orders[:, 1:] > orders[:, :-1]
+            nan_rows = stale[np.isnan(fresh).any(axis=1)]
+        products = vals * q
     products[nan_rows] = 0.0
     sups = _fsum_each(products)
     for i in nan_rows.tolist():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -476,6 +477,18 @@ class TestBatchedSweep:
             expected = error_of(lambda: pairwise_sweep(huge, risk, v))
             assert expected is not None, risk
             assert error_of(lambda: bellman_T(huge, risk, v)) is expected, risk
+
+    @pytest.mark.parametrize("threshold", [0, 10**9], ids=["batch", "pairwise"])
+    def test_a_two_outcome_sum_that_fsum_refuses_raises_on_both_routes(self, monkeypatch, threshold):
+        # the stage values are +inf and -inf, both weighted: one IEEE
+        # addition of the two terms would give NaN where fsum raises
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", threshold)
+        big = 1.7e308
+        m = chain_model([[[big, -big]], [[big, -big]]], [[[0, 1]], [[0, 1]]], (0.5, 0.5))
+        identity = Distortion(DistortionFunction(form="identity"))
+        for risk in (Expectation(), identity, Mixture(0.5, identity, ExpectedShortfall(0.5))):
+            got = outcome(lambda: bellman_T(m, risk, [big, -big]))
+            assert got == (SumOverflow, "sum out of float range (-inf + inf in fsum)"), risk
 
     def test_entropic_on_wide_laws_matches_the_pairwise_loop(self):
         # libm's exp and log, not numpy's, give the scalar route's last bit
@@ -1196,6 +1209,20 @@ class TestElimination:
         nan = np.array([math.nan, 5.0, 6.0, 0.5, 3.0])
         assert mdp_core._dominated(nan, upper, starts, seg).tolist() == [False, True, True, False, True]
         assert not mdp_core._dominated(nan, np.where(upper == 1.5, math.nan, upper), starts, seg)[:3].any()
+
+    def test_a_near_tie_that_the_slack_covers_keeps_both_pairs(self):
+        # pairs computed one ulp apart above 1.0, each within a quarter ulp
+        # of its exact value at this sweep and the next: the exact values
+        # can meet halfway, so neither pair may leave. The slack alone is
+        # lost when it is subtracted from 1 + ulp; the bounds' own rounding
+        # term keeps it
+        slack = 2.0**-54
+        vals = np.array([1.0, math.nextafter(1.0, 2.0)])
+        lo, hi = mdp_core._bounds(vals, slack)
+        for v, low, high in zip(vals.tolist(), lo.tolist(), hi.tolist()):
+            assert Fraction(low) <= Fraction(v) - Fraction(slack) and Fraction(high) >= Fraction(v) + Fraction(slack)
+        reach = slack * mdp_core._GROW  # the next sweep's slack, with no drift
+        assert not mdp_core._dominated(lo - reach, hi + reach, np.array([0]), np.array([0, 0])).any()
 
     def test_a_zero_cost_model_keeps_every_pair(self, monkeypatch):
         # every bound is 0 and ties with its state's least upper bound

@@ -1,8 +1,13 @@
 """Every module of the package exports only names it defines or imports;
-every committed benchmark record carries the fields a speed claim rests on."""
+every committed benchmark record carries the fields a speed claim rests on;
+the digest script that bit-identity claims rest on runs."""
 
 import json
+import os
 import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +15,8 @@ import pytest
 import riskmdp
 
 MODULES = ["riskmdp"] + [f"riskmdp.{info.name}" for info in pkgutil.iter_modules(riskmdp.__path__)]
-BENCH_FILES = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 HELD_OUT_SEED = 20101
 
 
@@ -48,3 +54,23 @@ def test_benchmark_record_layout(path):
             assert 0 <= wins <= total == pairs, (name, metric)
             assert len(entry["runs"]) == pairs and all(len(run) == 2 for run in entry["runs"])
             assert entry["seed_20101"], (name, metric)
+
+
+def test_output_digest_prints_one_line_per_result_set():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "output_digest.py"), "--seeds", "1"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    digest = "[0-9a-f]{64}"
+    models = ["cash_balance"] + [
+        f"random_{i}_{kind}"
+        for i, kind in enumerate(("expectation", "mixture", "spectral", "expected_shortfall", "value_at_risk", "entropic"))
+    ]
+    patterns = [f"seed 1 infinite_cli {name} exit 0 {digest}" for name in models]
+    patterns += [f"seed 1 casino 100 results {digest}", f"seed 1 robust 23 results {digest}"]
+    lines = run.stdout.splitlines()
+    assert len(lines) == len(patterns), run.stdout
+    for line, pattern in zip(lines, patterns):
+        assert re.fullmatch(pattern, line), line

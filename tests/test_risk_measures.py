@@ -420,6 +420,29 @@ class TestCertifiedSums:
         with pytest.raises(SumOverflow, match=message):
             _fsum_rows(table[:2])  # below the size gate, one fsum per row
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [([math.inf, -math.inf], "-inf \\+ inf in fsum"), ([1.7e308, 1.7e308], "intermediate overflow in fsum")],
+    )
+    def test_two_columns_raise_where_fsum_raises(self, row, message):
+        # one IEEE addition gives NaN or inf for these; the rows beside them
+        # keep the sums fsum gives, -0.0 made +0.0 included
+        table = np.array([[1.0, 2.0], [math.inf, 1.0], [math.nan, -math.inf], row, [-0.0, -0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SumOverflow, match=message):
+                _fsum_rows(table)
+            rest = np.delete(table, 3, axis=0)
+            assert [v.hex() for v in _fsum_rows(rest).tolist()] == _fsum_hexes(rest)
+
+    @pytest.mark.parametrize("risk", [Expectation(), Distortion(IDENTITY)], ids=["expectation", "distortion"])
+    def test_a_two_atom_law_that_fsum_refuses_raises_as_the_scalar_route_does(self, risk):
+        row, probs = [math.inf, -math.inf], [0.5, 0.5]
+        with pytest.raises(SumOverflow) as scalar:
+            risk_measures._risk_value_of_pairs(risk, zip(row, probs))
+        with np.errstate(invalid="ignore"), pytest.raises(SumOverflow) as batch:
+            risk_measures._risk_values_of_rows(risk, np.array([row]), np.array(probs))
+        assert str(batch.value) == str(scalar.value) == "sum out of float range (-inf + inf in fsum)"
+
     def test_the_rows_that_fall_back_are_exactly_the_ties_and_zeros(self):
         # sums placed at multiples of a quarter of the gap around random
         # floats, above and below powers of two: the half-gap points are

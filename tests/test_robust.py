@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskmdp import mdp_core, robust_check
 from riskmdp.distributions import make_distribution
@@ -669,3 +671,164 @@ class TestDensityMemo:
                 _, v, _ = sup_loop(model, ds, v)
             assert bits(result.value) == bits(v)
         assert counts[0] == counts[1]  # a solve takes nothing from the one before
+
+
+# ---------------------------------------------------------------------------
+# Kept sort orders: one memo through a sequence of steps against steps without one
+
+# stage values of these costs and values tie often, in and against outcome
+# order, and include both zeros, infinities of both signs and NaN
+KEPT_COSTS = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
+KEPT_VALUES = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0) * 4 + (math.inf, -math.inf, math.nan, 1e308)
+KEPT_RISKS = (
+    ExpectedShortfall(0.5),
+    ExpectedShortfall(0.9),
+    Expectation(),
+    Spectral(StepSpectrum(((0.0, 0.5), (0.5, 1.5)))),
+    Mixture(0.4, ExpectedShortfall(0.8), Expectation()),
+)
+
+
+@st.composite
+def kept_order_cases(draw):
+    """A small model, a decision rule, and value vectors, each changing a few states of the last."""
+    S, A, K = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    admissible = tuple(tuple(sorted(draw(st.sets(st.integers(0, A - 1), min_size=1)))) for _ in range(S))
+    # weights 3 and 7 give densities that are not dyadic; 0 drops an outcome
+    weights = draw(st.lists(st.sampled_from((0.0, 1.0, 1.0, 3.0, 7.0)), min_size=K, max_size=K))
+    if sum(weights) == 0.0:
+        weights[0] = 1.0
+
+    def table(cell):
+        return np.array(draw(st.lists(cell, min_size=S * A * K, max_size=S * A * K))).reshape(S, A, K)
+
+    model = MdpModel(
+        n_states=S,
+        n_actions=A,
+        admissible=admissible,
+        disturbance=make_distribution(list(range(K)), [w / sum(weights) for w in weights]),
+        transition=table(st.integers(0, S - 1)),
+        cost=table(st.sampled_from(KEPT_COSTS)),
+        terminal_cost=(0.0,) * S,
+        discount=draw(st.sampled_from((1.0, 0.9, 0.5))),
+    )
+    rule = tuple(draw(st.sampled_from(acts)) for acts in admissible)
+    value = st.sampled_from(KEPT_VALUES)
+    v = draw(st.lists(value, min_size=S, max_size=S))
+    sequence = [v]
+    for _ in range(draw(st.integers(1, 7))):
+        v = list(v)
+        for x in draw(st.sets(st.integers(0, S - 1), max_size=2)):
+            v[x] = draw(value)
+        sequence.append(v)
+    # each step is a full sweep or the rule's, both through one memo
+    keys = draw(st.lists(st.sampled_from((None, rule)), min_size=len(sequence), max_size=len(sequence)))
+    return model, sequence, keys
+
+
+def batched_outcome(model, risk, v, memo, rule):
+    """Bit patterns of a batched dual step, or the error it raised."""
+    try:
+        return bits(robust_check._batched_sups(model, risk, v, memo, rule))
+    except RiskMdpError as exc:
+        return type(exc), str(exc)
+
+
+def memo_free_sups(model, risk, v, rule):
+    """``_sup`` of each pair of the step, each with densities of its own."""
+    pairs = zip(*model._pairs[:2]) if rule is None else enumerate(rule)
+    trans, costs = model.rows
+    probs = model.disturbance.probs
+    sups = []
+    for x, a in pairs:
+        values = [costs[x][a][z] + model.discount * v[trans[x][a][z]] for z in model.z_indices]
+        sups.append(robust_check._sup(risk, probs, values, {}))
+    return sups
+
+
+def assert_kept_like_built(memo, fresh, key):
+    """The kept orders, tie masks and densities are those a first step builds."""
+    kept, built = memo.tables[key][2:], fresh.tables[key][2:]
+    assert np.array_equal(kept[0], built[0]) and np.array_equal(kept[1], built[1])
+    assert bits(kept[2].ravel()) == bits(built[2].ravel())
+
+
+class TestKeptOrders:
+    @settings(max_examples=400)
+    @given(case=kept_order_cases(), risk=st.sampled_from(KEPT_RISKS))
+    def test_one_memo_through_a_sequence_matches_steps_without_one(self, case, risk):
+        model, sequence, keys = case
+        memo = robust_check._Memo()
+        for v, key in zip(sequence, keys):
+            fresh = robust_check._Memo()
+            expected = batched_outcome(model, risk, v, fresh, key)
+            assert batched_outcome(model, risk, v, memo, key) == expected
+            assert_kept_like_built(memo, fresh, key)
+            if isinstance(expected, list):
+                assert expected == bits(memo_free_sups(model, risk, v, key))
+            else:
+                assert expected[0] is SumOverflow
+                with pytest.raises(SumOverflow):
+                    memo_free_sups(model, risk, v, key)
+
+    def chain(self, probs):
+        """One state whose action leads to state z at outcome z, at zero cost."""
+        K = len(probs)
+        return MdpModel(
+            n_states=K,
+            n_actions=1,
+            admissible=((0,),) * K,
+            disturbance=make_distribution(list(range(K)), list(probs)),
+            transition=[[list(range(K))]] * K,
+            cost=[[[0.0] * K]] * K,
+            terminal_cost=(0.0,) * K,
+        )
+
+    def steps(self, model, risk, sequence):
+        memo = robust_check._Memo()
+        for v in sequence:
+            fresh = robust_check._Memo()
+            expected = batched_outcome(model, risk, v, fresh, None)
+            assert batched_outcome(model, risk, v, memo, None) == expected, v
+            assert_kept_like_built(memo, fresh, None)
+            if isinstance(expected, list):
+                assert expected == bits(memo_free_sups(model, risk, v, None)), v
+        return memo
+
+    def test_ties_against_outcome_order_are_sorted_again(self):
+        # the first step orders outcome 1 before outcome 0; at the tie a
+        # stable sort puts outcome 0 first again, and with it its density,
+        # which here changes the sup's last bit
+        model = self.chain((1 / 6, 5 / 6))
+        risk = Mixture(0.4, ExpectedShortfall(0.8), Expectation())
+        memo = self.steps(model, risk, ([1.0, 0.45], [0.45, 0.45], [0.45, 1.0], [0.45, 0.45]))
+        assert memo.tables[None][2][0].tolist() == [0, 1]
+        probs = model.disturbance.probs
+        kept = robust_check._density(risk, probs, (1, 0), {})
+        assert math.fsum([0.45 * q for q in kept]) != robust_check._sup(risk, probs, [0.45, 0.45], {})
+
+    def test_signed_zeros_tie_and_infinities_sort(self):
+        model = self.chain((0.2, 0.3, 0.5))
+        sequence = ([0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [math.inf, 0.0, -math.inf], [0.0, 0.0, -0.0], [-math.inf, math.inf, 0.0])
+        for risk in KEPT_RISKS:
+            self.steps(model, risk, sequence)
+
+    def test_a_nan_row_goes_through_the_pair_route_at_every_step(self):
+        # NaN keeps no order: numpy sorts it last, Python's sort leaves it
+        # in place, and the sup follows Python's
+        model = self.chain((0.1, 0.1, 0.8))
+        sequence = ([1.0, 2.0, 3.0], [math.inf, math.nan, -math.inf], [math.inf, math.nan, -math.inf], [1.0, 2.0, 3.0])
+        calls = []
+        original = robust_check._sup
+
+        def counted(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(robust_check, "_sup", counted)
+            memo = robust_check._Memo()
+            sups = [robust_check._batched_sups(model, ExpectedShortfall(0.5), v, memo) for v in sequence]
+        assert len(calls) == 2 * 3  # every row of both NaN steps
+        assert all(math.isnan(s) for s in sups[1]) and bits(sups[1]) == bits(sups[2])
+        assert bits(sups[3]) == bits(sups[0])
