@@ -753,70 +753,67 @@ def assert_kept_like_built(memo, fresh, key):
     assert bits(kept[2].ravel()) == bits(built[2].ravel())
 
 
+def check_kept_steps(model, risk, sequence, keys):
+    """Steps through one memo, each bit for bit a fresh memo's step and, where
+    it raises nothing, memo-free ``_sup``; returns the memo."""
+    memo = robust_check._Memo()
+    for v, key in zip(sequence, keys):
+        fresh = robust_check._Memo()
+        expected = batched_outcome(model, risk, v, fresh, key)
+        assert batched_outcome(model, risk, v, memo, key) == expected, v
+        assert_kept_like_built(memo, fresh, key)
+        if isinstance(expected, list):
+            assert expected == bits(memo_free_sups(model, risk, v, key)), v
+        else:
+            assert expected[0] is SumOverflow
+            with pytest.raises(SumOverflow):
+                memo_free_sups(model, risk, v, key)
+    return memo
+
+
+def outcome_chain(probs):
+    """One state per outcome, each with one action that leads to state z at outcome z, at zero cost."""
+    K = len(probs)
+    return MdpModel(
+        n_states=K,
+        n_actions=1,
+        admissible=((0,),) * K,
+        disturbance=make_distribution(list(range(K)), list(probs)),
+        transition=[[list(range(K))]] * K,
+        cost=[[[0.0] * K]] * K,
+        terminal_cost=(0.0,) * K,
+    )
+
+
 class TestKeptOrders:
     @settings(max_examples=400)
     @given(case=kept_order_cases(), risk=st.sampled_from(KEPT_RISKS))
     def test_one_memo_through_a_sequence_matches_steps_without_one(self, case, risk):
         model, sequence, keys = case
-        memo = robust_check._Memo()
-        for v, key in zip(sequence, keys):
-            fresh = robust_check._Memo()
-            expected = batched_outcome(model, risk, v, fresh, key)
-            assert batched_outcome(model, risk, v, memo, key) == expected
-            assert_kept_like_built(memo, fresh, key)
-            if isinstance(expected, list):
-                assert expected == bits(memo_free_sups(model, risk, v, key))
-            else:
-                assert expected[0] is SumOverflow
-                with pytest.raises(SumOverflow):
-                    memo_free_sups(model, risk, v, key)
-
-    def chain(self, probs):
-        """One state whose action leads to state z at outcome z, at zero cost."""
-        K = len(probs)
-        return MdpModel(
-            n_states=K,
-            n_actions=1,
-            admissible=((0,),) * K,
-            disturbance=make_distribution(list(range(K)), list(probs)),
-            transition=[[list(range(K))]] * K,
-            cost=[[[0.0] * K]] * K,
-            terminal_cost=(0.0,) * K,
-        )
-
-    def steps(self, model, risk, sequence):
-        memo = robust_check._Memo()
-        for v in sequence:
-            fresh = robust_check._Memo()
-            expected = batched_outcome(model, risk, v, fresh, None)
-            assert batched_outcome(model, risk, v, memo, None) == expected, v
-            assert_kept_like_built(memo, fresh, None)
-            if isinstance(expected, list):
-                assert expected == bits(memo_free_sups(model, risk, v, None)), v
-        return memo
+        check_kept_steps(model, risk, sequence, keys)
 
     def test_ties_against_outcome_order_are_sorted_again(self):
         # the first step orders outcome 1 before outcome 0; at the tie a
         # stable sort puts outcome 0 first again, and with it its density,
         # which here changes the sup's last bit
-        model = self.chain((1 / 6, 5 / 6))
+        model = outcome_chain((1 / 6, 5 / 6))
         risk = Mixture(0.4, ExpectedShortfall(0.8), Expectation())
-        memo = self.steps(model, risk, ([1.0, 0.45], [0.45, 0.45], [0.45, 1.0], [0.45, 0.45]))
+        memo = check_kept_steps(model, risk, ([1.0, 0.45], [0.45, 0.45], [0.45, 1.0], [0.45, 0.45]), [None] * 4)
         assert memo.tables[None][2][0].tolist() == [0, 1]
         probs = model.disturbance.probs
         kept = robust_check._density(risk, probs, (1, 0), {})
         assert math.fsum([0.45 * q for q in kept]) != robust_check._sup(risk, probs, [0.45, 0.45], {})
 
     def test_signed_zeros_tie_and_infinities_sort(self):
-        model = self.chain((0.2, 0.3, 0.5))
+        model = outcome_chain((0.2, 0.3, 0.5))
         sequence = ([0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [math.inf, 0.0, -math.inf], [0.0, 0.0, -0.0], [-math.inf, math.inf, 0.0])
         for risk in KEPT_RISKS:
-            self.steps(model, risk, sequence)
+            check_kept_steps(model, risk, sequence, [None] * len(sequence))
 
     def test_a_nan_row_goes_through_the_pair_route_at_every_step(self):
         # NaN keeps no order: numpy sorts it last, Python's sort leaves it
         # in place, and the sup follows Python's
-        model = self.chain((0.1, 0.1, 0.8))
+        model = outcome_chain((0.1, 0.1, 0.8))
         sequence = ([1.0, 2.0, 3.0], [math.inf, math.nan, -math.inf], [math.inf, math.nan, -math.inf], [1.0, 2.0, 3.0])
         calls = []
         original = robust_check._sup
