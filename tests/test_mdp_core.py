@@ -1211,11 +1211,11 @@ class TestElimination:
         assert not mdp_core._dominated(nan, np.where(upper == 1.5, math.nan, upper), starts, seg)[:3].any()
 
     def test_a_near_tie_that_the_slack_covers_keeps_both_pairs(self):
-        # pairs computed one ulp apart above 1.0, each within a quarter ulp
-        # of its exact value at this sweep and the next: the exact values
-        # can meet halfway, so neither pair may leave. The slack alone is
-        # lost when it is subtracted from 1 + ulp; the bounds' own rounding
-        # term keeps it
+        # two pairs computed one ulp apart above 1.0, with a quarter-ulp
+        # slack at this sweep and at the next: their next values may both
+        # lie halfway between, so the strict test must keep both pairs.
+        # Subtracted from 1 + ulp, the slack alone rounds away; the bounds'
+        # own rounding term keeps it
         slack = 2.0**-54
         vals = np.array([1.0, math.nextafter(1.0, 2.0)])
         lo, hi = mdp_core._bounds(vals, slack)
