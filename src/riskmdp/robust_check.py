@@ -12,7 +12,11 @@ independent route to the same numbers:
 and for small models the literal min over all enumerated Markov policies
 of nature's best response. Agreement of all three with the primal solver
 certifies that recursive coherent-risk minimization and the robust
-minimax problem have the same value on these models.
+minimax problem have the same value on these models. The enumeration
+walks the tree of policy suffixes; a node's children differ in one rule,
+which a pair's value reads only at the pair's successor states, so one
+stage step over a row per (pair, choice at its successors) serves them
+all.
 
 Every route evaluates nature's sup by one stage step, laid out as the
 primal one: a flat value per admissible pair in the sweep's order, or
@@ -42,7 +46,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import mdp_core
-from .errors import NotCoherent, RiskMdpError, TooLargeForEnumeration
+from .errors import DimensionMismatch, NotCoherent, RiskMdpError, TooLargeForEnumeration
 from .mdp_core import BoundingSpec, MdpModel, Policy, ValueFunction
 from .risk_measures import (
     Expectation,
@@ -94,6 +98,8 @@ class DualSet:
 
     def sup(self, values: Sequence[float], probs: Sequence[float]) -> tuple[float, tuple[float, ...]]:
         """Value and maximizing density of sup_q sum q_z values_z, q in the dual set."""
+        if len(values) != len(probs):
+            raise DimensionMismatch(f"{len(values)} values against {len(probs)} probabilities")
         order = sorted(range(len(values)), key=values.__getitem__)
         q_sorted = _dual_density_sorted(self.risk, [probs[i] for i in order])
         q = [0.0] * len(values)
@@ -103,8 +109,11 @@ class DualSet:
         return value, tuple(q)
 
     def feasible(self, q: Sequence[float], probs: Sequence[float], tol: float = 1e-12) -> bool:
-        """Simplex membership plus the kind-specific cap constraints (where checkable)."""
-        if len(q) != len(probs):
+        """Simplex membership plus the kind-specific cap constraints (where checkable).
+
+        A density or law holding a non-finite entry is never feasible.
+        """
+        if len(q) != len(probs) or not all(map(math.isfinite, [*q, *probs])):
             return False
         if any(qi < -tol for qi in q):
             return False
@@ -131,7 +140,8 @@ class _Memo:
     nature's maximizing density depends on a pair's stage values only
     through their stable sort order: ``densities`` keeps one density per
     order met, by outcome. ``tables`` keeps, per decision rule (``None``:
-    every admissible pair), what ``_batched_sups`` carries from one step
+    every admissible pair; ``"classes"``: the policy enumeration's class
+    rows, made by its caller), what ``_batched_sups`` carries from one step
     to the next: the successor and cost rows, and from the rule's last
     step each row's stable order (as indices into the raveled rows), the
     mask of the sorted positions whose tie with the next one is in
@@ -306,15 +316,64 @@ def enumerate_markov_policies(model: MdpModel, horizon: int) -> Iterator[Policy]
         yield Policy(stages=tuple(stages), stationary=False)
 
 
+def _class_table(model: MdpModel, spans: list[range], picks: list[tuple[int, ...]]):
+    """The dual rows that one step of the policy tree needs for every rule at once.
+
+    A rule reads as mixed-radix digits, one per state: the position of its
+    action among the state's, the last state's digit the least significant,
+    as ``product`` enumerates the rules. A pair's stage values depend on
+    the rule only through its digits at the pair's successor states, the
+    pair's class, and each class first occurs at the rule whose other
+    digits are all 0. One row per (pair, class), numbered pair by pair and
+    within a pair in order of first occurrence, holds the pair's costs
+    and, in ``z_indices`` order, the index of the picked pair at each
+    successor: an index into the stage's pair values. Returns per row its
+    pair and the first rule of its class, the successor and cost rows, and
+    each rule's row at each pair as an (R, P) array.
+    """
+    trans, costs = model.rows
+    zs = model.z_indices
+    sizes = [len(span) for span in spans]
+    strides = [math.prod(sizes[y + 1 :]) for y in range(len(sizes))]
+    pair_of, first, succ, cost, weights = [], [], [], [], []
+    for i, (x, a) in enumerate(zip(*model._pairs[:2])):
+        row_t, row_c = trans[x][a], costs[x][a]
+        to = [row_t[z] for z in zs]
+        # the first rule of each class, in order; a class's place among them
+        # is the digits at the successors read in the radix of their sizes
+        firsts, width, weight = [0], 1, [0] * len(sizes)
+        for y in sorted({y for y in to if sizes[y] > 1}, reverse=True):
+            firsts = [f + d * strides[y] for d in range(sizes[y]) for f in firsts]
+            weight[y], width = width, width * sizes[y]
+        weights.append(weight)
+        pair_of += [i] * len(firsts)
+        first += firsts
+        succ += [list(map(picks[f].__getitem__, to)) for f in firsts]
+        cost += [[row_c[z] for z in zs]] * len(firsts)
+    offsets = np.searchsorted(pair_of, np.arange(len(weights)))
+    digits = np.array(picks) - [span.start for span in spans]
+    return pair_of, first, succ, cost, digits @ np.array(weights).T + offsets
+
+
 def _enumerated_minimum(model: MdpModel, ds: DualSet, horizon: int) -> tuple[float, ...]:
     """Componentwise minimum of nature's best response over all Markov policies.
 
     Nature's response at stage n depends only on the rules from n on, so
-    the policy tree is walked depth first from the last stage with one
-    dual stage step per distinct suffix. The minimum keeps the first
-    minimizer in ``enumerate_markov_policies`` order, as a scan with a
-    strict ``<`` over every policy would; each state's value is then read
-    from ``nature_best_response`` on its minimizing policy.
+    the policy tree is walked depth first from the last stage. A node's
+    children differ only in the rule of their stage, which a pair's value
+    reads only at the pair's successor states. Over three stages or more
+    a node therefore makes one dual stage step over ``_class_table``'s
+    rows, one per pair and class of rules, and each child reads its pair
+    values from them. Over two stages the table would serve one step and
+    saves too few sups to pay for itself, so each child takes its own
+    step. The minimum keeps the first minimizer in
+    ``enumerate_markov_policies`` order, as a scan with a strict ``<`` over
+    every policy would; each state's value is then read from
+    ``nature_best_response`` on its minimizing policy.
+
+    Errors are those of that scan, child by child in rule order: a node
+    whose class step raises, or whose stage-0 rows hold a non-finite
+    value, steps and checks its children one at a time.
     """
     xs, acts = model._sweep[:2]
     # the stage step's flat values hold state x's pairs at positions
@@ -329,20 +388,52 @@ def _enumerated_minimum(model: MdpModel, ds: DualSet, horizon: int) -> tuple[flo
     best = [(math.inf, ())] * len(acts)
     memo = _Memo()
 
-    def descend(n: int, cont: list[float], suffix: tuple[int, ...]) -> None:
-        values = _adversary_values(model, ds, cont, memo)
-        values = values if isinstance(values, list) else values.tolist()
-        if n > 0:
-            for r, pick in enumerate(picks):
-                descend(n - 1, [values[i] for i in pick], (r, *suffix))
-            return
-        for i, val in enumerate(values):
-            if not math.isfinite(val):  # as nature_best_response would reject it
-                raise RiskMdpError(f"non-finite value {val!r}")
-            if val < best[i][0] or (val == best[i][0] and suffix < best[i][1]):
-                best[i] = (val, suffix)
+    def update(i: int, val: float, suffix: tuple[int, ...]) -> None:
+        if val < best[i][0] or (val == best[i][0] and suffix < best[i][1]):
+            best[i] = (val, suffix)
 
-    descend(horizon - 1, list(model.terminal_cost), ())
+    if horizon > 2:
+        pair_of, first, succ, cost, row_of = _class_table(model, spans, picks)
+        beta, probs = model.discount, model.disturbance.probs
+        if len(pair_of) * len(model.z_indices) >= mdp_core.BATCH_MIN_OUTCOMES:
+            memo.tables["classes"] = [np.array(succ), np.array(cost), None, None, None]
+
+        def classes(values: list[float]) -> list[float]:
+            if "classes" in memo.tables:
+                return _batched_sups(model, ds.risk, values, memo, "classes").tolist()
+            return [
+                _sup(ds.risk, probs, [c + beta * values[s] for s, c in zip(row_s, row_c)], memo.densities)
+                for row_s, row_c in zip(succ, cost)
+            ]
+
+    def descend(n: int, values: list[float], suffix: tuple[int, ...]) -> None:
+        # values: each pair's value at stage n under the rules of suffix
+        if n == 0:
+            for i, val in enumerate(values):
+                if not math.isfinite(val):  # as nature_best_response would reject it
+                    raise RiskMdpError(f"non-finite value {val!r}")
+                update(i, val, suffix)
+            return
+        if horizon > 2:
+            try:
+                sups = classes(values)
+                fine = n > 1 or all(map(math.isfinite, sups))
+            except RiskMdpError:
+                fine = False
+            if fine and n == 1:
+                for i, f, val in zip(pair_of, first, sups):
+                    update(i, val, (f, *suffix))
+                return
+            if fine:
+                for r, child in enumerate(np.array(sups)[row_of].tolist()):
+                    descend(n - 1, child, (r, *suffix))
+                return
+        for r, pick in enumerate(picks):  # one step per child, raising what the scan would
+            child = _adversary_values(model, ds, [values[i] for i in pick], memo)
+            descend(n - 1, child if isinstance(child, list) else child.tolist(), (r, *suffix))
+
+    values = _adversary_values(model, ds, list(model.terminal_cost), memo)
+    descend(horizon - 1, values if isinstance(values, list) else values.tolist(), ())
     first_rule = [acts[span.start] for span in spans]
     responses: dict[tuple, ValueFunction] = {}
     out = []
@@ -400,10 +491,12 @@ def verify_equivalence(
     enumeration is requested and the policy count stays within ``cutoff``,
     the componentwise minimum over all Markov policies of nature's best
     response must agree as well, which is the inf-sup identity verified
-    literally. The search costs one dual sup per admissible pair per
-    distinct policy suffix (rules 1..N-1), not per policy; each state's
-    minimizing policy is then re-evaluated by ``nature_best_response``,
-    and that value is the one reported.
+    literally. The search walks the distinct policy suffixes (rules
+    1..N-1), not the policies: one dual sup per admissible pair at the
+    last stage and, below it, per pair and distinct choice of a node's
+    next rule at the pair's successor states (per pair and child over two
+    stages). Each state's minimizing policy is then re-evaluated by
+    ``nature_best_response``, and that value is the one reported.
     """
     if not is_coherent(risk):
         raise NotCoherent(f"{describe(risk)} is not coherent")

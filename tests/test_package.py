@@ -1,7 +1,9 @@
 """Every module of the package exports only names it defines or imports;
-every committed benchmark record carries the fields a speed claim rests on;
-the digest script that bit-identity claims rest on runs."""
+every committed benchmark record carries the fields a speed claim rests on,
+and the pairs driver writes records of that layout; the digest script that
+bit-identity claims rest on runs."""
 
+import importlib.util
 import json
 import os
 import pkgutil
@@ -32,11 +34,9 @@ def test_benchmark_records_are_committed():
     assert BENCH_FILES
 
 
-@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
-def test_benchmark_record_layout(path):
+def check_record_layout(record):
     # the machine, the parent, the method, and per workload the alternated
     # pairs with their medians, quartiles and wins, held-out seed included
-    record = json.loads(path.read_text(encoding="utf-8"))
     assert {"nproc", "cpu", "python", "numpy"} <= record["machine"].keys()
     assert len(record["parent_commit"]) == 40 and int(record["parent_commit"], 16) >= 0
     assert record["method"] and record["command"] and record["workloads"]
@@ -54,6 +54,49 @@ def test_benchmark_record_layout(path):
             assert 0 <= wins <= total == pairs, (name, metric)
             assert len(entry["runs"]) == pairs and all(len(run) == 2 for run in entry["runs"])
             assert entry["seed_20101"], (name, metric)
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_benchmark_record_layout(path):
+    check_record_layout(json.loads(path.read_text(encoding="utf-8")))
+
+
+def canned_run(wall_s, first_pass, attempted, rss):
+    """The text an untraced perfbench robust run prints, shortened."""
+    metrics = {"wall_s": (wall_s, "s"), "instance_ms.p50": (0.54, "ms"), "setup_s": (0.11, "s"), "peak_rss_mb": (rss, "MB")}
+    return "\n".join([
+        'machine: {"nproc": 2, "cpu": "AMD EPYC", "python": "3.11.7", "numpy": "2.4.6", "commit": "unknown", '
+        '"workload": "robust", "seed": 1, "instances": 23, "inputs_sha256": "cb81"}',
+        f"wall_s                 {wall_s:>14.6f} s     sum of per-instance medians; 23 instances, {attempted} samples",
+        f"wall_s.first_pass      {first_pass:>14.6f} s     first sample of each instance; not in the JSON line",
+        f"failed_frac                  0.000000       0 of {attempted} attempted",
+        json.dumps({
+            "correct": True, "attempted": attempted, "failed": 0,
+            "metrics": {name: {"value": v, "unit": u} for name, (v, u) in metrics.items()},
+        }),
+    ])
+
+
+def test_bench_pairs_builds_a_record_of_the_checked_layout():
+    # two canned run outputs, without running perfbench: seed 1 and the
+    # held-out seed, each a pair of the parent's output and the change's
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    parent = bench_pairs.parse_run(canned_run(0.1315, 0.1348, 5058, 53.43))
+    change = bench_pairs.parse_run(canned_run(0.1002, 0.1059, 6573, 53.75))
+    pairs = [("robust", seed, parent, change) for seed in (1, HELD_OUT_SEED)]
+    record = bench_pairs.build_record(pairs, "036ed308f2c5744b891366e019ef9b9432ffcb97", "run.py", "robust wall_s")
+    check_record_layout(record)
+    robust = record["workloads"]["robust"]
+    assert robust["attempted"] == {"parent": 2 * 5058, "change": 2 * 6573}
+    assert robust["metrics"]["wall_s"]["change_wins"] == "2/2"
+    assert robust["metrics"]["wall_s.first_pass"]["runs"] == [[0.1348, 0.1059]] * 2
+    assert robust["metrics"]["peak_rss_mb"]["change_wins"] == "0/2"
+    assert robust["metrics"]["peak_rss_mb"]["attempted_runs"] == [[5058, 6573]] * 2
+    assert record["machine"] == {"nproc": 2, "cpu": "AMD EPYC", "python": "3.11.7", "numpy": "2.4.6"}
+    with pytest.raises(ValueError):
+        bench_pairs.parse_run("FAILED setup")
 
 
 def test_output_digest_prints_one_line_per_result_set():

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from riskmdp import mdp_core, robust_check
 from riskmdp.distributions import make_distribution
-from riskmdp.errors import NotCoherent, RiskMdpError, SumOverflow, TooLargeForEnumeration
+from riskmdp.errors import DimensionMismatch, NotCoherent, RiskMdpError, SumOverflow, TooLargeForEnumeration
 from riskmdp.examples import build_casino
-from riskmdp.mdp_core import BoundingSpec, MdpModel, Policy, constant_bounding_spec
+from riskmdp.mdp_core import BoundingSpec, MdpModel, Policy, ValueFunction, constant_bounding_spec
 from riskmdp.risk_measures import (
     Entropic,
     Expectation,
@@ -83,6 +83,29 @@ class TestDualSet:
         value, density = ds.sup([5.0, -1.0], [0.4, 0.6])
         assert density == (0.4, 0.6)
         assert value == pytest.approx(5.0 * 0.4 - 0.6, abs=1e-14)
+
+    COHERENT = (
+        Expectation(),
+        ExpectedShortfall(0.5),
+        Spectral(StepSpectrum(((0.0, 0.5), (0.5, 1.5)))),
+        Mixture(0.5, ExpectedShortfall(0.8), Expectation()),
+    )
+
+    @pytest.mark.parametrize("risk", COHERENT, ids=lambda r: type(r).__name__)
+    def test_sup_refuses_values_and_probabilities_of_different_lengths(self, risk):
+        ds = dual_set(risk)
+        for values, probs in (([1.0, 2.0], [0.25, 0.25, 0.5]), ([1.0, 2.0, 3.0], [0.5, 0.5])):
+            with pytest.raises(DimensionMismatch, match=f"{len(values)} values against {len(probs)}"):
+                ds.sup(values, probs)
+
+    @pytest.mark.parametrize("risk", COHERENT, ids=lambda r: type(r).__name__)
+    def test_a_density_or_law_with_a_non_finite_entry_is_not_feasible(self, risk):
+        ds = dual_set(risk)
+        assert ds.feasible([0.5, 0.5], [0.5, 0.5])
+        for bad in (math.nan, math.inf, -math.inf):
+            assert not ds.feasible([bad, bad], [0.5, 0.5])
+            assert not ds.feasible([0.5, bad], [0.5, 0.5])
+            assert not ds.feasible([0.5, 0.5], [0.5, bad])
 
 
 class TestNatureBestResponse:
@@ -593,6 +616,94 @@ class TestBatchedAdversaryTable:
             nature_best_response(model, dual_set(ExpectedShortfall(0.5)), policy, 1)
         with pytest.raises(RiskMdpError, match="non-finite value inf"):
             robust_game_value(model, dual_set(ExpectedShortfall(0.5)), 1)
+
+
+# ---------------------------------------------------------------------------
+# Policy enumeration: one dual step per node over the class rows of all its children
+
+
+def enumerated_rows(model, horizon):
+    """The dual rows one enumeration evaluates.
+
+    P at the last stage. Below it, over three stages or more, each node
+    above stage 0 evaluates one row per admissible pair per distinct
+    choice of its successors' pairs; over two stages, P per child.
+    """
+    P = sum(len(acts) for acts in model.admissible)
+    R = count_markov_policies(model, 1)
+    if horizon < 3:
+        return P * sum(R**d for d in range(horizon))
+    classes = sum(
+        math.prod(len(model.admissible[y]) for y in {int(model.transition[x, a, z]) for z in model.z_indices})
+        for x in range(model.n_states)
+        for a in model.admissible[x]
+    )
+    return P + sum(R**d for d in range(horizon - 1)) * classes
+
+
+def precedence_model():
+    """Three states, two rules (the action in state 0), two equally likely outcomes.
+
+    From a zero terminal cost the last stage's pair values are 1e308,
+    -1e308, 1e308 and 0. One stage below, the first rule's child holds
+    +inf and the second rule's child meets -inf + inf in state 2's sum.
+    """
+    big = 1e308
+    return MdpModel(
+        n_states=3,
+        n_actions=2,
+        admissible=((0, 1), (0,), (0,)),
+        disturbance=make_distribution([0, 1], [0.5, 0.5]),
+        transition=[[[0, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 1], [0, 0]]],
+        cost=[[[big, big], [-big, -big]], [[big, big], [0.0, 0.0]], [[-big, big], [0.0, 0.0]]],
+        terminal_cost=[0.0, 0.0, 0.0],
+        discount=1.0,
+    )
+
+
+class TestEnumerationClassRows:
+    def test_errors_come_child_by_child_in_rule_order(self, route):
+        # walked child by child, the first child's subtree reaches a
+        # non-finite stage-0 value before the second child's step raises
+        # SumOverflow; one step over both children's rows meets the sum first
+        model, ds = precedence_model(), dual_set(Expectation())
+        with pytest.raises(RiskMdpError) as raised:
+            robust_check._enumerated_minimum(model, ds, 3)
+        assert type(raised.value) is RiskMdpError
+        assert str(raised.value) == "non-finite value inf"
+        with pytest.raises(SumOverflow, match="-inf \\+ inf in fsum"):
+            robust_check._adversary_values(model, ds, [-1e308, 1e308, 0.0], robust_check._Memo())
+
+    def test_one_dual_row_per_pair_and_class(self, route, monkeypatch):
+        rows = []
+        sup, fsum_each = robust_check._sup, robust_check._fsum_each
+
+        def counted_sup(*args):
+            rows.append(1)
+            return sup(*args)
+
+        def counted_sums(terms):
+            rows.append(len(terms))
+            return fsum_each(terms)
+
+        monkeypatch.setattr(robust_check, "_sup", counted_sup)
+        monkeypatch.setattr(robust_check, "_fsum_each", counted_sums)
+        monkeypatch.setattr(
+            robust_check, "nature_best_response", lambda model, ds, policy, horizon: ValueFunction([0.0] * model.n_states)
+        )
+        fewer = 0
+        for seed in range(900, 930):
+            model = coarse_model(np.random.default_rng(seed), 2, seed % 2 == 0)
+            for horizon in (1, 2, 3, 4):
+                if count_markov_policies(model, horizon) <= 5000:
+                    rows.clear()
+                    robust_check._enumerated_minimum(model, dual_set(ExpectedShortfall(0.5)), horizon)
+                    assert sum(rows) == enumerated_rows(model, horizon), (seed, horizon)
+                    per_child = sum(len(a) for a in model.admissible) * sum(
+                        count_markov_policies(model, d) for d in range(horizon)
+                    )
+                    fewer += sum(rows) < per_child
+        assert fewer >= 10  # a walk that steps child by child fails these
 
 
 class TestOutOfRangeStageValues:
