@@ -408,7 +408,7 @@ def _enumerated_minimum(model: MdpModel, ds: DualSet, horizon: int) -> tuple[flo
 
     def descend(n: int, values: list[float], suffix: tuple[int, ...]) -> None:
         # values: each pair's value at stage n under the rules of suffix
-        if n == 0:
+        if n <= 0:
             for i, val in enumerate(values):
                 if not math.isfinite(val):  # as nature_best_response would reject it
                     raise RiskMdpError(f"non-finite value {val!r}")
@@ -420,13 +420,13 @@ def _enumerated_minimum(model: MdpModel, ds: DualSet, horizon: int) -> tuple[flo
                 fine = n > 1 or all(map(math.isfinite, sups))
             except RiskMdpError:
                 fine = False
-            if fine and n == 1:
-                for i, f, val in zip(pair_of, first, sups):
-                    update(i, val, (f, *suffix))
-                return
             if fine:
-                for r, child in enumerate(np.array(sups)[row_of].tolist()):
-                    descend(n - 1, child, (r, *suffix))
+                if n == 1:
+                    for i, f, val in zip(pair_of, first, sups):
+                        update(i, val, (f, *suffix))
+                else:
+                    for r, child in enumerate(np.array(sups)[row_of].tolist()):
+                        descend(n - 1, child, (r, *suffix))
                 return
         for r, pick in enumerate(picks):  # one step per child, raising what the scan would
             child = _adversary_values(model, ds, [values[i] for i in pick], memo)
