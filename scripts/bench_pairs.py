@@ -14,7 +14,8 @@ solves more instances in the same time and keeps more samples.
 ``wall_s.first_pass`` is read from a run's text output, the other metrics
 from its closing JSON line. Only the standard library is used.
 
-Example (30 s runs on seeds 1-9 and the held-out seed 20101):
+Every workload runs for 30 s on seeds 1-9 and the held-out seed 20101.
+Example:
     python scripts/bench_pairs.py --parent HEAD~1 --change HEAD --pr 13 --claim "robust wall_s"
 """
 
@@ -31,7 +32,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HELD_OUT_SEED = 20101
+SEEDS = (*range(1, 10), HELD_OUT_SEED)
 WORKLOADS = ("casino", "infinite_cli", "robust")
+SECONDS = 30
 MACHINE_KEYS = ("nproc", "cpu", "python", "numpy")
 METHOD = (
     "alternated pairs: each pair runs parent and change once on the same seed, the side that runs "
@@ -69,7 +72,7 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def build_record(pairs, parent_commit: str, command: str, claim: str, held_out: int = HELD_OUT_SEED) -> dict:
+def build_record(pairs, parent_commit: str, command: str, claim: str) -> dict:
     """The record of ``pairs``, each (workload, seed, parent run, change run) with runs from ``parse_run``."""
     by_workload: dict[str, list] = {}
     for name, seed, parent, change in pairs:
@@ -85,7 +88,7 @@ def build_record(pairs, parent_commit: str, command: str, claim: str, held_out: 
                 "change_wins": f"{sum(c < p for p, c in values)}/{len(values)}",
                 "change_over_parent": sides["change"]["median"] / sides["parent"]["median"],
                 "runs": values,
-                f"seed_{held_out}": [pair for pair, (seed, _, _) in zip(values, runs) if seed == held_out],
+                f"seed_{HELD_OUT_SEED}": [pair for pair, (seed, _, _) in zip(values, runs) if seed == HELD_OUT_SEED],
             }
             if metric == "peak_rss_mb":
                 metrics[metric]["attempted_runs"] = [[p["attempted"], c["attempted"]] for _, p, c in runs]
@@ -110,13 +113,13 @@ def _git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
 
-def _run(archive: bytes, workload: str, seed: int, seconds: float) -> dict:
+def _run(archive: bytes, workload: str, seed: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp)
         run = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-             "--seconds", str(seconds), "--trace", "0"],
+             "--seconds", str(SECONDS), "--trace", "0"],
             cwd=tmp, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"), capture_output=True, text=True,
         )
     if run.returncode not in (0, 1):  # 1: the run finished but some instance failed its check
@@ -129,25 +132,21 @@ def main() -> None:
     ap.add_argument("--parent", required=True, help="the parent commit")
     ap.add_argument("--change", required=True, help="the commit measured against it")
     ap.add_argument("--pr", type=int, required=True, help="the number in the record's file name")
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
-    ap.add_argument("--seeds", type=int, nargs="+", default=[*range(1, 10), HELD_OUT_SEED])
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--claim", default="", help='the metric a gain is claimed on, as "workload metric"')
     args = ap.parse_args()
     commits = {side: _git("rev-parse", f"{rev}^{{commit}}").decode().strip()
                for side, rev in (("parent", args.parent), ("change", args.change))}
     archives = {side: _git("archive", "--format=tar", commit, "src", "perfbench") for side, commit in commits.items()}
     pairs = []
-    for number, seed in enumerate(args.seeds, 1):
+    for number, seed in enumerate(SEEDS, 1):
         order = ("parent", "change") if number % 2 else ("change", "parent")
-        for workload in args.workloads:
-            runs = {side: _run(archives[side], workload, seed, args.seconds) for side in order}
+        for workload in WORKLOADS:
+            runs = {side: _run(archives[side], workload, seed) for side in order}
             pairs.append((workload, seed, runs["parent"], runs["change"]))
             print(f"pair {number} {workload} seed {seed}: wall_s "
                   f"{runs['parent']['metrics']['wall_s']:.4f} -> {runs['change']['metrics']['wall_s']:.4f}",
                   file=sys.stderr)
-    seconds = f"{args.seconds:g}"
-    command = f"python3 perfbench/run.py --workload W --seed N --seconds {seconds} --trace 0"
+    command = f"python3 perfbench/run.py --workload W --seed N --seconds {SECONDS} --trace 0"
     record = build_record(pairs, commits["parent"], command, args.claim)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -16,7 +16,7 @@ minimax problem have the same value on these models. The enumeration
 walks the tree of policy suffixes; a node's children differ in one rule,
 which a pair's value reads only at the pair's successor states, so one
 stage step over a row per (pair, choice at its successors) serves them
-all.
+all once there are enough of them.
 
 Every route evaluates nature's sup by one stage step, laid out as the
 primal one: a flat value per admissible pair in the sweep's order, or
@@ -140,9 +140,9 @@ class _Memo:
     nature's maximizing density depends on a pair's stage values only
     through their stable sort order: ``densities`` keeps one density per
     order met, by outcome. ``tables`` keeps, per decision rule (``None``:
-    every admissible pair; ``"classes"``: the policy enumeration's class
-    rows, made by its caller), what ``_batched_sups`` carries from one step
-    to the next: the successor and cost rows, and from the rule's last
+    every admissible pair) or per ``id`` of explicit rows, what
+    ``_batched_sups`` carries from one step to the next: the successor
+    and cost rows, and from the rule's last
     step each row's stable order (as indices into the raveled rows), the
     mask of the sorted positions whose tie with the next one is in
     outcome order, and the row's density by outcome. Each public entry
@@ -177,12 +177,13 @@ def _sup(risk: RiskMeasure, probs, values: list[float], densities: dict) -> floa
         raise _sum_overflow(exc) from exc
 
 
-def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, rule=None) -> np.ndarray:
-    """Nature's sup at the pairs of ``_adversary_values``, as an array.
+def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, rule=None, rows=None) -> np.ndarray:
+    """Nature's sup at the rows of ``_adversary_values``, as an array.
 
     A rule's first step gathers its successor and cost rows in
     ``z_indices`` order, as on the pair route (the order of tied values
-    decides the density), sorts every row and looks up one density per
+    decides the density), or takes the explicit ``rows``, sorts every
+    row and looks up one density per
     distinct stable order, read as one byte string. ``memo.tables`` keeps
     the orders and densities, and later steps sort again only the rows
     that a stable sort would order differently: laid out in the kept
@@ -192,11 +193,14 @@ def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, rule=No
     test and goes through ``_sup``, since Python's sort places NaN where
     numpy's does not (a one-outcome row has no test, but one order).
     """
-    table = memo.tables.get(rule)
+    key = rule if rows is None else id(rows)
+    table = memo.tables.get(key)
     if table is None:
-        xs, acts = model._sweep[:2] if rule is None else (np.arange(model.n_states), np.array(rule))
-        zs = np.array(model.z_indices)
-        table = memo.tables[rule] = [model.transition[xs, acts][:, zs], model.cost[xs, acts][:, zs], None, None, None]
+        if rows is None:
+            xs, acts = model._sweep[:2] if rule is None else (np.arange(model.n_states), np.array(rule))
+            zs = np.array(model.z_indices)
+            rows = model.transition[xs, acts][:, zs], model.cost[xs, acts][:, zs]
+        table = memo.tables[key] = [np.asarray(rows[0]), np.asarray(rows[1], dtype=float), None, None, None]
     succ, cost, flat, allow, q = table  # flat: each row's kept order, as indices into the raveled values
     probs = model.disturbance.probs
     n, m = succ.shape
@@ -227,26 +231,34 @@ def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, rule=No
     return sups
 
 
-def _adversary_values(model: MdpModel, ds: DualSet, cont, memo: _Memo, rule=None):
+def _adversary_values(model: MdpModel, ds: DualSet, cont, memo: _Memo, rule=None, rows=None):
     """Nature's sup against the continuation ``cont`` at many pairs.
 
     The dual route's stage step, in the layout of ``mdp_core._stage_values``:
     without ``rule``, one value per admissible pair in ``model._sweep``
     order; with a decision rule (a tuple, one admissible action per
-    state), one value per state at that state's rule pair. Each value is
-    bit-identical to ``ds.sup`` of the pair's stage values, and each sort
-    order's density comes from the solve's ``memo``. Steps over at least
-    ``mdp_core.BATCH_MIN_OUTCOMES`` stage outcomes go through
-    ``_batched_sups`` and return an array; smaller ones go pair by pair
-    and return a list.
+    state), one value per state at that state's rule pair. Explicit
+    ``rows``, a pair of successor and cost rows in ``z_indices`` order
+    whose successors index ``cont``, give one value per row; a solve
+    passes the same ``rows`` object at every step, since the memo keys
+    its table by ``id``. Each value is bit-identical to ``ds.sup`` of the
+    row's stage values, and each sort order's density comes from the
+    solve's ``memo``. Steps over at least ``mdp_core.BATCH_MIN_OUTCOMES``
+    stage outcomes go through ``_batched_sups`` and return an array;
+    smaller ones go pair by pair and return a list.
     """
     xs = model._sweep[0]  # raises DimensionMismatch unless the tables are (S, A, K)
-    n_pairs = len(xs) if rule is None else len(rule)
-    if n_pairs * len(model.z_indices) >= mdp_core.BATCH_MIN_OUTCOMES:
-        return _batched_sups(model, ds.risk, cont, memo, rule)
+    n_rows = len(rows[0]) if rows is not None else len(xs) if rule is None else len(rule)
+    if n_rows * len(model.z_indices) >= mdp_core.BATCH_MIN_OUTCOMES:
+        return _batched_sups(model, ds.risk, cont, memo, rule, rows)
     beta, zs, probs = model.discount, model.z_indices, model.disturbance.probs
-    trans, costs = model.rows
     cont = mdp_core._values_of(cont)
+    if rows is not None:
+        return [
+            _sup(ds.risk, probs, [c + beta * cont[s] for s, c in zip(row_s, row_c)], memo.densities)
+            for row_s, row_c in zip(*rows)
+        ]
+    trans, costs = model.rows
     values = []
     for x, a in zip(*model._pairs[:2]) if rule is None else enumerate(rule):
         row_t, row_c = trans[x][a], costs[x][a]
@@ -361,12 +373,11 @@ def _enumerated_minimum(model: MdpModel, ds: DualSet, horizon: int) -> tuple[flo
     Nature's response at stage n depends only on the rules from n on, so
     the policy tree is walked depth first from the last stage. A node's
     children differ only in the rule of their stage, which a pair's value
-    reads only at the pair's successor states. Over three stages or more
-    a node therefore makes one dual stage step over ``_class_table``'s
+    reads only at the pair's successor states. With at least 8 rules a
+    node therefore makes one dual stage step over ``_class_table``'s
     rows, one per pair and class of rules, and each child reads its pair
-    values from them. Over two stages the table would serve one step and
-    saves too few sups to pay for itself, so each child takes its own
-    step. The minimum keeps the first minimizer in
+    values from them. With fewer, the table saves too few steps to pay
+    for itself, and each child takes its own step. The minimum keeps the first minimizer in
     ``enumerate_markov_policies`` order, as a scan with a strict ``<`` over
     every policy would; each state's value is then read from
     ``nature_best_response`` on its minimizing policy.
@@ -392,19 +403,10 @@ def _enumerated_minimum(model: MdpModel, ds: DualSet, horizon: int) -> tuple[flo
         if val < best[i][0] or (val == best[i][0] and suffix < best[i][1]):
             best[i] = (val, suffix)
 
-    if horizon > 2:
+    rows = None
+    if horizon > 1 and len(picks) >= 8:  # fewer children save too few steps to pay for the table
         pair_of, first, succ, cost, row_of = _class_table(model, spans, picks)
-        beta, probs = model.discount, model.disturbance.probs
-        if len(pair_of) * len(model.z_indices) >= mdp_core.BATCH_MIN_OUTCOMES:
-            memo.tables["classes"] = [np.array(succ), np.array(cost), None, None, None]
-
-        def classes(values: list[float]) -> list[float]:
-            if "classes" in memo.tables:
-                return _batched_sups(model, ds.risk, values, memo, "classes").tolist()
-            return [
-                _sup(ds.risk, probs, [c + beta * values[s] for s, c in zip(row_s, row_c)], memo.densities)
-                for row_s, row_c in zip(succ, cost)
-            ]
+        rows = succ, cost
 
     def descend(n: int, values: list[float], suffix: tuple[int, ...]) -> None:
         # values: each pair's value at stage n under the rules of suffix
@@ -414,9 +416,10 @@ def _enumerated_minimum(model: MdpModel, ds: DualSet, horizon: int) -> tuple[flo
                     raise RiskMdpError(f"non-finite value {val!r}")
                 update(i, val, suffix)
             return
-        if horizon > 2:
+        if rows is not None:
             try:
-                sups = classes(values)
+                sups = _adversary_values(model, ds, values, memo, rows=rows)
+                sups = sups if isinstance(sups, list) else sups.tolist()
                 fine = n > 1 or all(map(math.isfinite, sups))
             except RiskMdpError:
                 fine = False
@@ -494,8 +497,8 @@ def verify_equivalence(
     literally. The search walks the distinct policy suffixes (rules
     1..N-1), not the policies: one dual sup per admissible pair at the
     last stage and, below it, per pair and distinct choice of a node's
-    next rule at the pair's successor states (per pair and child over two
-    stages). Each state's minimizing policy is then re-evaluated by
+    next rule at the pair's successor states (per pair and child when
+    there are fewer than 8 rules). Each state's minimizing policy is then re-evaluated by
     ``nature_best_response``, and that value is the one reported.
     """
     if not is_coherent(risk):

@@ -625,13 +625,13 @@ class TestBatchedAdversaryTable:
 def enumerated_rows(model, horizon):
     """The dual rows one enumeration evaluates.
 
-    P at the last stage. Below it, over three stages or more, each node
-    above stage 0 evaluates one row per admissible pair per distinct
-    choice of its successors' pairs; over two stages, P per child.
+    P at the last stage. Below it, with at least 8 rules, each node above
+    stage 0 evaluates one row per admissible pair per distinct choice of
+    its successors' pairs; with fewer, P per child.
     """
     P = sum(len(acts) for acts in model.admissible)
     R = count_markov_policies(model, 1)
-    if horizon < 3:
+    if R < 8:
         return P * sum(R**d for d in range(horizon))
     classes = sum(
         math.prod(len(model.admissible[y]) for y in {int(model.transition[x, a, z]) for z in model.z_indices})
@@ -642,37 +642,52 @@ def enumerated_rows(model, horizon):
 
 
 def precedence_model():
-    """Three states, two rules (the action in state 0), two equally likely outcomes.
+    """Five states, eight rules, two equally likely outcomes.
 
-    From a zero terminal cost the last stage's pair values are 1e308,
-    -1e308, 1e308 and 0. One stage below, the first rule's child holds
-    +inf and the second rule's child meets -inf + inf in state 2's sum.
+    States 3 and 4 each loop on themselves at zero cost under both of
+    their actions, so only the action in state 0 matters: the first four
+    rules take action 0 there, the last four action 1. From a zero
+    terminal cost the last stage's values at the pairs of states 0-2 are
+    1e308, -1e308, 1e308 and 0. One stage below, the first rule's child
+    holds +inf and the fifth rule's child meets -inf + inf in state 2's sum.
     """
     big = 1e308
+    loop = [[[0.0, 0.0], [0.0, 0.0]]]
     return MdpModel(
-        n_states=3,
+        n_states=5,
         n_actions=2,
-        admissible=((0, 1), (0,), (0,)),
+        admissible=((0, 1), (0,), (0,), (0, 1), (0, 1)),
         disturbance=make_distribution([0, 1], [0.5, 0.5]),
-        transition=[[[0, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 1], [0, 0]]],
-        cost=[[[big, big], [-big, -big]], [[big, big], [0.0, 0.0]], [[-big, big], [0.0, 0.0]]],
-        terminal_cost=[0.0, 0.0, 0.0],
+        transition=[[[0, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 1], [0, 0]], [[3, 3], [3, 3]], [[4, 4], [4, 4]]],
+        cost=[[[big, big], [-big, -big]], [[big, big], [0.0, 0.0]], [[-big, big], [0.0, 0.0]], *loop * 2],
+        terminal_cost=[0.0] * 5,
         discount=1.0,
     )
 
 
 class TestEnumerationClassRows:
+    def test_matches_the_literal_scan_over_three_and_four_stages(self, route, monkeypatch):
+        # two actions in each of three or four states: 8 or 16 rules, so the
+        # walk takes class rows at every node above stage 0
+        rng = np.random.default_rng(700)
+        risks = oracle_risks(rng)
+        cases = [
+            (tie_model(rng, n_outcomes, n_states), risks[k % len(risks)], horizon)
+            for k, (n_outcomes, n_states, horizon) in enumerate([(2, 3, 3), (3, 3, 3), (4, 3, 3), (3, 3, 4), (3, 4, 3)])
+        ]
+        check_enumeration(cases, monkeypatch)
+
     def test_errors_come_child_by_child_in_rule_order(self, route):
         # walked child by child, the first child's subtree reaches a
-        # non-finite stage-0 value before the second child's step raises
-        # SumOverflow; one step over both children's rows meets the sum first
+        # non-finite stage-0 value before the fifth child's step raises
+        # SumOverflow; one step over all children's rows meets the sum first
         model, ds = precedence_model(), dual_set(Expectation())
         with pytest.raises(RiskMdpError) as raised:
             robust_check._enumerated_minimum(model, ds, 3)
         assert type(raised.value) is RiskMdpError
         assert str(raised.value) == "non-finite value inf"
         with pytest.raises(SumOverflow, match="-inf \\+ inf in fsum"):
-            robust_check._adversary_values(model, ds, [-1e308, 1e308, 0.0], robust_check._Memo())
+            robust_check._adversary_values(model, ds, [-1e308, 1e308, 0.0, 0.0, 0.0], robust_check._Memo())
 
     def test_one_dual_row_per_pair_and_class(self, route, monkeypatch):
         rows = []
@@ -691,14 +706,16 @@ class TestEnumerationClassRows:
         monkeypatch.setattr(
             robust_check, "nature_best_response", lambda model, ds, policy, horizon: ValueFunction([0.0] * model.n_states)
         )
+        rng = np.random.default_rng(899)
+        models = [coarse_model(np.random.default_rng(seed), 2, seed % 2 == 0) for seed in range(900, 930)]
+        models += [tie_model(rng, n_outcomes, n_states) for n_states in (3, 4) for n_outcomes in (2, 3, 4)]
         fewer = 0
-        for seed in range(900, 930):
-            model = coarse_model(np.random.default_rng(seed), 2, seed % 2 == 0)
+        for model in models:
             for horizon in (1, 2, 3, 4):
                 if count_markov_policies(model, horizon) <= 5000:
                     rows.clear()
                     robust_check._enumerated_minimum(model, dual_set(ExpectedShortfall(0.5)), horizon)
-                    assert sum(rows) == enumerated_rows(model, horizon), (seed, horizon)
+                    assert sum(rows) == enumerated_rows(model, horizon), (model, horizon)
                     per_child = sum(len(a) for a in model.admissible) * sum(
                         count_markov_policies(model, d) for d in range(horizon)
                     )
