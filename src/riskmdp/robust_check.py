@@ -142,10 +142,10 @@ class _Memo:
     order met, by outcome. ``tables`` keeps, per decision rule (``None``:
     every admissible pair) or per ``id`` of explicit rows, what
     ``_batched_sups`` carries from one step to the next: the successor
-    and cost rows, and from the rule's last
-    step each row's stable order (as indices into the raveled rows), the
-    mask of the sorted positions whose tie with the next one is in
-    outcome order, and the row's density by outcome. Each public entry
+    and cost rows, and from the last step each row's stable order (as
+    indices into the raveled rows), the mask of the sorted positions
+    whose tie with the next one is in outcome order, and the row's
+    density by outcome. Each public entry
     point makes one and drops it on return, so nothing is shared between
     solves. A plain class, since building a dataclass costs about 0.5 ms
     at every import.
@@ -183,8 +183,8 @@ def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, rule=No
     A rule's first step gathers its successor and cost rows in
     ``z_indices`` order, as on the pair route (the order of tied values
     decides the density), or takes the explicit ``rows``, sorts every
-    row and looks up one density per
-    distinct stable order, read as one byte string. ``memo.tables`` keeps
+    row and looks up one density per distinct stable order, read as one
+    byte string. ``memo.tables`` keeps
     the orders and densities, and later steps sort again only the rows
     that a stable sort would order differently: laid out in the kept
     order, each neighbour pair must be strictly ascending, or equal where
@@ -377,10 +377,10 @@ def _enumerated_minimum(model: MdpModel, ds: DualSet, horizon: int) -> tuple[flo
     node therefore makes one dual stage step over ``_class_table``'s
     rows, one per pair and class of rules, and each child reads its pair
     values from them. With fewer, the table saves too few steps to pay
-    for itself, and each child takes its own step. The minimum keeps the first minimizer in
-    ``enumerate_markov_policies`` order, as a scan with a strict ``<`` over
-    every policy would; each state's value is then read from
-    ``nature_best_response`` on its minimizing policy.
+    for itself, and each child takes its own step. The minimum keeps the
+    first minimizer in ``enumerate_markov_policies`` order, as a scan with
+    a strict ``<`` over every policy would; each state's value is then
+    read from ``nature_best_response`` on its minimizing policy.
 
     Errors are those of that scan, child by child in rule order: a node
     whose class step raises, or whose stage-0 rows hold a non-finite
