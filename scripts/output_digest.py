@@ -8,7 +8,10 @@ Two checkouts that print the same lines agree bit for bit. Per seed:
 - one digest over every casino and every robust instance result, each
   float written as ``float.hex``. Run times (``stage_seconds``) and the
   ``pair_evaluations`` counter are left out: they say how a result was
-  reached, not what it is.
+  reached, not what it is;
+- one ``seed N counters`` line per infinite_cli model with the
+  ``pair_evaluations`` of its solve, so two checkouts can show that
+  they evaluate the same pairs. The other lines do not depend on them.
 
 The inputs come from perfbench's workload generators, which are only
 imported; the model files are written to a temporary directory. The
@@ -65,6 +68,22 @@ def digest(*chunks: bytes) -> str:
     return h.hexdigest()
 
 
+def solve_counted(lib, inst) -> tuple[int, list[int]]:
+    """Run a CLI instance: its exit code and the ``pair_evaluations`` of each solve it made."""
+    solve, evaluations = lib.cli.solve_infinite, []
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        evaluations.append(result.pair_evaluations)
+        return result
+
+    lib.cli.solve_infinite = counted
+    try:
+        return inst.solve(), evaluations
+    finally:
+        lib.cli.solve_infinite = solve
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 20101])
@@ -74,12 +93,15 @@ def main() -> None:
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
             batch = workloads.infinite_cli(lib, seed, work / "cli")
+            counters = []
             for inst in sorted(batch.instances, key=lambda i: i.name):
                 inst.prepare()
-                code = inst.solve()
+                code, evaluations = solve_counted(lib, inst)
                 out = work / "cli" / "out" / inst.name
                 files = b"".join((out / name).read_bytes() for name in ("values.csv", "policy.csv", "trace.csv"))
                 print(f"seed {seed} infinite_cli {inst.name} exit {code} {digest(files)}")
+                counters.append(f"seed {seed} counters {inst.name} pair_evaluations {' '.join(map(str, evaluations))}")
+            print(*counters, sep="\n")
             for name in ("casino", "robust"):
                 batch = getattr(workloads, name)(lib, seed, work / name)
                 results = [f"{inst.name}={canonical(inst.solve())}" for inst in batch.instances]

@@ -33,7 +33,6 @@ from .solvers import solve_finite
 
 __all__ = [
     "HouseSellingParams",
-    "CasinoParams",
     "CashBalanceParams",
     "VarMyopicParams",
     "build_house_selling",
@@ -159,15 +158,6 @@ def extract_threshold(actions: Sequence[int], labels: Sequence[float], stop_acti
 
 # ---------------------------------------------------------------------------
 # Casino
-
-
-@dataclass(frozen=True)
-class CasinoParams:
-    """Win probability, number of rounds, and the grid of initial capitals."""
-
-    win_prob: float
-    horizon: int
-    grid: tuple[int, ...] = (0, 1, 2, 3)
 
 
 def _check_win_prob(win_prob: float) -> None:

@@ -79,13 +79,16 @@ def _as_nested_tuples(table, depth: int, cast):
 
 
 def _admissible_mask(admissible: tuple[tuple[int, ...], ...], n_actions: int) -> np.ndarray:
-    """(S, n_actions) mask of the admissible actions; out-of-range indices are left out."""
-    lengths = [len(row) for row in admissible]
-    acts = np.fromiter(chain.from_iterable(admissible), dtype=np.int64, count=sum(lengths))
-    states = np.repeat(np.arange(len(admissible)), lengths)
-    keep = (acts >= 0) & (acts < n_actions)
-    mask = np.zeros((len(admissible), n_actions), dtype=bool)
-    mask[states[keep], acts[keep]] = True
+    """(S, n_actions) mask of the sorted ``admissible`` rows; out-of-range indices, of any size, are left out."""
+    # dropped before the int64 conversion, which a huge one overflows; a sorted row has them at its ends
+    rows = [
+        row if not row or 0 <= row[0] and row[-1] < n_actions else [a for a in row if 0 <= a < n_actions]
+        for row in admissible
+    ]
+    lengths = [len(row) for row in rows]
+    acts = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=sum(lengths))
+    mask = np.zeros((len(rows), n_actions), dtype=bool)
+    mask[np.repeat(np.arange(len(rows)), lengths), acts] = True
     return mask
 
 
@@ -221,9 +224,12 @@ class MdpModel:
 
     @property
     def n_outcomes(self) -> int:
-        """Width of the z-dimension of the transition and cost tables."""
-        if self.n_states and self.admissible and self.admissible[0]:
-            return len(self.transition[0][self.admissible[0][0]])
+        """Width of the z-dimension of the tables, read at state 0's first admissible action in range."""
+        if self.n_states and self.admissible and len(self.transition):
+            row = self.transition[0]
+            for a in self.admissible[0]:
+                if 0 <= a < len(row):
+                    return len(row[a])
         return len(self.disturbance.atoms)
 
     @property
@@ -560,11 +566,11 @@ class _SweepMemo:
     ``law`` holds every admissible pair's law shape (a ``_RowLaws``) and
     ``weights`` what the solve's risk measure reads of it; ``succ`` and
     ``cost`` are ``model._sweep``'s tables permuted into each row's
-    ``law.order``. ``elim`` is the ``_Elimination`` state of the
-    minimizing sweeps, which ``_memo_values`` keeps while ``eliminate`` is
-    set (the first sweep clears it where ``_eliminates`` says no, the
-    solve before its greedy call); ``skipped`` counts the pair
-    evaluations they left out. A solve
+    ``law.order``. The first sweep builds all four. ``elim`` is the
+    ``_Elimination`` state of the minimizing sweeps, which
+    ``_memo_values`` keeps while ``eliminate`` is set (the first sweep
+    clears it where ``_eliminates`` says no, the solve before its greedy
+    call); ``skipped`` counts the pair evaluations they left out. A solve
     makes one and drops it on return, so no solve reads another's shapes.
     A plain class, since building a dataclass costs about 0.5 ms at every
     import.
@@ -624,11 +630,10 @@ def _stage_values(
 def _memo_values(model: MdpModel, risk: RiskMeasure, v: np.ndarray, memo: _SweepMemo) -> np.ndarray:
     """A batched full sweep's values, reusing the law shapes kept in ``memo``.
 
-    The first sweep builds every law, as without a memo. Later sweeps lay
-    each pair's stage values out in its kept order, the same IEEE
-    operations as the unsorted rows, and rebuild only the rows whose
-    order or ties changed; tied columns are merged as a fresh build
-    merges them. The values are bit-identical to a sweep without a memo.
+    The first sweep builds every law, as without a memo, and the memo's
+    tables with them; later sweeps evaluate the kept laws
+    (``_kept_values``). The values are bit-identical to a sweep without
+    a memo.
 
     While ``memo.eliminate`` is set, a sweep after one that left
     ``memo.elim`` in place evaluates only the pairs that state does not
@@ -643,33 +648,56 @@ def _memo_values(model: MdpModel, risk: RiskMeasure, v: np.ndarray, memo: _Sweep
         vals = elim.sweep(model, risk, v, memo)
         memo.elim = elim
         return vals
-    succ, cost, probs = model._sweep[2:]
-    beta, law = model.discount, memo.law
-    if law is None:
+    if memo.law is None:
         if not _eliminates(model, risk):
             memo.eliminate = False
-        law, weights = _row_laws(risk, cost + beta * v[succ], probs)
-        memo.law, memo.weights = law, weights
-        vals = _row_values(risk, law, iter(weights))
-    else:
-        if memo.succ is None:
-            _permute_tables(model, memo)
-        atom = memo.cost + beta * v[memo.succ]
-        _check_entropic_guards(risk, atom)
-        stale = law.stale(atom)
-        if len(stale):
-            fresh, weights = _row_laws(risk, cost[stale] + beta * v[succ[stale]], probs)
-            law.splice(stale, fresh)
-            for kept, new in zip(memo.weights, weights):
-                kept[stale] = new
-            memo.succ[stale] = succ[stale[:, None], fresh.order]
-            memo.cost[stale] = cost[stale[:, None], fresh.order]
-            atom[stale] = fresh.atom
-        law.atom = law.merge(atom)
+        succ, cost, probs = model._sweep[2:]
+        law, memo.weights = _row_laws(risk, cost + model.discount * v[succ], probs)
+        rows = np.arange(len(succ))[:, None]
+        memo.law, memo.succ, memo.cost = law, succ[rows, law.order], cost[rows, law.order]
         vals = _row_values(risk, law, iter(memo.weights))
+    else:
+        vals = _kept_values(model, risk, v, memo)
     if memo.eliminate:
-        memo.elim = _Elimination(model, risk, v, vals, memo)
+        memo.elim = _Elimination(model, risk, v, vals)
     return vals
+
+
+def _kept_values(model: MdpModel, risk: RiskMeasure, v: np.ndarray, memo: _SweepMemo, part=None, guard=True):
+    """The values at ``v`` of the pairs in ``part``, or of every pair, from the laws kept in ``memo``.
+
+    ``part`` is ``(rows, law, weights, succ, cost)``: a subset's indices in
+    ``model._sweep`` order and compacted copies of the memo's tables there,
+    ``law`` with only ``_RowLaws.VALUES``. The stage values are laid out in
+    each pair's kept order, the same IEEE operations as unsorted rows; the
+    rows whose order or ties changed are rebuilt once and written to both,
+    and tied columns are merged as a fresh build merges them. With
+    ``guard``, the entropic guard reads every pair's atoms first, so it
+    raises at the same row as a full sweep.
+    """
+    succ, cost, probs = model._sweep[2:]
+    beta = model.discount
+    rows, law, weights, kept_succ, kept_cost = part or (None, memo.law, memo.weights, memo.succ, memo.cost)
+    atom = kept_cost + beta * v[kept_succ]
+    if guard:
+        _check_entropic_guards(risk, atom if part is None else memo.cost + beta * v[memo.succ])
+    stale = law.stale(atom)
+    if len(stale):
+        at = stale if part is None else rows[stale]
+        fresh, new = _row_laws(risk, cost[at] + beta * v[succ[at]], probs)
+        fresh_succ, fresh_cost = succ[at[:, None], fresh.order], cost[at[:, None], fresh.order]
+        memo.law.splice(at, fresh)
+        memo.succ[at], memo.cost[at] = fresh_succ, fresh_cost
+        for kept, w in zip(memo.weights, new):
+            kept[at] = w
+        if part is not None:
+            law.splice(stale, fresh, law.VALUES)
+            kept_succ[stale], kept_cost[stale] = fresh_succ, fresh_cost
+            for kept, w in zip(weights, new):
+                kept[stale] = w
+        atom[stale] = fresh.atom
+    law.atom = law.merge(atom)
+    return _row_values(risk, law, iter(weights))
 
 
 # A solve's minimizing sweeps leave pairs out only where that measured
@@ -703,13 +731,6 @@ def _eliminates(model: MdpModel, risk: RiskMeasure) -> bool:
     )
 
 
-def _permute_tables(model: MdpModel, memo: _SweepMemo) -> None:
-    """Make ``memo.succ`` and ``memo.cost``: the sweep tables laid out in each row's kept order."""
-    succ, cost = model._sweep[2:4]
-    rows = np.arange(len(succ))[:, None]
-    memo.succ, memo.cost = succ[rows, memo.law.order], cost[rows, memo.law.order]
-
-
 _GROW = 1.0 + 2.0**-48  # 1 + 32u: one product by it outweighs 8 roundings of a nonnegative sum
 _FLOOR = 2.0**-1000  # the absolute error of every underflow in fewer than 2**70 sweeps
 
@@ -741,19 +762,18 @@ class _Elimination:
     row trips it, so it raises at the same row and sweep as without the
     test.
 
-    The evaluated pairs (``mask``, ``rows``) keep compacted copies of the
-    tables their evaluation reads (``law``, with only ``_RowLaws.VALUES``,
-    ``weights``, ``succ`` and ``cost``). These are gathered again
-    only when the set of evaluated pairs changes; rows rebuilt as stale
-    are written to them and to the memo's full tables.
+    ``mask`` marks the pairs the last sweep evaluated. While it leaves
+    some out, ``part`` holds them as ``_kept_values`` reads a subset:
+    their indices and compacted copies of the memo's tables, gathered
+    again only when the mask changes.
     """
 
     __slots__ = (
-        "v", "lo", "hi", "drift", "mask", "rows", "law", "weights", "succ", "cost",
+        "v", "lo", "hi", "drift", "mask", "part",
         "slope", "floor", "lip", "rate", "cost_max", "starts", "seg", "succ_t", "gamma",
     )
 
-    def __init__(self, model: MdpModel, risk: RiskMeasure, v: np.ndarray, vals: np.ndarray, memo: _SweepMemo):
+    def __init__(self, model: MdpModel, risk: RiskMeasure, v: np.ndarray, vals: np.ndarray):
         xs, _, succ, cost, probs = model._sweep
         self.slope, self.floor, self.lip = _rounding_bound(risk, probs)
         self.rate = model.discount * self.lip * _GROW
@@ -764,11 +784,7 @@ class _Elimination:
         self.starts, self.seg = np.flatnonzero(new), np.cumsum(new) - 1
         self.succ_t = succ.T.copy()  # the drift's gather reads one contiguous row per outcome
         self.gamma = max(_entropic_gammas(risk), default=0.0)
-        if memo.succ is None:
-            _permute_tables(model, memo)
-        self.mask = np.ones(len(vals), dtype=bool)
-        self.rows = np.arange(len(vals))
-        self.law, self.weights, self.succ, self.cost = memo.law, memo.weights, memo.succ, memo.cost
+        self.mask, self.part = np.ones(len(vals), dtype=bool), None
         self.lo, self.hi = _bounds(vals, self._slack(model.discount, v, succ.shape[1])[0])
         self.drift = np.zeros(len(vals))
         self.v = v
@@ -785,52 +801,32 @@ class _Elimination:
 
     def sweep(self, model: MdpModel, risk: RiskMeasure, v: np.ndarray, memo: _SweepMemo) -> np.ndarray:
         """The minimizing sweep's pair values at ``v``, +inf at the pairs it leaves out."""
-        succ, cost, probs = model._sweep[2:]
         beta, n = model.discount, len(self.lo)
         step = np.take(np.abs(v - self.v), self.succ_t).max(axis=0) * self.rate
         drift = (self.drift + step) * _GROW
-        slack, scale = self._slack(beta, v, succ.shape[1])
+        slack, scale = self._slack(beta, v, self.succ_t.shape[0])
         reach = (drift + slack) * _GROW
         mask = ~_dominated(self.lo - reach, self.hi + reach, self.starts, self.seg)
         if not np.array_equal(mask, self.mask):
             rows = np.flatnonzero(mask)
-            self.mask, self.rows = mask, rows
-            if len(rows) == n:
-                self.law, self.weights, self.succ, self.cost = memo.law, memo.weights, memo.succ, memo.cost
-            else:
-                self.law = memo.law.take(rows)
-                self.weights = [np.take(w, rows, axis=0) for w in memo.weights]
-                self.succ, self.cost = np.take(memo.succ, rows, axis=0), np.take(memo.cost, rows, axis=0)
-        rows, law = self.rows, self.law
-        part = len(rows) < n
-        # the guard reads every row, evaluated or not, unless the bound on
-        # every atom shows that none trips it (rounding keeps gamma * |atom| monotone)
-        if not self.gamma * scale <= ENTROPIC_GUARD:
-            _check_entropic_guards(risk, memo.cost + beta * v[memo.succ])
-        atom = self.cost + beta * v[self.succ]
-        stale = law.stale(atom)
-        if len(stale):
-            at = rows[stale]
-            fresh, weights = _row_laws(risk, cost[at] + beta * v[succ[at]], probs)
-            fresh_succ, fresh_cost = succ[at[:, None], fresh.order], cost[at[:, None], fresh.order]
-            memo.law.splice(at, fresh)
-            memo.succ[at], memo.cost[at] = fresh_succ, fresh_cost
-            for kept, new in zip(memo.weights, weights):
-                kept[at] = new
-            if part:
-                law.splice(stale, fresh, law.VALUES)
-                self.succ[stale], self.cost[stale] = fresh_succ, fresh_cost
-                for kept, new in zip(self.weights, weights):
-                    kept[stale] = new
-            atom[stale] = fresh.atom
-        law.atom = law.merge(atom)
-        vals = _row_values(risk, law, iter(self.weights))
+            self.mask = mask
+            self.part = None if len(rows) == n else (
+                rows,
+                memo.law.take(rows),
+                [np.take(w, rows, axis=0) for w in memo.weights],
+                np.take(memo.succ, rows, axis=0),
+                np.take(memo.cost, rows, axis=0),
+            )
+        # the guard is skipped where the bound on every atom shows that no
+        # row trips it (rounding keeps gamma * |atom| monotone)
+        vals = _kept_values(model, risk, v, memo, self.part, not self.gamma * scale <= ENTROPIC_GUARD)
+        rows = slice(None) if self.part is None else self.part[0]
         self.lo[rows], self.hi[rows] = _bounds(vals, slack)
         drift[rows] = 0.0
         self.drift, self.v = drift, v
-        if not part:
+        if self.part is None:
             return vals
-        memo.skipped += n - len(rows)
+        memo.skipped += n - len(vals)
         out = np.full(n, math.inf)
         out[rows] = vals
         return out

@@ -210,7 +210,7 @@ def parse_model(obj: Any) -> MdpModel:
             cells = []
             for a, cell in enumerate(row):
                 if cell is None:
-                    cells.append(read((0,) * k))
+                    cells.append(_cast("model.disturbance.n_outcomes", lambda n: read((0,) * n), k))
                     continue
                 cell = _cast(where, read, cell, x, a)
                 if len(cell) != k:
@@ -273,20 +273,27 @@ def model_to_obj(model: MdpModel) -> dict:
 
 
 def parse_bounds(obj: Any) -> BoundingSpec:
+    """The envelope specification ``obj``; diagnostics name fields as ``bounds.<field>[i]``."""
     if not isinstance(obj, dict):
         _fail("bounds section must be an object")
-    try:
-        return BoundingSpec(
-            lb=tuple(float(v) for v in obj["lb"]),
-            ub=tuple(float(v) for v in obj["ub"]),
-            eps_split=tuple(float(v) for v in obj.get("eps_split", (0.5, 0.5))),
-            alpha=float(obj.get("alpha", 1.0)),
-            mode=BoundMode(obj.get("mode", "coherent")),
-        )
-    except (KeyError, ValueError) as exc:
-        if isinstance(exc, RiskMdpError):
-            raise
-        _fail(f"malformed bounds section: {exc}")
+
+    def floats(key: str, default=None) -> tuple[float, ...]:
+        where = f"bounds.{key}"
+        if default is None and key not in obj:
+            _fail(f"{where} is missing")
+        raw = _cast(where, list, obj.get(key, default))
+        return tuple(_cast(where, float, v, i) for i, v in enumerate(raw))
+
+    eps_split = floats("eps_split", (0.5, 0.5))
+    if len(eps_split) != 2:
+        _fail(f"bounds.eps_split has {len(eps_split)} entries, expected 2")
+    return BoundingSpec(
+        lb=floats("lb"),
+        ub=floats("ub"),
+        eps_split=eps_split,
+        alpha=_cast("bounds.alpha", float, obj.get("alpha", 1.0)),
+        mode=_cast("bounds.mode", BoundMode, obj.get("mode", "coherent")),
+    )
 
 
 def bounds_to_obj(spec: BoundingSpec) -> dict:

@@ -1,9 +1,14 @@
 """End-to-end command-line tests on temporary model files."""
 
+import copy
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from riskmdp.cli import main
 from riskmdp.examples import build_casino
@@ -433,6 +438,29 @@ _MIXTURE = {"kind": "mixture", "first": {"kind": "expectation"}, "second": {"kin
             _with(("bounds", "ub"), [math.inf, math.inf], dict(README_MODEL, task={"type": "check-contraction"})),
             "norm weights must be finite and >= 1, got inf at state 0",
         ),
+        (_with(("bounds", "lb"), [-2.5, None]), "bounds.lb[1]: cannot read None"),
+        (_with(("bounds", "ub"), 3), "bounds.ub: cannot read 3"),
+        (_with(("bounds", "alpha"), {}), "bounds.alpha: cannot read {}"),
+        (_with(("bounds", "eps_split"), [0.5, {}]), "bounds.eps_split[1]: cannot read {}"),
+        (_with(("bounds", "eps_split"), [1.0]), "bounds.eps_split has 1 entries, expected 2"),
+        (_with(("bounds", "mode"), "linear"), "bounds.mode: cannot read 'linear'"),
+        (_with(("bounds", "lb"), _DROP), "bounds.lb is missing"),
+        pytest.param(
+            _with(("model", "admissible", 0, 1), 1e20),
+            f"BadAction(state=0, action={int(1e20)}): action index outside [0, 2)",
+            id="admissible-1e20",
+        ),
+        pytest.param(
+            _with(("model", "admissible", 0, 1), -1e308),
+            f"BadAction(state=0, action={int(-1e308)}): action index outside [0, 2)",
+            id="admissible-minus-1e308",
+        ),
+        (_with(("model", "admissible", 0), [-5, 1]), "BadAction(state=0, action=-5): action index outside [0, 2)"),
+        pytest.param(
+            _with(("model", "transition", 0, 0), None, _with(("model", "disturbance", "n_outcomes"), 1e20)),
+            f"model.disturbance.n_outcomes: cannot read {int(1e20)}",
+            id="n_outcomes-1e20-before-a-null-cell",
+        ),
     ],
 )
 def test_malformed_fields_exit_2_with_a_located_message(tmp_path, capsys, doc, located):
@@ -475,3 +503,61 @@ def test_seed_zero_is_valid_and_the_flag_takes_precedence(tmp_path):
         assert main(["check-contraction", path, "--out", str(out), "--quiet", *flag]) == 0
         seeds.append(json.loads((out / "report.json").read_text())["seed"])
     assert seeds == [0, 3]
+
+
+def _paths(node, path):
+    """Every key path into ``node``: dict keys and list indices, ``path`` itself first."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+FUZZ_PATHS = [path for section in ("model", "risk", "bounds") for path in _paths(README_MODEL[section], (section,))]
+# drop the key; null, wrong types, NaN, +-inf, negative numbers, huge integral floats
+FUZZ_VALUES = (_DROP, None, "x", [], {}, True, math.nan, math.inf, -math.inf, -1, -2.5, 1e20, 1e308, -1e308)
+
+
+def _mutated(mutations):
+    """The README model file, solving to tol 1e-8, with each (path, value) applied in turn.
+
+    A mutation whose path an earlier one removed or replaced is passed over.
+    """
+    doc = json.loads(json.dumps(dict(README_MODEL, task={"type": "solve-infinite", "tol": 1e-8})))
+    for (*parents, last), value in mutations:
+        target = doc
+        try:
+            for key in parents:
+                target = target[key]
+            if value is _DROP:
+                del target[last]
+            else:
+                target[last] = copy.deepcopy(value)
+        except (KeyError, IndexError, TypeError):
+            continue
+    return doc
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    mutations=st.lists(
+        st.tuples(st.sampled_from(FUZZ_PATHS), st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=2
+    )
+)
+@example(mutations=[(("bounds", "lb", 1), None)])
+@example(mutations=[(("bounds", "ub"), 3)])
+@example(mutations=[(("bounds", "alpha"), {})])
+@example(mutations=[(("bounds", "eps_split", 1), {})])
+@example(mutations=[(("model", "admissible", 0, 1), 1e20)])
+@example(mutations=[(("model", "admissible", 0, 1), -1e308)])
+def test_a_mutated_model_file_exits_with_a_code_not_a_traceback(tmp_path, capsys, mutations):
+    # a fresh directory per example: overwriting a file can be slow on a temporary file system
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = write(work / "m.json", _mutated(mutations))
+    assert main(["solve-infinite", path, "--out", str(work / "out"), "--quiet"]) in (0, 2, 3)
+    capsys.readouterr()

@@ -697,12 +697,21 @@ class TestSweepMemo:
             [1.0, 1.0, -0.0],  # the ties return
             [1.0, 1.0, -0.0],
         )
+        built = []
+        row_laws = mdp_core._row_laws
+
+        def counted(risk, values, probs):
+            built.append(len(values))
+            return row_laws(risk, values, probs)
+
+        monkeypatch.setattr(mdp_core, "_row_laws", counted)
         for risk in EVERY_KIND:
             memo = mdp_core._SweepMemo()
+            built.clear()
             for v in sequence:
                 expected = mdp_core._stage_values(model, risk, v)
                 assert bits(mdp_core._stage_values(model, risk, v, None, memo)) == bits(expected), (risk, v)
-            assert memo.succ is not None  # the later sweeps reused the shapes
+            assert built[0] == 3 and sum(built) < 3 * len(sequence), risk  # the later sweeps reused the shapes
         memo = mdp_core._SweepMemo()
         for _ in range(2):  # built, then reused
             var = mdp_core._stage_values(model, ValueAtRisk(0.5), [0.0, 0.0, -0.0], None, memo)
@@ -1363,6 +1372,49 @@ class TestElimination:
             memo = mdp_core._SweepMemo()
             bellman_T(m, Entropic(0.5), [0.0] * m.n_states, memo)
             assert memo.eliminate == eliminated and (memo.elim is not None) == eliminated
+
+    def test_the_memo_holds_a_fresh_build_at_every_evaluated_row(self, monkeypatch):
+        # after each sweep, the memo's full tables at the rows that sweep
+        # evaluated, rebuilt as stale or kept, equal a fresh build at its
+        # iterate; sweeps that leave pairs out must rebuild some rows
+        monkeypatch.setattr(mdp_core, "ELIMINATION_KINDS", ALL_KINDS)
+        rebuilt = []
+        row_laws = mdp_core._row_laws
+
+        def counted(risk, values, probs):
+            rebuilt.append(len(values))
+            return row_laws(risk, values, probs)
+
+        monkeypatch.setattr(mdp_core, "_row_laws", counted)
+
+        def same(a, b):
+            return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        spectral = Spectral(StepSpectrum(((0.0, 0.5), (0.5, 1.5))))
+        rng = np.random.default_rng(41)
+        partial_rebuilds = 0
+        for risk in (Entropic(0.5), ExpectedShortfall(0.7), Mixture(0.5, Entropic(0.2), spectral)):
+            m = wide_random_model(rng)
+            _, _, succ, cost, probs = m._sweep
+            memo, v = mdp_core._SweepMemo(), ValueFunction((0.0,) * m.n_states)
+            for _ in range(60):
+                rebuilt.clear()
+                v_in = v.array
+                v = bellman_T(m, risk, v, memo)[0]
+                elim = memo.elim
+                assert elim is not None and elim.v is v_in, risk
+                rows = np.flatnonzero(elim.mask)
+                if len(rows) < len(elim.mask) and rebuilt:
+                    partial_rebuilds += 1
+                fresh, weights = row_laws(risk, cost[rows] + m.discount * v_in[succ[rows]], probs)
+                for name in _RowLaws.SHAPE:
+                    assert same(getattr(memo.law, name)[rows], getattr(fresh, name)), (risk, name)
+                assert len(memo.weights) == len(weights)
+                for kept, w in zip(memo.weights, weights):
+                    assert same(kept[rows], w), risk
+                assert same(memo.succ[rows], np.take_along_axis(succ[rows], fresh.order, axis=1)), risk
+                assert same(memo.cost[rows], np.take_along_axis(cost[rows], fresh.order, axis=1)), risk
+        assert partial_rebuilds > 0
 
     def test_the_greedy_call_evaluates_every_pair(self, monkeypatch):
         skipped = []
