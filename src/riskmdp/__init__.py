@@ -19,7 +19,6 @@ from .distributions import (
 from .errors import (
     DimensionMismatch,
     DomainError,
-    EntropicOverflow,
     InfeasibleAction,
     InfeasiblePolicy,
     InvalidParams,

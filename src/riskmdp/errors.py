@@ -41,10 +41,6 @@ class DimensionMismatch(RiskMdpError):
     """Vectors over the state space with incompatible lengths."""
 
 
-class EntropicOverflow(RiskMdpError, OverflowError):
-    """Entropic risk of a law whose scaled atoms exceed the overflow guard."""
-
-
 class SumOverflow(RiskMdpError, OverflowError):
     """A correctly rounded sum whose terms hold inf of both signs or overflow on the way."""
 

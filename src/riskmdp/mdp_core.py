@@ -40,12 +40,9 @@ from .risk_measures import (
     _SAFE,
     _SECOND_ORDER,
     _U,
-    ENTROPIC_GUARD,
     Entropic,
     Mixture,
     RiskMeasure,
-    _check_entropic_guards,
-    _entropic_gammas,
     _risk_value_of_pairs,
     _risk_values_of_rows,
     _rounding_bound,
@@ -663,7 +660,7 @@ def _memo_values(model: MdpModel, risk: RiskMeasure, v: np.ndarray, memo: _Sweep
     return vals
 
 
-def _kept_values(model: MdpModel, risk: RiskMeasure, v: np.ndarray, memo: _SweepMemo, part=None, guard=True):
+def _kept_values(model: MdpModel, risk: RiskMeasure, v: np.ndarray, memo: _SweepMemo, part=None):
     """The values at ``v`` of the pairs in ``part``, or of every pair, from the laws kept in ``memo``.
 
     ``part`` is ``(rows, law, weights, succ, cost)``: a subset's indices in
@@ -671,16 +668,12 @@ def _kept_values(model: MdpModel, risk: RiskMeasure, v: np.ndarray, memo: _Sweep
     ``law`` with only ``_RowLaws.VALUES``. The stage values are laid out in
     each pair's kept order, the same IEEE operations as unsorted rows; the
     rows whose order or ties changed are rebuilt once and written to both,
-    and tied columns are merged as a fresh build merges them. With
-    ``guard``, the entropic guard reads every pair's atoms first, so it
-    raises at the same row as a full sweep.
+    and tied columns are merged as a fresh build merges them.
     """
     succ, cost, probs = model._sweep[2:]
     beta = model.discount
     rows, law, weights, kept_succ, kept_cost = part or (None, memo.law, memo.weights, memo.succ, memo.cost)
     atom = kept_cost + beta * v[kept_succ]
-    if guard:
-        _check_entropic_guards(risk, atom if part is None else memo.cost + beta * v[memo.succ])
     stale = law.stale(atom)
     if len(stale):
         at = stale if part is None else rows[stale]
@@ -757,10 +750,7 @@ class _Elimination:
     than the state's minimum, so leaving it out (it reads +inf) keeps the
     minimum, the first minimizing action and its sign. A sweep whose M is
     not finite, or reaches ``_SAFE / m`` where a sum may overflow, leaves
-    nothing out, so ``SumOverflow`` is raised as without the test. The
-    entropic guard reads every row's atoms unless gamma * M shows that no
-    row trips it, so it raises at the same row and sweep as without the
-    test.
+    nothing out, so ``SumOverflow`` is raised as without the test.
 
     ``mask`` marks the pairs the last sweep evaluated. While it leaves
     some out, ``part`` holds them as ``_kept_values`` reads a subset:
@@ -770,7 +760,7 @@ class _Elimination:
 
     __slots__ = (
         "v", "lo", "hi", "drift", "mask", "part",
-        "slope", "floor", "lip", "rate", "cost_max", "starts", "seg", "succ_t", "gamma",
+        "slope", "floor", "lip", "rate", "cost_max", "starts", "seg", "succ_t",
     )
 
     def __init__(self, model: MdpModel, risk: RiskMeasure, v: np.ndarray, vals: np.ndarray):
@@ -783,28 +773,27 @@ class _Elimination:
         np.not_equal(xs[1:], xs[:-1], out=new[1:])
         self.starts, self.seg = np.flatnonzero(new), np.cumsum(new) - 1
         self.succ_t = succ.T.copy()  # the drift's gather reads one contiguous row per outcome
-        self.gamma = max(_entropic_gammas(risk), default=0.0)
         self.mask, self.part = np.ones(len(vals), dtype=bool), None
-        self.lo, self.hi = _bounds(vals, self._slack(model.discount, v, succ.shape[1])[0])
+        self.lo, self.hi = _bounds(vals, self._slack(model.discount, v, succ.shape[1]))
         self.drift = np.zeros(len(vals))
         self.v = v
 
-    def _slack(self, beta: float, v: np.ndarray, m: int) -> tuple[float, float]:
-        """A bound on this sweep's rounding at any pair (inf if unsafe), and the bound on every |atom| it uses."""
+    def _slack(self, beta: float, v: np.ndarray, m: int) -> float:
+        """A bound on this sweep's rounding at any pair, inf if unsafe."""
         big = float(np.abs(v).max(initial=0.0)) * beta * _GROW  # >= |fl(beta * v(y))|
         scale = (self.cost_max + big) * _GROW  # >= every |fl(cost + beta * v(y))|
         if not scale < _SAFE / m:  # NaN fails too
-            return math.inf, scale
+            return math.inf
         # the kind's rounding, and lip times each atom's two roundings
         inner = self.slope * scale + self.floor + self.lip * _U * (scale + big)
-        return (inner * _SECOND_ORDER + _FLOOR) * _GROW, scale
+        return (inner * _SECOND_ORDER + _FLOOR) * _GROW
 
     def sweep(self, model: MdpModel, risk: RiskMeasure, v: np.ndarray, memo: _SweepMemo) -> np.ndarray:
         """The minimizing sweep's pair values at ``v``, +inf at the pairs it leaves out."""
         beta, n = model.discount, len(self.lo)
         step = np.take(np.abs(v - self.v), self.succ_t).max(axis=0) * self.rate
         drift = (self.drift + step) * _GROW
-        slack, scale = self._slack(beta, v, self.succ_t.shape[0])
+        slack = self._slack(beta, v, self.succ_t.shape[0])
         reach = (drift + slack) * _GROW
         mask = ~_dominated(self.lo - reach, self.hi + reach, self.starts, self.seg)
         if not np.array_equal(mask, self.mask):
@@ -817,9 +806,7 @@ class _Elimination:
                 np.take(memo.succ, rows, axis=0),
                 np.take(memo.cost, rows, axis=0),
             )
-        # the guard is skipped where the bound on every atom shows that no
-        # row trips it (rounding keeps gamma * |atom| monotone)
-        vals = _kept_values(model, risk, v, memo, self.part, not self.gamma * scale <= ENTROPIC_GUARD)
+        vals = _kept_values(model, risk, v, memo, self.part)
         rows = slice(None) if self.part is None else self.part[0]
         self.lo[rows], self.hi[rows] = _bounds(vals, slack)
         drift[rows] = 0.0
@@ -861,13 +848,21 @@ def _dominated(lower: np.ndarray, upper: np.ndarray, starts: np.ndarray, seg: np
     return lower > np.take(np.minimum.reduceat(upper, starts), seg)
 
 
-def _first_min(model: MdpModel, vals) -> tuple[list[float], list[int]]:
+def _first_min(model: MdpModel, vals):
     """Per state, the first strict minimum of its pairs' values, and its action.
 
     ``vals`` holds one value per admissible pair in ``model._sweep`` order,
     as a stage step returns them: a list or an array. NaN never wins, ties
     go to the smallest action, and a state with nothing below +inf gets
-    (+inf, -1). Both kinds of input give the same result.
+    (+inf, -1). The minima come as ``vals`` came, a list or an array, and
+    the actions as a list; both kinds of input give the same result.
+
+    An array is put into an (S, A) table of +inf through flat indices,
+    NaN becomes +inf (``fmin`` keeps the sign of a zero), and ``argmin``
+    takes each row's first minimum; a state without a pair keeps a row
+    of +inf. A pass over the state-sorted pairs with ``np.minimum.reduceat``
+    needs three more passes to find each state's first minimizing pair,
+    and measured slower at every infinite_cli size.
     """
     if isinstance(vals, list):
         xs, acts = model._pairs[:2]
@@ -876,20 +871,6 @@ def _first_min(model: MdpModel, vals) -> tuple[list[float], list[int]]:
             if val < best[x]:
                 best[x], actions[x] = val, a
         return best, actions
-    best, actions = _first_min_array(model, vals)
-    return best.tolist(), actions.tolist()
-
-
-def _first_min_array(model: MdpModel, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_first_min`` of an array of pair values, as arrays.
-
-    The values are put into an (S, A) table of +inf through flat indices,
-    NaN becomes +inf (``fmin`` keeps the sign of a zero), and ``argmin``
-    takes each row's first minimum; a state without a pair keeps a row
-    of +inf. A pass over the state-sorted pairs with ``np.minimum.reduceat``
-    needs three more passes to find each state's first minimizing pair,
-    and measured slower at every infinite_cli size.
-    """
     xs, acts = model._sweep[:2]
     n_states, width = model.n_states, model.transition.shape[1]
     flat = xs * width
@@ -899,20 +880,7 @@ def _first_min_array(model: MdpModel, vals: np.ndarray) -> tuple[np.ndarray, np.
     table = np.fmin(table, math.inf, out=table).reshape(n_states, width)
     first = table.argmin(axis=1)
     best = table[np.arange(n_states), first]
-    return best, np.where(best < math.inf, first, -1)
-
-
-def _min_value(model: MdpModel, vals) -> tuple[ValueFunction, list[int]]:
-    """``_first_min`` with the minima as a ``ValueFunction``, which refuses a non-finite one.
-
-    An array of pair values is selected and checked in numpy, without a
-    per-state Python loop.
-    """
-    if isinstance(vals, list):
-        best, actions = _first_min(model, vals)
-        return ValueFunction(best), actions
-    best, actions = _first_min_array(model, vals)
-    return ValueFunction(best), actions.tolist()
+    return best, np.where(best < math.inf, first, -1).tolist()
 
 
 def bellman_T(
@@ -929,8 +897,8 @@ def bellman_T(
     is set, leaves out the pairs that its ``_Elimination`` proves larger
     than their state's minimum; the result is the same.
     """
-    best, actions = _min_value(model, _stage_values(model, risk, v, None, memo))
-    return best, tuple(actions)
+    best, actions = _first_min(model, _stage_values(model, risk, v, None, memo))
+    return ValueFunction(best), tuple(actions)
 
 
 def _norm_weights(b: Sequence[float]) -> np.ndarray:

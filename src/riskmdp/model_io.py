@@ -209,21 +209,29 @@ def parse_model(obj: Any) -> MdpModel:
                 return None
             cells = []
             for a, cell in enumerate(row):
-                if cell is None:
-                    cells.append(_cast("model.disturbance.n_outcomes", lambda n: read((0,) * n), k))
-                    continue
-                cell = _cast(where, read, cell, x, a)
-                if len(cell) != k:
-                    diags.append(f"{where}[{x}][{a}] has {len(cell)} outcomes, expected {k}")
-                    return None
+                if cell is not None:
+                    cell = _cast(where, read, cell, x, a)
+                    if len(cell) != k:
+                        diags.append(f"{where}[{x}][{a}] has {len(cell)} outcomes, expected {k}")
+                        return None
                 cells.append(cell)
-            out.append(tuple(cells))
-        return tuple(out)
+            out.append(cells)
+        return out
+
+    def filled(out, read):
+        # null cells share one zero cell, built only once the filled cells of
+        # both tables agree with k, so a wrong n_outcomes is refused before
+        # it is allocated
+        if any(cell is None for row in out for cell in row):
+            zero = _cast("model.disturbance.n_outcomes", lambda n: read((0,) * n), k)
+            out = [[zero if cell is None else cell for cell in row] for row in out]
+        return tuple(map(tuple, out))
 
     transition = table("transition", _ints)
     cost = table("cost", _floats)
     if diags or transition is None or cost is None:
         raise ModelFileError(diags)
+    transition, cost = filled(transition, _ints), filled(cost, _floats)
     labels = obj.get("state_labels")
     z_labels = obj.get("z_labels")
     return MdpModel(

@@ -33,7 +33,7 @@ from .distributions import (
     make_distribution,
     pushforward,
 )
-from .errors import EntropicOverflow, InvalidSpec, NotCoherent, SumOverflow
+from .errors import InvalidSpec, NotCoherent, SumOverflow
 
 __all__ = [
     "Expectation",
@@ -60,7 +60,6 @@ __all__ = [
     "AXIOM_TOL",
 ]
 
-ENTROPIC_GUARD = 700.0  # gamma * max|atom| above this would overflow exp
 AXIOM_TOL = 1e-9
 
 
@@ -364,8 +363,13 @@ def _value(
         return acc
     if isinstance(risk, Entropic):
         gamma = risk.gamma
-        _entropic_guard(gamma, max(abs(a) for a in atoms))
-        mx = max(gamma * a for a in atoms)
+        # shifted by the top atom's product, the largest as gamma > 0, as the
+        # batch shifts: no exponent is positive. Where that product is not
+        # finite (an infinite atom, or gamma * atom out of float range), the
+        # value is that infinity, on both routes
+        mx = gamma * atoms[-1]
+        if not math.isfinite(mx):
+            return mx / gamma
         acc = _fsum(p * math.exp(gamma * a - mx) for a, p in zip(atoms, probs))
         return (mx + math.log(acc)) / gamma
     if isinstance(risk, Mixture):
@@ -391,14 +395,6 @@ def _fsum(terms: Iterable[float]) -> float:
 
 def _sum_overflow(exc: Exception) -> SumOverflow:
     return SumOverflow(f"sum out of float range ({exc})")
-
-
-def _entropic_guard(gamma: float, scale: float) -> None:
-    """Raise for a law whose largest |atom| is ``scale`` if gamma * scale trips the guard."""
-    if gamma * scale > ENTROPIC_GUARD:
-        raise EntropicOverflow(
-            f"entropic guard tripped: gamma*max|atom| = {gamma * scale:g} > {ENTROPIC_GUARD:g}"
-        )
 
 
 def _risk_value_of_pairs(risk: RiskMeasure, pairs: Iterable) -> float:
@@ -701,12 +697,14 @@ def _row_values(risk: RiskMeasure, law: _RowLaws, weights: Iterator[np.ndarray])
         # numpy's exp and log differ from libm's in the last bit; the scalar
         # route uses libm's, so these two go through the math module. The top
         # column (always an atom's end) has a shift of exactly 0.0 in a finite
-        # row, and prob * exp(0.0) is prob; a NaN row stays NaN through mx
+        # row, and prob * exp(0.0) is prob
         terms = np.where(end, law.prob, 0.0)
         inner = end.copy()
         inner[:, -1] = False
         terms[inner] *= _libm(math.exp, (scaled - mx)[inner])
-        return (mx[:, 0] + _libm(math.log, _fsum_rows(terms))) / gamma
+        top = mx[:, 0]
+        # a row whose top product is not finite is that infinity, as pair by pair
+        return np.where(np.isfinite(top), top + _libm(math.log, _fsum_rows(terms)), top) / gamma
     raise InvalidSpec(f"unknown risk specification {risk!r}")
 
 
@@ -849,38 +847,8 @@ def _kind_bound(risk: RiskMeasure, m: int, ds: float, delta: float, extra) -> tu
     raise InvalidSpec(f"unknown risk specification {risk!r}")
 
 
-def _entropic_gammas(risk: RiskMeasure) -> list[float]:
-    """The entropic risk aversions in ``risk``, in the scalar route's evaluation order."""
-    if isinstance(risk, Entropic):
-        return [risk.gamma]
-    if isinstance(risk, Mixture):
-        return _entropic_gammas(risk.first) + _entropic_gammas(risk.second)
-    return []
-
-
-def _check_entropic_guards(risk: RiskMeasure, values: np.ndarray) -> None:
-    """Raise the scalar route's guard error for the first row it would raise on.
-
-    The scalar route evaluates row after row, and within a row each
-    entropic component in turn, so the error names the first offending
-    row and, in it, the first component whose guard trips.
-    """
-    gammas = _entropic_gammas(risk)
-    if not gammas:
-        return
-    # the largest |atom| of each row's law, from a transposed copy, since
-    # numpy steps slowly through short rows
-    scale = np.abs(values).T.copy().max(axis=0)
-    tripped = max(gammas) * scale > ENTROPIC_GUARD  # rounding keeps gamma * scale monotone
-    if tripped.any():
-        row_scale = float(scale[tripped.argmax()])
-        for gamma in gammas:
-            _entropic_guard(gamma, row_scale)
-
-
 def _row_laws(risk: RiskMeasure, values: np.ndarray, probs: np.ndarray) -> tuple[_RowLaws, list]:
-    """The laws of the rows of ``values`` and their ``_weights``, after the entropic guard."""
-    _check_entropic_guards(risk, values)
+    """The laws of the rows of ``values`` and their ``_weights``."""
     law = _RowLaws(values, probs)
     return law, _weights(risk, law)
 
@@ -892,9 +860,7 @@ def _risk_values_of_rows(risk: RiskMeasure, values: np.ndarray, probs: np.ndarra
     same order. Entry i is bit-identical to ``_risk_value_of_pairs(risk,
     zip(values[i], probs))``: the batch reproduces the scalar route's
     sort, exact-equality merge, sequential telescoping and correctly
-    rounded sums, and raises the scalar route's ``EntropicOverflow`` for
-    the first row it would raise on. Used by the Bellman sweep and the
-    bound verification.
+    rounded sums. Used by the Bellman sweep and the bound verification.
     """
     law, weights = _row_laws(risk, values, probs)
     return _row_values(risk, law, iter(weights))

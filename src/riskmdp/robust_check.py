@@ -309,7 +309,7 @@ def robust_value_iteration(
     memo = _Memo()
 
     def step(v):
-        return mdp_core._min_value(model, _adversary_values(model, ds, v, memo))[0]
+        return ValueFunction(mdp_core._first_min(model, _adversary_values(model, ds, v, memo))[0])
 
     def greedy(v):
         return mdp_core._first_min(model, _adversary_values(model, ds, v, memo))[1]

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -417,7 +418,6 @@ _MIXTURE = {"kind": "mixture", "first": {"kind": "expectation"}, "second": {"kin
         (_with(("model", "n_states"), "two"), "model.n_states: cannot read 'two'"),
         (_with(("model", "admissible"), 5), "model.admissible: cannot read 5"),
         (_with(("model", "cost", 0, 1), 3), "model.cost[0][1]: cannot read 3"),
-        (_with(("model", "cost", 0, 0), [800.0, 800.0], _ENTROPIC), "gamma*max|atom| = 800 > 700"),
         (_with(("task",), {"type": "verify-axioms", "trials": "x"}), "task.trials: expected an integer >= 1"),
         (_with(("task",), {"type": "verify-axioms", "seed": "s"}), "task.seed: expected an integer >= 0"),
         (_with(("task",), {"type": "check-contraction", "seed": -1}), "task.seed: expected an integer >= 0"),
@@ -458,7 +458,7 @@ _MIXTURE = {"kind": "mixture", "first": {"kind": "expectation"}, "second": {"kin
         (_with(("model", "admissible", 0), [-5, 1]), "BadAction(state=0, action=-5): action index outside [0, 2)"),
         pytest.param(
             _with(("model", "transition", 0, 0), None, _with(("model", "disturbance", "n_outcomes"), 1e20)),
-            f"model.disturbance.n_outcomes: cannot read {int(1e20)}",
+            f"model.transition[0][1] has 2 outcomes, expected {int(1e20)}",
             id="n_outcomes-1e20-before-a-null-cell",
         ),
     ],
@@ -468,6 +468,76 @@ def test_malformed_fields_exit_2_with_a_located_message(tmp_path, capsys, doc, l
     assert main([doc["task"]["type"], path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert located in err and "Traceback" not in err
+
+
+def test_a_wrong_n_outcomes_is_refused_before_a_null_cell_is_built(tmp_path, capsys):
+    # the filled cells' widths are checked before a zero cell of n_outcomes is built
+    doc = _with(("model", "transition", 0, 0), None, _with(("model", "disturbance", "n_outcomes"), 10**6))
+    path = write(tmp_path / "m.json", doc)
+    tracemalloc.start()
+    try:
+        code = main(["solve-infinite", path, "--out", str(tmp_path / "out"), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and "model.transition[0][1] has 2 outcomes, expected 1000000" in err
+    assert peak < 2**20
+
+
+def test_a_wrong_n_outcomes_in_the_cost_table_is_refused_before_a_null_transition_is_built(tmp_path, capsys):
+    # the transition table's null cells wait for the cost table's widths
+    doc = _with(("model", "disturbance", "n_outcomes"), 10**6)
+    doc["model"]["transition"] = [[None, None], [None, None]]
+    path = write(tmp_path / "m.json", doc)
+    tracemalloc.start()
+    try:
+        code = main(["solve-infinite", path, "--out", str(tmp_path / "out"), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and "model.cost[0][0] has 2 outcomes, expected 1000000" in err
+    assert peak < 2**20
+
+
+def test_an_entropic_law_past_exp_range_solves_to_its_exact_value(tmp_path):
+    # state 0 pays 0 or 1000 and moves to state 1, which is absorbing at
+    # cost 0: gamma * 1000 is past exp's range, and v(0) = 1000 + log(0.5)
+    doc = copy.deepcopy(_ENTROPIC)
+    doc["model"].update(
+        admissible=[[0], [0]],
+        transition=[[[1, 1], None], [[1, 1], None]],
+        cost=[[[0.0, 1000.0], None], [[0.0, 0.0], None]],
+    )
+    doc["bounds"].update(lb=[-1001.0, -1001.0], ub=[1001.0, 1001.0])
+    path = write(tmp_path / "m.json", doc)
+    out = tmp_path / "out"
+    assert main(["solve-infinite", path, "--out", str(out), "--quiet"]) == 0
+    values = (out / "values.csv").read_text().splitlines()
+    assert values[1:] == [f"inf,0,0,{1000.0 + math.log(0.5):.17g}", "inf,1,1,0"]
+
+
+def test_an_entropic_product_past_the_float_range_exits_2(tmp_path, capsys):
+    # gamma * 1e308 overflows, so state 1's stage value is +inf
+    doc = _with(("model", "cost", 1, 0), [1e308, 0.0], dict(_ENTROPIC, risk={"kind": "entropic", "gamma": 2.0}))
+    doc["task"] = {"type": "solve-finite", "horizon": 1}
+    path = write(tmp_path / "m.json", doc)
+    assert main(["solve-finite", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite value inf" in err and "Traceback" not in err
+
+
+def test_an_entropic_top_product_below_the_float_range_exits_2(tmp_path, capsys):
+    # gamma * -1e308, the larger cost, overflows to -inf: the pair's value is
+    # -inf, the minimum, not a NaN that the other action's 0 would beat
+    doc = _with(("model", "cost", 0, 0), [-1.5e308, -1e308], dict(_ENTROPIC, risk={"kind": "entropic", "gamma": 2.0}))
+    doc["model"]["cost"][0][1] = [0.0, 0.0]
+    doc["task"] = {"type": "solve-finite", "horizon": 1}
+    path = write(tmp_path / "m.json", doc)
+    assert main(["solve-finite", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite value -inf" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("task", [{"type": "solve-finite", "horizon": 1}, {"type": "robust-check", "horizon": 1}])

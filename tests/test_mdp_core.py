@@ -13,7 +13,6 @@ from riskmdp import mdp_core, robust_check, solvers
 from riskmdp.distributions import make_distribution
 from riskmdp.errors import (
     DimensionMismatch,
-    EntropicOverflow,
     InfeasibleAction,
     NotContractive,
     RiskMdpError,
@@ -392,7 +391,7 @@ class TestFirstMin:
         for given in (vals, np.array(vals)):
             best, actions = mdp_core._first_min(model, given)
             assert (bits(best), actions) == (bits(expected[0]), expected[1])
-            assert type(best) is list and type(actions) is list
+            assert type(best) is type(given) and type(actions) is list
 
 
     @settings(max_examples=300)
@@ -549,37 +548,41 @@ class TestBatchedSweep:
             assert len(expected) > 20 and got == expected, risk
 
     @pytest.mark.parametrize("threshold", [0, 10**9], ids=["batch", "pairwise"])
-    def test_entropic_guard_names_the_first_offending_row(self, monkeypatch, threshold):
+    @pytest.mark.parametrize(
+        "cost, v",
+        [
+            ([[[1.0, 2.0], [350.0, -3.0]], [[-350.0, 0.0], [0.0, 0.0]]], [0.0, 0.0]),
+            ([[[1.0, 2.0], [2500.0, -3.0]], [[-2500.0, 0.0], [0.0, 0.0]]], [0.0, 0.0]),
+            ([[[1.0, 2.0], [0.5, 0.5]], [[0.0, 0.0], [0.0, 0.0]]], [math.inf, 1.0]),
+            ([[[1.0, 2.0], [0.5, 0.5]], [[0.0, 0.0], [0.0, 0.0]]], [-math.inf, 1.0]),
+            ([[[1.0, 2.0], [0.5, 0.5]], [[0.0, 0.0], [0.0, 0.0]]], [math.inf, -math.inf]),
+            ([[[1e308, 2.0], [1e308, 1.5e308]], [[-1e308, 0.0], [0.0, 0.0]]], [0.0, 0.0]),
+            ([[[-1.5e308, -1e308], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], [0.0, 0.0]),
+        ],
+        ids=[
+            "gamma-M-700",
+            "gamma-M-5000",
+            "inf",
+            "minus-inf",
+            "both-infs",
+            "gamma-atom-overflows",
+            "gamma-top-atom-overflows-below",
+        ],
+    )
+    def test_entropic_laws_of_any_scale_match_bellman_L(self, monkeypatch, threshold, cost, v):
+        # at gamma 2, |atom| 350 and 2500 put gamma * max|atom| at 700 and
+        # 5000; 2 * 1e308 overflows to +inf and 2 * -1e308, a top atom, to
+        # -inf, which the value then reads, not NaN; no law is refused
         monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", threshold)
-        m = two_state_model()
-        # pair (0, 0) is fine, (0, 1) trips only gamma 2, (1, 0) trips both
-        model = MdpModel(
-            n_states=2,
-            n_actions=2,
-            admissible=((0, 1), (0,)),
-            disturbance=m.disturbance,
-            transition=m.transition,
-            cost=[[[1.0, 2.0], [400.0, -3.0]], [[-1500.0, 0.0], [0.0, 0.0]]],
-            terminal_cost=m.terminal_cost,
-            discount=0.9,
-        )
-        v = [0.0, 0.0]
-        for risk, message in (
-            (Entropic(2.0), "= 800 > 700"),
-            (Entropic(0.5), "= 750 > 700"),
-            (Mixture(0.5, Entropic(0.5), Entropic(2.0)), "= 800 > 700"),
-            (Mixture(0.5, ExpectedShortfall(0.5), Entropic(0.5)), "= 750 > 700"),
+        m = dataclasses.replace(two_state_model(), cost=cost, discount=0.9)
+        for risk in (
+            Entropic(2.0),
+            Mixture(0.5, Entropic(0.5), Entropic(2.0)),
+            Mixture(0.5, ExpectedShortfall(0.5), Entropic(2.0)),
         ):
-            with pytest.raises(EntropicOverflow) as expected:
-                pairwise_sweep(model, risk, v)
-            with pytest.raises(EntropicOverflow) as got:
-                bellman_T(model, risk, v)
-            assert str(got.value) == str(expected.value), risk
-            assert str(got.value).endswith(message), risk
-            with pytest.raises(EntropicOverflow) as bounds:
-                verify_bounds(model, risk, BoundingSpec(lb=(-0.5, -0.5), ub=(0.5, 0.5)))
-            assert str(bounds.value) == str(expected.value), risk
-        assert issubclass(EntropicOverflow, RiskMdpError) and issubclass(EntropicOverflow, OverflowError)
+            expected = [bellman_L(m, risk, v, x, a) for x, a in zip(*m._pairs[:2])]
+            assert not any(map(math.isnan, expected)), risk
+            assert bits(mdp_core._stage_values(m, risk, v)) == bits(expected), risk
 
     def test_verify_bounds_reports_the_pairwise_values(self):
         m = two_state_model(beta=0.9)
@@ -594,8 +597,6 @@ class TestBatchedSweep:
         m = two_state_model(beta=0.9)
         spec = BoundingSpec(lb=(-0.5, -0.5), ub=(0.5, math.inf), alpha=1.0)
         for risk in EVERY_KIND:
-            if "Entropic" in repr(risk):  # the entropic guard rejects an infinite atom
-                continue
             report = verify_bounds(m, risk, spec)
             growth = [v.lhs for v in report.violations if v.inequality == "ub_growth"]
             assert growth and all(lhs == math.inf for lhs in growth), risk
@@ -613,7 +614,8 @@ def outcome(call):
 
 
 # stage values of these costs and values tie often, include both zeros,
-# infinities of both signs and NaN, and trip the entropic guard (2000)
+# infinities of both signs and NaN, and put gamma * |atom| past exp's
+# range (2000, 1e308)
 MEMO_COSTS = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
 MEMO_VALUES = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0) * 4 + (
     math.inf,
@@ -1060,18 +1062,17 @@ class TestFixedRuleStep:
                     expected = policy_values_by_bellman_L(m, risk, stage_rules, terminal)
                     assert [bits(v) for v in got] == [bits(v) for v in expected], risk
 
-    def test_evaluate_policy_finite_raises_the_entropic_guard_of_the_loop(self, route):
+    def test_evaluate_policy_finite_matches_the_loop_on_entropic_laws_past_exp_range(self, route):
+        # gamma * max|atom| reaches 3000, far past where exp overflows
         m = two_state_model()
         model = dataclasses.replace(
             m, cost=[[[1.0, 2.0], [400.0, -3.0]], [[-1500.0, 0.0], [0.0, 0.0]]], discount=0.9
         )
         for rules in (((1, 0),), ((0, 0), (1, 0))):
             for risk in (Entropic(2.0), Entropic(0.5), Mixture(0.5, Entropic(0.5), Entropic(2.0))):
-                with pytest.raises(EntropicOverflow) as expected:
-                    policy_values_by_bellman_L(model, risk, rules, model.terminal_cost)
-                with pytest.raises(EntropicOverflow) as got:
-                    evaluate_policy_finite(model, risk, Policy(stages=rules), len(rules))
-                assert str(got.value) == str(expected.value), risk
+                expected = policy_values_by_bellman_L(model, risk, rules, model.terminal_cost)
+                got = evaluate_policy_finite(model, risk, Policy(stages=rules), len(rules))
+                assert [bits(v) for v in got] == [bits(v) for v in expected], risk
 
     def test_weak_increase_check_with_a_non_stationary_policy(self, route):
         rng = np.random.default_rng(5151)
@@ -1298,18 +1299,19 @@ class TestElimination:
         assert got[1].stages[0][0] == 0
         assert not masks[1][0] and masks[-1][0]  # left out early, evaluated again once it can win
 
-    def test_a_left_out_pair_that_trips_the_entropic_guard_raises_at_the_same_sweep(self, monkeypatch):
+    def test_a_left_out_pair_whose_scaled_atom_passes_exp_range_keeps_the_plain_solve(self, monkeypatch):
         # (0, 0) costs 600 against 0 and is left out from the second sweep;
-        # its successor's value climbs towards 200, so its atom passes 700
-        # in the ninth sweep
+        # its successor's value climbs towards 200, so gamma times its atom
+        # passes 700, where exp of it would overflow, in the ninth sweep
         monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", 0)
         masks = masks_of_each_sweep(monkeypatch)
         m = chain_model([[[600.0], [0.0]], [[20.0]], [[0.0]]], [[[1], [2]], [[1]], [[2]]])
         spec = constant_bounding_spec(m)
         got, _ = eliminating_solve(m, Entropic(1.0), spec, 1e-9)
         expected = plain_solve(m, Entropic(1.0), spec, 1e-9)
-        assert expected[0] is EntropicOverflow and expected[2] == 9
         assert got == expected
+        assert 600.0 + 0.9 * float.fromhex(expected[0][1]) > 700.0
+        assert expected[1].stages[0][0] == 1
         assert not masks[1][0] and not masks[-1][0]
 
     def test_a_left_out_pair_whose_atoms_overflow_raises_at_the_same_sweep(self, monkeypatch):

@@ -116,10 +116,15 @@ class TestUnitValues:
         mix = Mixture(0.25, Expectation(), ExpectedShortfall(0.5))
         assert evaluate(mix, UNIFORM4) == pytest.approx(0.25 * 2.5 + 0.75 * 3.5, abs=1e-14)
 
-    def test_entropic_overflow_guard(self):
+    def test_entropic_past_exp_range_is_exact(self):
+        # exp(1000) overflows; shifted by the top atom, exp(-1000) is 0.0
         d = make_distribution([0.0, 1000.0], [0.5, 0.5])
-        with pytest.raises(OverflowError):
-            evaluate(Entropic(1.0), d)
+        assert evaluate(Entropic(1.0), d) == 1000.0 + math.log(0.5)
+
+    def test_entropic_stage_law_with_an_infinite_top_atom_is_inf(self):
+        # laws refuse infinite atoms; stage values reach them as raw pairs
+        for atoms in ([0.0, math.inf], [-math.inf, math.inf], [math.inf, math.inf]):
+            assert risk_measures._risk_value_of_pairs(Entropic(0.5), zip(atoms, [0.5, 0.5])) == math.inf
 
     def test_es_distortion_route(self):
         cap = Distortion(DistortionFunction(form="es_cap", level=0.5))
@@ -554,9 +559,6 @@ class TestRoundingBound:
     @given(case=_bound_rows(), risk=_bound_risks())
     def test_the_computed_value_lies_within_the_bound_of_the_exact_one(self, case, risk):
         rows, probs = case
-        gammas = risk_measures._entropic_gammas(risk)
-        if gammas:  # stay inside the entropic guard
-            rows = rows * min(1.0, 690.0 / (max(gammas) * max(np.abs(rows).max(), 1e-300)))
         slope, floor, lip = risk_measures._rounding_bound(risk, probs)
         computed = risk_measures._risk_values_of_rows(risk, rows.copy(), probs)
         for i, row in enumerate(rows.tolist()):
