@@ -26,6 +26,7 @@ Exit codes: 0 success, 2 validation failure (diagnostics on stderr),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -69,6 +70,7 @@ def _seed_arg(text: str) -> int:
     return seed
 
 
+@functools.cache  # built once per process: a parse leaves the parser as it was
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="riskmdp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -114,26 +116,13 @@ def _write_json(args, name: str, payload) -> Path:
     return path
 
 
-def _label(model, x: int) -> str:
-    if model.state_labels is None:
-        return ""
-    return _fmt(model.state_labels[x])
-
-
-def _values_rows(model, stage_values):
-    rows = []
-    for stage, vf in stage_values:
-        for x in range(model.n_states):
-            rows.append((str(stage), str(x), _label(model, x), _fmt(vf[x])))
-    return rows
-
-
-def _policy_rows(stage_rules):
-    rows = []
-    for stage, rule in stage_rules:
-        for x, a in enumerate(rule):
-            rows.append((str(stage), str(x), str(a)))
-    return rows
+def _write_solution(args, model, stage_values, stage_rules) -> None:
+    """``values`` and ``policy`` from (stage, value function) and (stage, decision rule) pairs."""
+    labels = [""] * model.n_states if model.state_labels is None else list(map(_fmt, model.state_labels))
+    rows = [(str(n), str(x), labels[x], _fmt(vf[x])) for n, vf in stage_values for x in range(model.n_states)]
+    _write_table(args, "values", ("stage", "state", "label", "value"), rows)
+    rows = [(str(n), str(x), str(a)) for n, rule in stage_rules for x, a in enumerate(rule)]
+    _write_table(args, "policy", ("stage", "state", "action"), rows)
 
 
 def _seed_for(args, task: dict) -> int:
@@ -170,6 +159,13 @@ def _task_field(task: dict, key: str, kind: type, default=_REQUIRED, least: int 
     return kind(value)
 
 
+def _refuse_invalid(model) -> None:
+    """Raise every diagnostic of ``validate_model``, one per line on stderr, if there is one."""
+    diags = validate_model(model)
+    if diags:
+        raise ModelFileError([str(d) for d in diags])
+
+
 def _section(sections, name: str):
     if sections[name] is None:
         raise ModelFileError([f"{name} section is missing"])
@@ -188,13 +184,7 @@ def _run_solve_finite(args, sections) -> int:
     horizon = _task_field(task, "horizon", int)
     risk = _section(sections, "risk")
     result = solve_finite(model, risk, horizon)
-    _write_table(
-        args,
-        "values",
-        ("stage", "state", "label", "value"),
-        _values_rows(model, list(enumerate(result.values))),
-    )
-    _write_table(args, "policy", ("stage", "state", "action"), _policy_rows(list(enumerate(result.policy.stages))))
+    _write_solution(args, model, enumerate(result.values), enumerate(result.policy.stages))
     _say(args, f"solved horizon {horizon}; wrote values and policy under {args.out}")
     return OK
 
@@ -206,19 +196,9 @@ def _run_solve_infinite(args, sections) -> int:
     tol = _task_field(task, "tol", float)
     max_iter = _task_field(task, "max_iter", int, None)
     result = solve_infinite(model, risk, spec, tol, max_iter)
-    _write_table(
-        args,
-        "values",
-        ("stage", "state", "label", "value"),
-        _values_rows(model, [("inf", result.value)]),
-    )
-    _write_table(args, "policy", ("stage", "state", "action"), _policy_rows([("inf", result.policy.stages[0])]))
-    _write_table(
-        args,
-        "trace",
-        ("iteration", "residual", "error_bound"),
-        [(str(i), _fmt(r), _fmt(b)) for i, (r, b) in enumerate(result.trace)],
-    )
+    _write_solution(args, model, [("inf", result.value)], [("inf", result.policy.stages[0])])
+    trace = [(str(i), _fmt(r), _fmt(b)) for i, (r, b) in enumerate(result.trace)]
+    _write_table(args, "trace", ("iteration", "residual", "error_bound"), trace)
     _say(
         args,
         f"{'converged' if result.converged else 'NOT converged'} in {result.iterations} iterations, "
@@ -355,11 +335,7 @@ def _run_example(args, sections) -> int:
     if not isinstance(downstream, dict) or "type" not in downstream:
         raise ModelFileError(["example task needs a nested 'task' object"])
     model = _build_example(name, params)
-    diags = validate_model(model)
-    if diags:
-        for d in diags:
-            _complain(str(d))
-        return VALIDATION_FAILURE
+    _refuse_invalid(model)
     if sections["risk"] is not None:
         emitted = model_file_dict(model, sections["risk"], downstream, sections["bounds"])
         _write_json(args, "model.json", emitted)
@@ -370,21 +346,18 @@ def _run_example(args, sections) -> int:
 
 
 def _dispatch(command: str, args, sections) -> int:
-    if command == "solve-finite":
-        return _run_solve_finite(args, sections)
-    if command == "solve-infinite":
-        return _run_solve_infinite(args, sections)
-    if command == "verify-axioms":
-        return _run_verify_axioms(args, sections)
-    if command == "verify-bounds":
-        return _run_verify_bounds(args, sections)
-    if command == "check-contraction":
-        return _run_check_contraction(args, sections)
-    if command == "robust-check":
-        return _run_robust_check(args, sections)
-    if command == "example":
-        return _run_example(args, sections)
-    raise ModelFileError([f"unknown command {command!r}"])
+    run = {
+        "solve-finite": _run_solve_finite,
+        "solve-infinite": _run_solve_infinite,
+        "verify-axioms": _run_verify_axioms,
+        "verify-bounds": _run_verify_bounds,
+        "check-contraction": _run_check_contraction,
+        "robust-check": _run_robust_check,
+        "example": _run_example,
+    }.get(command)
+    if run is None:
+        raise ModelFileError([f"unknown command {command!r}"])
+    return run(args, sections)
 
 
 def main(argv=None) -> int:
@@ -405,11 +378,7 @@ def main(argv=None) -> int:
             _complain(f"task type {task_type!r} does not match subcommand {args.command!r}")
             return VALIDATION_FAILURE
         if sections["model"] is not None:
-            diags = validate_model(sections["model"])
-            if diags:
-                for d in diags:
-                    _complain(str(d))
-                return VALIDATION_FAILURE
+            _refuse_invalid(sections["model"])
         return _dispatch(args.command, args, sections)
     except ModelFileError as exc:
         for d in exc.diagnostics:

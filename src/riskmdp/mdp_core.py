@@ -168,6 +168,7 @@ class MdpModel:
     _rows: tuple | None = field(init=False, default=None, repr=False)
     _sweep_tables: tuple | None = field(init=False, default=None, repr=False)
     _sweep_lists: tuple | None = field(init=False, default=None, repr=False)
+    _starts: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         admissible = tuple(tuple(sorted(map(int, row))) for row in self.admissible)
@@ -281,6 +282,14 @@ class MdpModel:
             object.__setattr__(self, "_sweep_lists", tuple(t.tolist() for t in self._sweep))
         return self._sweep_lists
 
+    @property
+    def _state_starts(self) -> np.ndarray:
+        """Where each state's pairs start in ``_sweep`` order, skipping the states without one."""
+        if self._starts is None:
+            xs = self._sweep[0]
+            object.__setattr__(self, "_starts", np.flatnonzero(np.diff(xs, prepend=-1)))
+        return self._starts
+
 
 @dataclass(frozen=True)
 class ValueFunction:
@@ -329,7 +338,8 @@ class ValueFunction:
 
 
 def _values_of(v) -> Sequence[float]:
-    return v.values if isinstance(v, ValueFunction) else v
+    """``v`` as a sequence of values; an array as plain floats, as a ``ValueFunction`` holds them."""
+    return v.values if isinstance(v, ValueFunction) else v.tolist() if isinstance(v, np.ndarray) else v
 
 
 def _array_of(v) -> np.ndarray:
@@ -454,7 +464,6 @@ def validate_model(model: MdpModel) -> list[Diagnostic]:
         out.append(Diagnostic("BadShape", {}, "transition/cost tables must have one row per state"))
         return out
     K = model.n_outcomes
-    trans, costs = model.rows
     zs = []  # the outcomes whose table cells can be checked
     for z in model.z_indices:
         if not 0 <= z < K:
@@ -463,36 +472,33 @@ def validate_model(model: MdpModel) -> list[Diagnostic]:
             zs.append(z)
     if model.z_labels is not None and len(model.z_labels) != K:
         out.append(Diagnostic("BadDisturbance", {}, f"{len(model.z_labels)} z labels for {K} outcomes"))
-    for x in range(S):
-        if not model.admissible[x]:
-            out.append(Diagnostic("EmptyAdmissibleSet", {"state": x}, "no admissible action"))
-            continue
-        acts = model.admissible[x]  # sorted, so a repeat follows its first listing
-        for i, a in enumerate(acts):
-            if i and a == acts[i - 1]:
-                out.append(Diagnostic("BadAction", {"state": x, "action": a}, "admissible action listed twice"))
+    # the per-pair loop runs only to locate a fault that the array passes found
+    if not (len(zs) == len(model.z_indices) and _pairs_valid(model, K)):
+        trans, costs = model.rows
+        for x in range(S):
+            if not model.admissible[x]:
+                out.append(Diagnostic("EmptyAdmissibleSet", {"state": x}, "no admissible action"))
                 continue
-            if not 0 <= a < A:
-                out.append(Diagnostic("BadAction", {"state": x, "action": a}, f"action index outside [0, {A})"))
-                continue
-            if len(trans[x]) != A or len(costs[x]) != A:
-                out.append(Diagnostic("BadShape", {"state": x}, "table row must have one entry per action"))
-                break
-            row_t, row_c = trans[x][a], costs[x][a]
-            if len(row_t) != K or len(row_c) != K:
-                out.append(Diagnostic("BadShape", {"state": x, "action": a}, f"z-dimension must be {K}"))
-                continue
-            for z in zs:
-                if not 0 <= row_t[z] < S:
-                    out.append(
-                        Diagnostic(
-                            "BadTransition",
-                            {"x": x, "a": a, "z": z},
-                            f"target {row_t[z]} outside [0, {S})",
-                        )
-                    )
-                if not math.isfinite(row_c[z]):
-                    out.append(Diagnostic("BadCost", {"x": x, "a": a, "z": z}, f"cost {row_c[z]!r}"))
+            acts = model.admissible[x]  # sorted, so a repeat follows its first listing
+            for i, a in enumerate(acts):
+                if i and a == acts[i - 1]:
+                    out.append(Diagnostic("BadAction", {"state": x, "action": a}, "admissible action listed twice"))
+                    continue
+                if not 0 <= a < A:
+                    out.append(Diagnostic("BadAction", {"state": x, "action": a}, f"action index outside [0, {A})"))
+                    continue
+                if len(trans[x]) != A or len(costs[x]) != A:
+                    out.append(Diagnostic("BadShape", {"state": x}, "table row must have one entry per action"))
+                    break
+                row_t, row_c = trans[x][a], costs[x][a]
+                if len(row_t) != K or len(row_c) != K:
+                    out.append(Diagnostic("BadShape", {"state": x, "action": a}, f"z-dimension must be {K}"))
+                    continue
+                for z in zs:
+                    if not 0 <= row_t[z] < S:
+                        out.append(Diagnostic("BadTransition", {"x": x, "a": a, "z": z}, f"target {row_t[z]} outside [0, {S})"))
+                    if not math.isfinite(row_c[z]):
+                        out.append(Diagnostic("BadCost", {"x": x, "a": a, "z": z}, f"cost {row_c[z]!r}"))
     if len(model.terminal_cost) != S:
         out.append(Diagnostic("BadTerminal", {}, f"{len(model.terminal_cost)} terminal costs for {S} states"))
     else:
@@ -513,6 +519,23 @@ def validate_model(model: MdpModel) -> list[Diagnostic]:
                         )
                     )
     return out
+
+
+def _pairs_valid(model: MdpModel, K: int) -> bool:
+    """Whether ``validate_model``'s per-pair checks pass, found in array passes: (S, A, K) tables,
+    admissible actions in range and listed once (the mask keeps one of each, in range), successors in
+    range and finite costs. Every disturbance index must lie in [0, K)."""
+    S, tables = model.n_states, (model.transition, model.cost)
+    if not all(isinstance(t, np.ndarray) and t.shape == (S, model.n_actions, K) for t in tables):
+        return False
+    xs, _, succ, cost, _ = model._sweep
+    return (
+        len(xs) == sum(map(len, model.admissible))
+        and len(model._state_starts) == S
+        and 0 <= succ.min(initial=0)
+        and succ.max(initial=0) < S
+        and bool(np.isfinite(cost).all())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -768,10 +791,8 @@ class _Elimination:
         self.slope, self.floor, self.lip = _rounding_bound(risk, probs)
         self.rate = model.discount * self.lip * _GROW
         self.cost_max = float(np.abs(cost).max(initial=0.0))
-        new = np.empty(len(xs), dtype=bool)
-        new[:1] = True
-        np.not_equal(xs[1:], xs[:-1], out=new[1:])
-        self.starts, self.seg = np.flatnonzero(new), np.cumsum(new) - 1
+        self.starts = model._state_starts
+        self.seg = np.cumsum(np.diff(xs, prepend=-1) != 0) - 1
         self.succ_t = succ.T.copy()  # the drift's gather reads one contiguous row per outcome
         self.mask, self.part = np.ones(len(vals), dtype=bool), None
         self.lo, self.hi = _bounds(vals, self._slack(model.discount, v, succ.shape[1]))
@@ -883,9 +904,23 @@ def _first_min(model: MdpModel, vals):
     return best, np.where(best < math.inf, first, -1).tolist()
 
 
+def _min_values(model: MdpModel, vals) -> np.ndarray:
+    """``_first_min(model, vals)[0]`` as a float array, by one ``np.fmin.reduceat`` (which skips NaN).
+
+    ``_first_min`` decides where that may differ: a pair-by-pair step's list, a state without a pair,
+    a zero (the reduction may keep either sign of a tie of -0.0 and +0.0) and a non-finite minimum.
+    """
+    starts = model._state_starts
+    if not isinstance(vals, list) and len(starts) == model.n_states:
+        best = np.fmin.reduceat(vals, starts)
+        if best.all() and np.isfinite(best).all():
+            return best
+    return np.asarray(_first_min(model, vals)[0], dtype=float)
+
+
 def bellman_T(
-    model: MdpModel, risk: RiskMeasure, v, memo: _SweepMemo | None = None
-) -> tuple[ValueFunction, tuple[int, ...]]:
+    model: MdpModel, risk: RiskMeasure, v, memo: _SweepMemo | None = None, values_only: bool = False
+) -> tuple[ValueFunction | np.ndarray, tuple[int, ...] | None]:
     """One Bellman sweep: per-state minimum over admissible actions.
 
     The stage step evaluates the admissible pairs, bit-identical to
@@ -895,9 +930,14 @@ def bellman_T(
     that sweeps repeatedly passes its ``_SweepMemo``, which keeps the
     stage laws' sort orders between sweeps and, while ``memo.eliminate``
     is set, leaves out the pairs that its ``_Elimination`` proves larger
-    than their state's minimum; the result is the same.
+    than their state's minimum; the result is the same. With
+    ``values_only``, for a fixed-point iteration, it returns the minima
+    as a float array, unchecked, and None for the rule.
     """
-    best, actions = _first_min(model, _stage_values(model, risk, v, None, memo))
+    vals = _stage_values(model, risk, v, None, memo)
+    if values_only:
+        return _min_values(model, vals), None
+    best, actions = _first_min(model, vals)
     return ValueFunction(best), tuple(actions)
 
 

@@ -11,7 +11,11 @@ back to the identical in-memory object.
 from __future__ import annotations
 
 import reprlib
+from itertools import chain, compress, repeat
+from operator import is_not
 from typing import Any
+
+import numpy as np
 
 from .distributions import make_distribution
 from .errors import RiskMdpError
@@ -101,6 +105,26 @@ def _floats(values) -> tuple[float, ...]:
 
 def _pairs(rows) -> tuple[tuple[float, float], ...]:
     return tuple((float(u), float(v)) for u, v in rows)
+
+
+def _array_cells(raw, n_actions: int, k: int, kinds: str):
+    """The (S, A) mask of the filled cells of table ``raw`` and their (n, k) array, read by one numpy call.
+
+    None unless every row holds ``n_actions`` cells and numpy reads the filled ones as a rectangle of
+    width ``k`` of a dtype kind in ``kinds`` ("i": int64, "f": float64): bool, unsigned, str and object
+    cells, ragged and nested ones go to the per-cell reader, with all that it refuses or reads otherwise.
+    """
+    try:
+        if set(map(len, raw)) != {n_actions}:
+            return None
+        flat = list(chain.from_iterable(raw))
+        filled = np.fromiter(map(is_not, flat, repeat(None)), dtype=bool, count=len(flat))
+        cells = np.array(list(compress(flat, filled)))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if cells.ndim != 2 or cells.shape[1] != k or cells.dtype.kind not in kinds:
+        return None
+    return filled.reshape(len(raw), n_actions), cells
 
 
 def parse_risk(obj: Any, where: str = "risk") -> RiskMeasure:
@@ -196,12 +220,15 @@ def parse_model(obj: Any) -> MdpModel:
 
         k = _cast("model.transition", widest, obj["transition"])
 
-    def table(name: str, read):
+    def table(name: str, read, kinds: str):
         where = f"model.{name}"
         raw = obj[name]
         if _cast(where, len, raw) != n_states:
             diags.append(f"{where} has {len(raw)} rows, expected {n_states}")
             return None
+        fast = _array_cells(raw, n_actions, k, kinds)
+        if fast is not None:
+            return fast
         out = []
         for x, row in enumerate(raw):
             if _cast(where, len, row, x) != n_actions:
@@ -218,26 +245,41 @@ def parse_model(obj: Any) -> MdpModel:
             out.append(cells)
         return out
 
-    def filled(out, read):
-        # null cells share one zero cell, built only once the filled cells of
-        # both tables agree with k, so a wrong n_outcomes is refused before
-        # it is allocated
+    def filled(out, read, dtype):
+        # null cells are zeros, built only once the filled cells of both
+        # tables agree with k and no admissible pair has a null cell, so a
+        # wrong n_outcomes is refused before it is allocated
+        if isinstance(out, tuple):  # the fast reader's mask and cells
+            table = np.zeros((*out[0].shape, k), dtype=dtype)
+            table[out[0]] = out[1]
+            return table
         if any(cell is None for row in out for cell in row):
             zero = _cast("model.disturbance.n_outcomes", lambda n: read((0,) * n), k)
             out = [[zero if cell is None else cell for cell in row] for row in out]
         return tuple(map(tuple, out))
 
-    transition = table("transition", _ints)
-    cost = table("cost", _floats)
+    transition = table("transition", _ints, "i")
+    cost = table("cost", _floats, "if")
     if diags or transition is None or cost is None:
         raise ModelFileError(diags)
-    transition, cost = filled(transition, _ints), filled(cost, _floats)
+    admissible = _field(obj, "admissible", lambda rows: tuple(map(_ints, rows)), "model")
+    diags = [
+        f"model.{name}[{x}][{a}] is null, but action {a} is admissible in state {x}"
+        for name in ("transition", "cost")
+        for x, (row, acts) in enumerate(zip(obj[name], admissible))
+        if isinstance(row, (list, tuple)) and None in row
+        for a in sorted(set(acts))
+        if 0 <= a < n_actions and row[a] is None
+    ]
+    if diags:
+        raise ModelFileError(diags)
+    transition, cost = filled(transition, _ints, np.int64), filled(cost, _floats, np.float64)
     labels = obj.get("state_labels")
     z_labels = obj.get("z_labels")
     return MdpModel(
         n_states=n_states,
         n_actions=n_actions,
-        admissible=_field(obj, "admissible", lambda rows: tuple(map(_ints, rows)), "model"),
+        admissible=admissible,
         disturbance=disturbance,
         transition=transition,
         cost=cost,

@@ -145,10 +145,11 @@ class _Memo:
     and cost rows, and from the last step each row's stable order (as
     indices into the raveled rows), the mask of the sorted positions
     whose tie with the next one is in outcome order, and the row's
-    density by outcome. Each public entry
-    point makes one and drops it on return, so nothing is shared between
-    solves. A plain class, since building a dataclass costs about 0.5 ms
-    at every import.
+    density by outcome. Each public entry point makes one and drops it
+    on return, so nothing is shared between solves; the policy
+    enumeration lends its own to the best responses it reads, which
+    solve the same model and risk measure. A plain class, since building
+    a dataclass costs about 0.5 ms at every import.
     """
 
     __slots__ = ("densities", "tables")
@@ -266,15 +267,16 @@ def _adversary_values(model: MdpModel, ds: DualSet, cont, memo: _Memo, rule=None
     return values
 
 
-def nature_best_response(model: MdpModel, ds: DualSet, policy: Policy, horizon: int) -> ValueFunction:
+def nature_best_response(model: MdpModel, ds: DualSet, policy: Policy, horizon: int, memo=None) -> ValueFunction:
     """Adversary dynamic program against a fixed admissible policy.
 
     W_N is the terminal cost and each stage takes the dual-set supremum of
     cost plus discounted continuation at the policy's action. Returns the
-    stage-0 vector.
+    stage-0 vector. A caller that has solved ``model`` and ``ds`` already
+    may pass its ``_Memo``, whose densities then serve this solve too.
     """
     rules = _feasible_rules([model] * horizon, policy, horizon)
-    memo = _Memo()
+    memo = _Memo() if memo is None else memo
     w = list(model.terminal_cost)
     for n in range(horizon - 1, -1, -1):
         w = _adversary_values(model, ds, w, memo, rules[n])
@@ -309,7 +311,7 @@ def robust_value_iteration(
     memo = _Memo()
 
     def step(v):
-        return ValueFunction(mdp_core._first_min(model, _adversary_values(model, ds, v, memo))[0])
+        return mdp_core._min_values(model, _adversary_values(model, ds, v, memo))
 
     def greedy(v):
         return mdp_core._first_min(model, _adversary_values(model, ds, v, memo))[1]
@@ -444,7 +446,7 @@ def _enumerated_minimum(model: MdpModel, ds: DualSet, horizon: int) -> tuple[flo
         stage0 = tuple(first_rule[:x] + [a] + first_rule[x + 1 :])
         stages = (stage0, *(rules[r] for r in best[acts.index(a, starts[x])][1]))
         if stages not in responses:
-            responses[stages] = nature_best_response(model, ds, Policy(stages=stages), horizon)
+            responses[stages] = nature_best_response(model, ds, Policy(stages=stages), horizon, memo)
         out.append(responses[stages][x])
     return tuple(out)
 

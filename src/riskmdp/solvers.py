@@ -40,6 +40,7 @@ from .mdp_core import (
     Policy,
     ValueFunction,
     _SweepMemo,
+    _array_of,
     _norm_weights,
     _stage_values,
     _sup_norm,
@@ -213,36 +214,42 @@ def _fixed_point(model: MdpModel, risk, spec: BoundingSpec, tol, max_iter, v, st
     Checks ``tol``, the infinite-horizon preconditions, the norm weights
     and the length of the start ``v`` once, before the first step, then
     records the weighted residual and its bound q/(1-q) * residual per
-    iteration. ``step`` maps a ``ValueFunction`` to the next one, which
-    refuses a non-finite iterate; ``greedy`` maps the final value to the
-    stationary rule of the result.
+    iteration. The iterates are float arrays: ``step`` maps one to the
+    next (an array, a list or a ``ValueFunction``), and a non-finite
+    iterate is refused at the step that made it. ``greedy`` maps the
+    final value, the result's ``ValueFunction``, to its stationary rule.
     """
     if not tol > 0.0:
         raise RiskMdpError(f"tol must be > 0, got {tol!r}")
     if any(c != 0.0 for c in model.terminal_cost):
         raise RiskMdpError("infinite horizon requires zero terminal cost")
-    _verified_bounds(model, risk, spec)
+    _verified_bounds(model, risk, spec)  # its spec covers the model's states
     q = spec.modulus(model.discount)
     if q >= 1.0:
         raise NotContractive(f"alpha * discount = {q:g} must be < 1")
     weight = _norm_weights(spec.b())
-    v = v if isinstance(v, ValueFunction) else ValueFunction(v)
-    if len(v) != model.n_states:
-        raise DimensionMismatch(f"start has {len(v)} values, model has {model.n_states} states")
+    start = v if isinstance(v, ValueFunction) else ValueFunction(v)
+    if len(start) != model.n_states:
+        raise DimensionMismatch(f"start has {len(start)} values, model has {model.n_states} states")
+    v = start.array
     rate = q / (1.0 - q)
     if max_iter is None:
         max_iter = default_max_iter(tol, q)
     trace: list[tuple[float, float]] = []
     residual = bound = math.inf
-    while len(trace) < max_iter and not bound <= tol:
-        nxt = step(v)
-        residual = _sup_norm(nxt.array, v.array, weight)
-        bound = rate * residual
-        trace.append((residual, bound))
-        v = nxt
+    with np.errstate(over="ignore", invalid="ignore"):  # a difference of finite iterates may overflow to inf
+        while len(trace) < max_iter and not bound <= tol:
+            nxt = _array_of(step(v))
+            residual = float((np.abs(nxt - v) / weight).max())
+            if not residual < math.inf:
+                ValueFunction(nxt)  # raises if the iterate is not finite
+            bound = rate * residual
+            trace.append((residual, bound))
+            v = nxt
+    value = ValueFunction(v)
     return InfiniteSolveResult(
-        value=v,
-        policy=Policy(stages=(tuple(greedy(v)),), stationary=True),
+        value=value,
+        policy=Policy(stages=(tuple(greedy(value)),), stationary=True),
         iterations=len(trace),
         residual=residual,
         error_bound=bound,
@@ -279,7 +286,7 @@ def solve_infinite(
     memo = _SweepMemo()
 
     def step(v):
-        return bellman_T(model, risk, v, memo)[0]
+        return bellman_T(model, risk, v, memo, True)[0]
 
     def greedy(v):
         memo.eliminate = False

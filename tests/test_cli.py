@@ -5,19 +5,24 @@ import json
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from riskmdp import model_io
 from riskmdp.cli import main
 from riskmdp.examples import build_casino
 from riskmdp.mdp_core import constant_bounding_spec
 from riskmdp.model_io import (
+    ModelFileError,
     bounds_to_obj,
     model_file_dict,
     model_to_obj,
+    parse_model,
     parse_model_file,
     risk_to_obj,
 )
@@ -631,3 +636,107 @@ def test_a_mutated_model_file_exits_with_a_code_not_a_traceback(tmp_path, capsys
     path = write(work / "m.json", _mutated(mutations))
     assert main(["solve-infinite", path, "--out", str(work / "out"), "--quiet"]) in (0, 2, 3)
     capsys.readouterr()
+
+
+def test_a_null_cell_at_an_admissible_pair_is_refused(tmp_path, capsys):
+    # action 1 is admissible in state 0; solved, its null cells would read cost 0 and successor 0
+    doc = _with(("model", "transition", 0, 1), None, _with(("model", "cost", 0, 1), None))
+    path = write(tmp_path / "m.json", doc)
+    assert main(["solve-infinite", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "model.transition[0][1] is null, but action 1 is admissible in state 0",
+        "model.cost[0][1] is null, but action 1 is admissible in state 0",
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_all_null_tables_at_admissible_pairs_are_refused_before_a_null_cell_is_built(tmp_path, capsys):
+    doc = _with(("model", "disturbance", "n_outcomes"), 10**6)
+    doc["model"]["transition"] = doc["model"]["cost"] = [[None, None], [None, None]]
+    path = write(tmp_path / "m.json", doc)
+    tracemalloc.start()
+    try:
+        code = main(["solve-infinite", path, "--out", str(tmp_path / "out"), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and "model.cost[1][0] is null, but action 0 is admissible in state 1" in err
+    assert peak < 2**20
+
+
+def _parsed(obj, per_cell: bool):
+    """``parse_model(obj)``, or its diagnostics, with the one-call table reader or without it."""
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if per_cell:
+            mp.setattr(model_io, "_array_cells", lambda *args: None)
+        try:
+            return parse_model(obj)
+        except ModelFileError as exc:
+            return exc.diagnostics
+
+
+def test_the_readme_tables_are_read_in_one_call_each(monkeypatch):
+    read = []
+    original = model_io._array_cells
+    monkeypatch.setattr(model_io, "_array_cells", lambda *args: read.append(original(*args)) or read[-1])
+    model = parse_model(README_MODEL["model"])
+    assert len(read) == 2 and None not in read
+    assert model == _parsed(README_MODEL["model"], per_cell=True)
+
+
+# cell elements that are not a plain int (for the transitions) or number (for the costs)
+_ODD_ELEMENTS = (
+    0.0, -0.0, 1.0, 2.5, math.inf, -math.inf, math.nan, True, False, "1", "0.5", "x", None, [0], {},
+    2**63 - 1, 2**63, 2**64, -(2**63) - 1, 2**70, 2**1100,
+)
+_ODD_CELLS = (None, [], [0], [0, 1, 1], 5, "ab", [[0, 1], [1, 0]])
+
+
+@st.composite
+def _model_tables(draw):
+    """The README model with drawn tables: plain cells, and a few odd elements, cells or row lengths."""
+
+    def table(plain):
+        rows = [[draw(st.lists(plain, min_size=2, max_size=2)) for _ in range(2)] for _ in range(2)]
+        rows[1][1] = draw(st.none() | st.lists(plain, min_size=2, max_size=2))
+        for _ in range(draw(st.integers(0, 2))):
+            x = draw(st.integers(0, 1))
+            a = draw(st.integers(0, len(rows[x]) - 1))
+            kind = draw(st.sampled_from(("element", "element", "cell", "row")))
+            if kind == "element" and isinstance(rows[x][a], list) and rows[x][a]:
+                rows[x][a][draw(st.integers(0, len(rows[x][a]) - 1))] = draw(st.sampled_from(_ODD_ELEMENTS))
+            elif kind == "cell":
+                rows[x][a] = copy.deepcopy(draw(st.sampled_from(_ODD_CELLS)))
+            elif kind == "row":
+                rows[x] = rows[x][:1] if draw(st.booleans()) else rows[x] + [[0, 0]]
+        return rows
+
+    obj = copy.deepcopy(README_MODEL["model"])
+    obj["transition"] = table(st.integers(-1, 2))
+    obj["cost"] = table(st.floats(-10, 10) | st.integers(-3, 3))
+    width = draw(st.sampled_from((None, 2, 3)))
+    if width is None:
+        del obj["disturbance"]["n_outcomes"]
+    else:
+        obj["disturbance"]["n_outcomes"] = width
+    return obj
+
+
+@settings(max_examples=400)
+@given(obj=_model_tables())
+def test_the_one_call_table_reader_agrees_with_the_per_cell_reader(obj):
+    # the same MdpModel, down to the dtype and every bit, or the same diagnostics
+    fast, slow = _parsed(obj, per_cell=False), _parsed(obj, per_cell=True)
+    if isinstance(slow, list):
+        assert fast == slow
+        return
+    assert fast._key() == slow._key()  # the tables by their bits, since a NaN cost is unequal to itself
+    for name in ("transition", "cost"):
+        one, other = getattr(fast, name), getattr(slow, name)
+        assert type(one) is type(other)
+        if isinstance(one, np.ndarray):
+            assert one.dtype == other.dtype and one.shape == other.shape and one.tobytes() == other.tobytes()
+        else:
+            assert repr(one) == repr(other)

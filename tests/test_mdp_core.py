@@ -1421,9 +1421,9 @@ class TestElimination:
     def test_the_greedy_call_evaluates_every_pair(self, monkeypatch):
         skipped = []
 
-        def counted(m, risk, v, memo):
+        def counted(m, risk, v, memo, *values_only):
             before = memo.skipped
-            out = bellman_T(m, risk, v, memo)
+            out = bellman_T(m, risk, v, memo, *values_only)
             skipped.append(memo.skipped - before)
             return out
 

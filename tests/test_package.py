@@ -1,7 +1,7 @@
 """Every module of the package exports only names it defines or imports;
 every committed benchmark record carries the fields a speed claim rests on,
 and the pairs driver writes records of that layout; the digest script that
-bit-identity claims rest on runs."""
+bit-identity claims rest on, and the CLI phase timer, run."""
 
 import importlib.util
 import json
@@ -114,6 +114,26 @@ def test_output_digest_prints_one_line_per_result_set():
     patterns = [f"seed 1 infinite_cli {name} exit 0 {digest}" for name in models]
     patterns += [f"seed 1 counters {name} pair_evaluations [1-9][0-9]*" for name in models]
     patterns += [f"seed 1 casino 100 results {digest}", f"seed 1 robust 23 results {digest}"]
+    lines = run.stdout.splitlines()
+    assert len(lines) == len(patterns), run.stdout
+    for line, pattern in zip(lines, patterns):
+        assert re.fullmatch(pattern, line), line
+
+
+def test_cli_phases_prints_one_line_of_phase_times_per_model_file():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cli_phases.py"), "--seeds", "1", "--runs", "1"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    models = ["cash_balance"] + [
+        f"random_{i}_{kind}"
+        for i, kind in enumerate(("expectation", "mixture", "spectral", "expected_shortfall", "value_at_risk", "entropic"))
+    ]
+    times = r"( +[0-9]+\.[0-9]{2}){8}"
+    patterns = [r"model \(ms\) +load +parse +validate +argparse +bounds +solve +write +main"]
+    patterns += [f"seed 1 {name}{times}" for name in models] + [f"seed 1 total{times}"]
     lines = run.stdout.splitlines()
     assert len(lines) == len(patterns), run.stdout
     for line, pattern in zip(lines, patterns):

@@ -378,9 +378,9 @@ def check_enumeration(cases, monkeypatch):
     called = []
     original = robust_check.nature_best_response
 
-    def recorded(model, ds, policy, horizon):
+    def recorded(model, ds, policy, horizon, *memo):
         called.append(policy.stages)
-        return original(model, ds, policy, horizon)
+        return original(model, ds, policy, horizon, *memo)
 
     monkeypatch.setattr(robust_check, "nature_best_response", recorded)
     ties = 0
@@ -704,7 +704,7 @@ class TestEnumerationClassRows:
         monkeypatch.setattr(robust_check, "_sup", counted_sup)
         monkeypatch.setattr(robust_check, "_fsum_each", counted_sums)
         monkeypatch.setattr(
-            robust_check, "nature_best_response", lambda model, ds, policy, horizon: ValueFunction([0.0] * model.n_states)
+            robust_check, "nature_best_response", lambda model, ds, policy, horizon, *memo: ValueFunction([0.0] * model.n_states)
         )
         rng = np.random.default_rng(899)
         models = [coarse_model(np.random.default_rng(seed), 2, seed % 2 == 0) for seed in range(900, 930)]

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from riskmdp import mdp_core, solvers
+from riskmdp import mdp_core, robust_check, solvers
 
 from riskmdp.distributions import make_distribution
 from riskmdp.errors import (
@@ -606,3 +606,78 @@ def test_failed_bounds_are_located_in_every_check():
     ):
         with pytest.raises(RiskMdpError, match=located):
             check()
+
+
+class TestValueOnlySelection:
+    """The fixed-point sweeps take only each state's minimum, as the greedy sweep would."""
+
+    @pytest.mark.parametrize("threshold", [0, 10**9], ids=["batch", "pairwise"])
+    @pytest.mark.parametrize("first", [-0.0, 0.0])
+    def test_a_tie_of_signed_zeros_keeps_the_first_actions_zero(self, monkeypatch, threshold, first):
+        # value at risk returns an atom, so from a start of -0.0 the first
+        # action's value is `first` and the other 39 actions' the other zero:
+        # a tie long enough for numpy's vectorised reduction
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", threshold)
+        n_actions = 40
+        m = MdpModel(
+            n_states=1,
+            n_actions=n_actions,
+            admissible=(tuple(range(n_actions)),),
+            disturbance=make_distribution([0, 1], [0.5, 0.5]),
+            transition=[[[0, 0]] * n_actions],
+            cost=[[[first, first]] + [[-first, -first]] * (n_actions - 1)],
+            terminal_cost=[0.0],
+            discount=0.5,
+        )
+        res = solve_infinite(m, ValueAtRisk(0.5), BoundingSpec(lb=(-0.5,), ub=(0.5,)), 1e-8, None, (-0.0,))
+        assert res.iterations == 1 and res.policy.stages == ((0,),)
+        assert res.value[0].hex() == first.hex() == bellman_T(m, ValueAtRisk(0.5), (-0.0,))[0][0].hex()
+
+    def test_the_minima_match_the_greedy_selection_bit_for_bit(self):
+        # long runs of signed zeros, NaN and infinities, and states of one value but for its first pair's sign
+        rng = np.random.default_rng(17)
+        palette = np.array([-0.0, 0.0, math.nan, math.inf, 1.0, -1.0, -math.inf])
+        for _ in range(200):
+            m = make_random_model(rng, max_states=5, max_actions=40, max_outcomes=2)
+            n = len(m._sweep[0])
+            vals = palette[rng.integers(0, rng.integers(2, len(palette) + 1), n)]
+            for x in rng.choice(m.n_states, 3):  # all NaN, all inf, or one zero then the other
+                at = np.flatnonzero(m._sweep[0] == x)
+                vals[at] = palette[rng.integers(0, 4)]
+                vals[at[0]] = -vals[at[0]]
+            best = mdp_core._first_min(m, vals)[0]
+            assert mdp_core._min_values(m, vals).tobytes() == best.tobytes()
+            assert mdp_core._min_values(m, vals.tolist()).tobytes() == best.tobytes()
+
+    @pytest.mark.parametrize("threshold", [0, 10**9], ids=["batch", "pairwise"])
+    def test_a_state_without_a_finite_value_stops_the_solve_at_its_sweep(self, monkeypatch, threshold):
+        # the first sweep gives 1e308; at the second every pair overflows to
+        # +inf, or to NaN where nature's density is 0, which reads +inf
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", threshold)
+        m = MdpModel(
+            n_states=1,
+            n_actions=2,
+            admissible=((0, 1),),
+            disturbance=make_distribution([0, 1], [0.5, 0.5]),
+            transition=[[[0, 0], [0, 0]]],
+            cost=[[[1e308, 1e308], [1.5e308, 1.5e308]]],
+            terminal_cost=[0.0],
+            discount=0.9,
+        )
+        spec = BoundingSpec(lb=(-0.5,), ub=(1.6e308,))
+        sweeps = []
+
+        def counted(*args):
+            sweeps.append(args)
+            return original(*args)
+
+        for module, name in ((solvers, "bellman_T"), (robust_check, "_adversary_values")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, counted)
+            sweeps.clear()
+            with pytest.raises(RiskMdpError, match="^non-finite value inf$"):
+                if module is solvers:
+                    solve_infinite(m, ExpectedShortfall(0.5), spec, 1e-8)
+                else:
+                    robust_value_iteration(m, dual_set(ExpectedShortfall(0.5)), spec, 1e-8)
+            assert len(sweeps) == 2, name
