@@ -18,10 +18,16 @@ milliseconds:
   the task fields and writing the values, policy and trace files;
 - ``main``: the whole ``cli.main`` run, for comparison with the sum.
 
+Two more columns follow: ``iters``, the solve's iteration count, and
+``us/sweep``, the warm sweep in microseconds, (solve - bounds) /
+(iters + 1): the solve's time less its bounds verification, over its
+sweeps and its greedy call. The first sweep, which builds the stage
+laws, is counted in with the warm ones.
+
 Each timed run starts on a fresh model object, and the output directory
 is deleted before each run, since rewriting an existing file can cost far
 more than writing a new one. The last line sums each column over the
-files. The library is imported from ``src/`` of this checkout, or from
+files, but its ``us/sweep`` is the mean over all their sweeps. The library is imported from ``src/`` of this checkout, or from
 ``--src`` to time another one on the same inputs.
 
 Example:
@@ -80,7 +86,7 @@ def phases(lib, path: Path, outdir: Path) -> dict:
     code, took["main"] = _timed(cli.main, argv)
     if code != 0:
         raise SystemExit(f"{path.name}: exit code {code}")
-    return took
+    return took, result.iterations
 
 
 def main() -> None:
@@ -96,20 +102,28 @@ def main() -> None:
 
     lib = Library()
     width = max(len(p) for p in PHASES) + 1
-    print(f"{'model (ms)':<36}" + "".join(f"{p:>{width}}" for p in PHASES))
+    print(f"{'model (ms)':<36}" + "".join(f"{p:>{width}}" for p in PHASES + ("iters", "us/sweep")))
+
+    def line(name, best, iters, sweeps):
+        warm = (best["solve"] - best["bounds"]) / sweeps
+        times = "".join(f"{best[p] * 1e3:>{width}.2f}" for p in PHASES)
+        print(f"{name:<36}{times}{iters:>{width}d}{warm * 1e6:>{width}.1f}")
+
     for seed in args.seeds:
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
             batch = workloads.infinite_cli(lib, seed, work / "cli")
-            totals = dict.fromkeys(PHASES, 0.0)
+            totals, total_iters = dict.fromkeys(PHASES, 0.0), 0
             for inst in sorted(batch.instances, key=lambda i: i.name):
                 path, outdir = work / "cli" / "models" / f"{inst.name}.json", work / "out"
                 runs = [phases(lib, path, outdir) for _ in range(args.runs)]
-                best = {p: min(run[p] for run in runs) for p in PHASES}
+                best = {p: min(took[p] for took, _ in runs) for p in PHASES}
+                iters = runs[0][1]
                 for p in PHASES:
                     totals[p] += best[p]
-                print(f"{f'seed {seed} {inst.name}':<36}" + "".join(f"{best[p] * 1e3:>{width}.2f}" for p in PHASES))
-            print(f"{f'seed {seed} total':<36}" + "".join(f"{totals[p] * 1e3:>{width}.2f}" for p in PHASES))
+                total_iters += iters
+                line(f"seed {seed} {inst.name}", best, iters, iters + 1)
+            line(f"seed {seed} total", totals, total_iters, total_iters + len(batch.instances))
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -54,6 +55,7 @@ from .solvers import check_contraction, solve_finite, solve_infinite
 __all__ = ["main", "entrypoint"]
 
 OK, VALIDATION_FAILURE, NOT_CONVERGED = 0, 2, 3
+MAX_HORIZON = 10**6  # stages: a finite solve keeps one value function and one rule per stage
 
 
 def _fmt(x: float) -> str:
@@ -96,23 +98,19 @@ def _complain(message: str) -> None:
 def _write_table(args, name: str, header: tuple[str, ...], rows) -> Path:
     if args.format == "json":
         return _write_json(args, f"{name}.json", [dict(zip(header, row)) for row in rows])
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{name}.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    return path
+    return _write(args, f"{name}.csv", "".join(",".join(row) + "\n" for row in (header, *rows)))
 
 
 def _write_json(args, name: str, payload) -> Path:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / name
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    return _write(args, name, json.dumps(payload, indent=2) + "\n")
+
+
+def _write(args, name: str, text: str) -> Path:
+    """``text`` as a new file ``name`` under ``--out``; a file there is removed, not rewritten in place."""
+    path = Path(args.out) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.unlink(missing_ok=True)
+    path.write_text(text, encoding="utf-8", newline="\n")
     return path
 
 
@@ -134,8 +132,8 @@ def _seed_for(args, task: dict) -> int:
 _REQUIRED = object()
 
 
-def _task_field(task: dict, key: str, kind: type, default=_REQUIRED, least: int = 1):
-    """One task parameter, checked: ``int`` >= ``least``, finite ``float`` > 0 or ``bool``.
+def _task_field(task: dict, key: str, kind: type, default=_REQUIRED, least: int = 1, most: float = math.inf):
+    """One task parameter, checked: ``int`` in [``least``, ``most``], finite ``float`` > 0 or ``bool``.
 
     An absent or null key takes ``default``, or is reported as missing.
     A value of the wrong type or range raises a located ModelFileError
@@ -152,6 +150,8 @@ def _task_field(task: dict, key: str, kind: type, default=_REQUIRED, least: int 
     elif kind is int:
         integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
         ok, want = number and integral and value >= least, f"an integer >= {least}"
+        if ok and value > most:
+            ok, want = False, f"at most {most}"
     else:
         ok, want = number and 0 < value <= sys.float_info.max, "a finite number > 0"
     if not ok:
@@ -181,7 +181,7 @@ def _single_risk(sections):
 
 def _run_solve_finite(args, sections) -> int:
     model, task = sections["model"], sections["task"]
-    horizon = _task_field(task, "horizon", int)
+    horizon = _task_field(task, "horizon", int, most=MAX_HORIZON)
     risk = _section(sections, "risk")
     result = solve_finite(model, risk, horizon)
     _write_solution(args, model, enumerate(result.values), enumerate(result.policy.stages))
@@ -257,7 +257,7 @@ def _run_robust_check(args, sections) -> int:
     report = verify_equivalence(
         model,
         risk,
-        _task_field(task, "horizon", int),
+        _task_field(task, "horizon", int, most=MAX_HORIZON),
         _task_field(task, "tol", float, 1e-10),
         enumerate_policies=_task_field(task, "enumerate", bool, True),
     )

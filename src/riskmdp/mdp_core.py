@@ -696,7 +696,9 @@ def _kept_values(model: MdpModel, risk: RiskMeasure, v: np.ndarray, memo: _Sweep
     succ, cost, probs = model._sweep[2:]
     beta = model.discount
     rows, law, weights, kept_succ, kept_cost = part or (None, memo.law, memo.weights, memo.succ, memo.cost)
-    atom = kept_cost + beta * v[kept_succ]
+    atom = np.take(v, kept_succ)  # cost + beta * v[succ], in place
+    atom *= beta
+    atom += kept_cost
     stale = law.stale(atom)
     if len(stale):
         at = stale if part is None else rows[stale]

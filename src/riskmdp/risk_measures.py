@@ -483,13 +483,16 @@ class _RowLaws:
         layout gives ``order`` again with the same ties: strictly ascending
         across each atom's end and equal inside it. NaN fails both tests.
         """
-        return _stale_rows(atom, self.end, np.less, np.equal)
+        return _stale_rows(atom, self.end if self.ties else None, np.less, np.equal)
 
     def splice(self, rows: np.ndarray, fresh: "_RowLaws", names: Sequence[str] = SHAPE) -> None:
-        """Write the shape of ``fresh``, the laws of ``rows`` rebuilt, over theirs."""
+        """Write the shape of ``fresh``, the laws of ``rows`` rebuilt, over theirs.
+
+        A column ties now if it tied before and still does in some row, or if it ties in ``fresh``.
+        """
         for name in names:
             getattr(self, name)[rows] = getattr(fresh, name)
-        self.ties = np.flatnonzero(~self.end.all(axis=0)).tolist()
+        self.ties = sorted({i for i in self.ties if not self.end[:, i].all()}.union(fresh.ties))
 
     def take(self, rows: np.ndarray) -> "_RowLaws":
         """A copy of ``rows``' ``VALUES`` tables, for a caller that only evaluates them."""
@@ -500,20 +503,23 @@ class _RowLaws:
         return sub
 
 
-def _stale_rows(laid: np.ndarray, mask: np.ndarray, where_set, where_clear) -> np.ndarray:
+def _stale_rows(laid: np.ndarray, mask: np.ndarray | None, where_set, where_clear) -> np.ndarray:
     """The indices, ascending, of the rows of ``laid`` with a neighbour pair that fails its test.
 
     Columns j and j + 1 of a row must pass ``where_set`` where ``mask`` is
     set at column j and ``where_clear`` elsewhere; both are comparison
-    ufuncs, which NaN fails.
+    ufuncs, which NaN fails. A ``mask`` of None is set everywhere.
     """
     n, m = laid.shape
     # compared as one flat run, since numpy steps slowly through short
     # rows; the pairs that straddle two rows are let through
     flat = laid.ravel()
     lo, hi = flat[:-1], flat[1:]
-    keeps = np.ones(n * m, dtype=bool)
-    keeps[:-1] = np.where(mask.ravel()[:-1], where_set(lo, hi), where_clear(lo, hi))
+    keeps = np.empty(n * m, dtype=bool)
+    if mask is None:
+        where_set(lo, hi, out=keeps[:-1])
+    else:
+        keeps[:-1] = np.where(mask.ravel()[:-1], where_set(lo, hi), where_clear(lo, hi))
     keeps[m - 1 :: m] = True
     if keeps.all():  # the usual case, and cheaper than a test per row
         return np.empty(0, dtype=np.intp)
@@ -526,19 +532,26 @@ def _running_sums(terms: np.ndarray) -> np.ndarray:
     Columns that are not an atom's end hold 0.0, which leaves such a sum
     exact. The sum starts at +0.0, as the scalar one does, so it is never
     -0.0. The columns are added one at a time, from a transposed copy:
-    numpy steps slowly through short rows.
+    numpy steps slowly through short rows. Reducing that copy over its
+    first axis adds row after row elementwise, the same additions; adding
+    0.0 last instead of first gives the same bits, since a sum is -0.0
+    only while every term so far is. A single row would be summed
+    pairwise, so it goes column by column.
     """
     cols = terms.T.copy()
+    if len(terms) > 1:
+        return np.add.reduce(cols, axis=0) + 0.0
     total = cols[0] + 0.0
     for col in cols[1:]:
         total += col
     return total
 
 
-# Tables of at least this many rows (and three columns) are summed by
+# Tables of at least this many entries (and three columns) are summed by
 # _certified_sums, with fsum only for the rows it leaves undecided; below
-# it, one fsum per row is faster. The sum is the same either way.
-CERTIFIED_MIN_ROWS = 200
+# it, one fsum per row is faster (the two broke even at 500 to 900 entries
+# from 3 to 20 columns). The sum is the same either way.
+CERTIFIED_MIN_CELLS = 600
 
 
 def _fsum_rows(terms: np.ndarray) -> np.ndarray:
@@ -558,7 +571,7 @@ def _fsum_rows(terms: np.ndarray) -> np.ndarray:
             if rest.any():  # fsum raises for inf + -inf and for a finite sum that overflows
                 total[rest] = _fsum_each(terms[rest])
         return total + 0.0
-    if n < CERTIFIED_MIN_ROWS:
+    if n * m < CERTIFIED_MIN_CELLS:
         return _fsum_each(terms)
     sums, certified = _certified_sums(terms)
     rest = np.flatnonzero(~certified)

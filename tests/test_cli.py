@@ -349,6 +349,8 @@ README_MODEL = {
         ({"type": "solve-finite"}, "task.horizon is missing"),
         ({"type": "solve-finite", "horizon": "two"}, "task.horizon: expected an integer >= 1"),
         ({"type": "solve-finite", "horizon": 1.5}, "task.horizon: expected an integer >= 1"),
+        ({"type": "solve-finite", "horizon": 10**6 + 1}, "task.horizon: expected at most 1000000, got 1000001"),
+        ({"type": "robust-check", "horizon": 1e20}, "task.horizon: expected at most 1000000, got 1e+20"),
         ({"type": "solve-infinite"}, "task.tol is missing"),
         ({"type": "solve-infinite", "tol": "x"}, "task.tol: expected a finite number > 0"),
         ({"type": "solve-infinite", "tol": -1e-8}, "task.tol: expected a finite number > 0"),
@@ -598,12 +600,12 @@ FUZZ_PATHS = [path for section in ("model", "risk", "bounds") for path in _paths
 FUZZ_VALUES = (_DROP, None, "x", [], {}, True, math.nan, math.inf, -math.inf, -1, -2.5, 1e20, 1e308, -1e308)
 
 
-def _mutated(mutations):
-    """The README model file, solving to tol 1e-8, with each (path, value) applied in turn.
+def _mutated(mutations, doc=None):
+    """``doc``, by default the README model file solving to tol 1e-8, with each (path, value) applied in turn.
 
     A mutation whose path an earlier one removed or replaced is passed over.
     """
-    doc = json.loads(json.dumps(dict(README_MODEL, task={"type": "solve-infinite", "tol": 1e-8})))
+    doc = json.loads(json.dumps(doc or dict(README_MODEL, task={"type": "solve-infinite", "tol": 1e-8})))
     for (*parents, last), value in mutations:
         target = doc
         try:
@@ -740,3 +742,59 @@ def test_the_one_call_table_reader_agrees_with_the_per_cell_reader(obj):
             assert one.dtype == other.dtype and one.shape == other.shape and one.tobytes() == other.tobytes()
         else:
             assert repr(one) == repr(other)
+
+
+# the task types that read tol, max_iter, horizon or seed, each with a base task it solves quickly
+TASK_BASES = {
+    "solve-infinite": {"tol": 1e-8, "max_iter": 500},
+    "solve-finite": {"horizon": 2},
+    "robust-check": {"horizon": 2, "tol": 1e-10},
+    "verify-axioms": {"trials": 5, "seed": 0},
+    "check-contraction": {"trials": 5, "seed": 0},
+}
+TASK_PATHS = [("task", key) for key in ("type", "tol", "max_iter", "horizon", "seed")]
+TASK_VALUES = FUZZ_VALUES + (0, 1, 3, 2.0, 0.5, 1e-300, "2", *TASK_BASES)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(sorted(TASK_BASES)),
+    mutations=st.lists(st.tuples(st.sampled_from(TASK_PATHS), st.sampled_from(TASK_VALUES)), min_size=1, max_size=3),
+)
+@example(command="solve-finite", mutations=[(("task", "horizon"), 1e20)])
+@example(command="robust-check", mutations=[(("task", "horizon"), 1e308)])
+@example(command="verify-axioms", mutations=[(("task", "seed"), 1e308)])
+@example(command="solve-infinite", mutations=[(("task", "tol"), 1e-300), (("task", "max_iter"), 1e20)])
+def test_a_mutated_task_exits_0_or_2_with_a_located_message(tmp_path, capsys, command, mutations):
+    doc = dict(README_MODEL, task=dict(TASK_BASES[command], type=command))
+    doc = _mutated(mutations, doc)
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    code = main([command, write(work / "m.json", doc), "--out", str(work / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    if code == 3:  # a solve stopped by its max_iter
+        assert command == "solve-infinite" and not err
+    else:
+        assert code in (0, 2) and (code == 0) == (not err), (code, err)
+        assert "Traceback" not in err and (code == 0 or "task" in err), err
+
+
+def test_a_rerun_replaces_each_output_file_with_a_new_one(tmp_path, casino_doc):
+    # removed and written anew: a hard link to an old file keeps the old
+    # bytes, and the new bytes equal those of a run into a fresh directory
+    verify = dict(README_MODEL, task={"type": "verify-bounds"})
+    for command, doc, names in (
+        ("solve-finite", casino_doc, ("values.csv", "policy.csv")),
+        ("verify-bounds", verify, ("report.json",)),
+    ):
+        work = tmp_path / command
+        fresh, out = work / "fresh", work / "out"
+        path = write(tmp_path / f"{command}.json", doc)
+        assert main([command, path, "--out", str(fresh), "--quiet"]) == 0
+        out.mkdir(parents=True)
+        for name in names:
+            (out / name).write_text("old\n")
+            (work / f"linked_{name}").hardlink_to(out / name)
+        assert main([command, path, "--out", str(out), "--quiet"]) == 0
+        for name in names:
+            assert (work / f"linked_{name}").read_text() == "old\n"
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()

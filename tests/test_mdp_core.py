@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskmdp import mdp_core, robust_check, solvers
+from riskmdp import mdp_core, risk_measures, robust_check, solvers
 from riskmdp.distributions import make_distribution
 from riskmdp.errors import (
     DimensionMismatch,
@@ -756,6 +756,40 @@ class TestRowLawShape:
                 assert i in stale  # NaN fails both tests, so its row is always rebuilt
             else:
                 assert (i not in stale) == same, (old[i], new[i])
+
+    @settings(max_examples=300)
+    @given(
+        old=st.lists(st.lists(st.sampled_from(ROW_POOL), min_size=4, max_size=4), min_size=1, max_size=6),
+        new=st.lists(st.lists(st.sampled_from(ROW_POOL), min_size=4, max_size=4), min_size=6, max_size=6),
+    )
+    def test_splicing_the_stale_rows_keeps_the_tied_columns_exact(self, old, new):
+        # ``ties`` is updated from the spliced rows; it must name exactly the
+        # columns that some row merges, or the tie-free stale test would run
+        # on a table with ties
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        old, new = np.array(old), np.array(new[: len(old)])
+        kept = _RowLaws(old, probs)
+        laid = np.take_along_axis(new, kept.order, axis=1)
+        stale = kept.stale(laid)
+        kept.splice(stale, _RowLaws(new[stale], probs))
+        assert kept.ties == np.flatnonzero(~kept.end.all(axis=0)).tolist()
+        assert kept.stale(np.take_along_axis(new, kept.order, axis=1)).tolist() == np.flatnonzero(np.isnan(new).any(axis=1)).tolist()
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (5, 4), (300, 8)])
+    def test_the_tie_free_stale_test_equals_the_masked_one(self, n, m):
+        rng = np.random.default_rng(n * m)
+        laid = np.sort(rng.uniform(-1.0, 1.0, (n, m)), axis=1)
+        laid[::3] = laid[::3, ::-1]  # every third row out of order
+        laid[1::4, -1] = math.nan  # and every fourth from the second holds NaN
+        if m > 1:
+            laid[2::5, 0] = laid[2::5, 1]  # ties, which a strict test refuses
+        every = np.ones((n, m), dtype=bool)
+        expected = risk_measures._stale_rows(laid, every, np.less, np.equal)
+        assert risk_measures._stale_rows(laid, None, np.less, np.equal).tolist() == expected.tolist()
+        assert set(range(0, n, 3) if m > 1 else ()) | set(range(1, n, 4)) <= set(expected.tolist())
+        tie_free = _RowLaws(np.sort(rng.uniform(-1.0, 1.0, (n, m)), axis=1), np.full(m, 1.0 / m))
+        assert tie_free.ties == []
+        assert tie_free.stale(laid).tolist() == expected.tolist()
 
 
 class TestArrayModel:

@@ -131,10 +131,13 @@ def test_cli_phases_prints_one_line_of_phase_times_per_model_file():
         f"random_{i}_{kind}"
         for i, kind in enumerate(("expectation", "mixture", "spectral", "expected_shortfall", "value_at_risk", "entropic"))
     ]
-    times = r"( +[0-9]+\.[0-9]{2}){8}"
-    patterns = [r"model \(ms\) +load +parse +validate +argparse +bounds +solve +write +main"]
+    times = r"( +[0-9]+\.[0-9]{2}){8} +[0-9]+ +-?[0-9]+\.[0-9]"
+    patterns = [r"model \(ms\) +load +parse +validate +argparse +bounds +solve +write +main +iters +us/sweep"]
     patterns += [f"seed 1 {name}{times}" for name in models] + [f"seed 1 total{times}"]
     lines = run.stdout.splitlines()
     assert len(lines) == len(patterns), run.stdout
     for line, pattern in zip(lines, patterns):
         assert re.fullmatch(pattern, line), line
+    # the total line sums the iterations
+    iters = [int(line.split()[-2]) for line in lines[1:]]
+    assert min(iters) > 0 and iters[-1] == sum(iters[:-1]), run.stdout

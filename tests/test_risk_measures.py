@@ -24,6 +24,7 @@ from riskmdp.risk_measures import (
     ValueAtRisk,
     _certified_sums,
     _fsum_rows,
+    _running_sums,
     describe,
     dual_sup,
     evaluate,
@@ -370,8 +371,8 @@ HARD_ROWS = [
 
 
 def _tiled(rows):
-    """``rows`` repeated into a table of at least ``CERTIFIED_MIN_ROWS`` rows."""
-    reps = -(-risk_measures.CERTIFIED_MIN_ROWS // len(rows))
+    """``rows`` repeated into a table of at least ``CERTIFIED_MIN_CELLS`` entries."""
+    reps = -(-risk_measures.CERTIFIED_MIN_CELLS // (len(rows) * len(rows[0])))
     return np.array(rows * reps, dtype=float)
 
 
@@ -462,7 +463,7 @@ class TestCertifiedSums:
                 rows.append([hi, j * gap / 4, lo, 0.0])
         rows += [[2.0, -1.0, -1.0, 0.0], [-0.0, 0.0, -0.0, 0.0], [5.0, -5.0, 1e-300, -1e-300]]
         table = np.array(rows)
-        assert len(table) >= risk_measures.CERTIFIED_MIN_ROWS
+        assert table.size >= risk_measures.CERTIFIED_MIN_CELLS
         sums, certified = _certified_sums(table)
         expected = _exact_fallbacks(table)
         assert (~certified).sum() == expected.sum() == 2 * 63 + 3
@@ -496,6 +497,54 @@ def test_certified_sums_equal_fsum_on_random_rows(data):
             _fsum_rows(_tiled(rows))
     else:
         assert [v.hex() for v in _fsum_rows(_tiled(rows)).tolist()] == expected
+
+
+
+class TestSizeGate:
+    """``_fsum_rows`` either side of ``CERTIFIED_MIN_CELLS``: the route changes, the bits do not."""
+
+    @pytest.mark.parametrize("m", [3, 4, 8, 10, 16])
+    def test_both_sides_of_the_gate_give_fsums_bits(self, monkeypatch, m):
+        certified = []
+        monkeypatch.setattr(risk_measures, "_certified_sums", lambda t: certified.append(t.shape) or _certified_sums(t))
+        gate = risk_measures.CERTIFIED_MIN_CELLS
+        rng = np.random.default_rng(m)
+        for n in (-(-gate // m) - 1, -(-gate // m)):  # the last table below the gate, the first at it
+            table = rng.uniform(-10.0, 10.0, (n, m)) * rng.dirichlet(np.ones(m), n)
+            table[::7, 1] = -0.0
+            table[1] = [0.0, -0.0] * (m // 2) + [-0.0] * (m % 2)  # a zero row, which fsum gives as +0.0
+            assert [v.hex() for v in _fsum_rows(table).tolist()] == _fsum_hexes(table)
+        assert certified == [(-(-gate // m), m)]
+
+
+def _column_loop(terms):
+    """The scalar route's ``acc += term``, from +0.0, one column at a time."""
+    total = terms[:, 0] + 0.0
+    for j in range(1, terms.shape[1]):
+        total = total + terms[:, j]
+    return total
+
+
+class TestRunningSums:
+    SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308, TINY)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2499])
+    @pytest.mark.parametrize("m", [1, 2, 4, 9, 20])
+    def test_one_pass_equals_the_column_loop_bit_for_bit(self, n, m):
+        rng = np.random.default_rng(1000 * n + m)
+        for share in (0.0, 0.05, 0.5, 1.0):
+            terms = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-30, 30, (n, m))
+            special = rng.random((n, m)) < share
+            terms[special] = rng.choice(self.SPECIAL, special.sum())
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = [v.hex() for v in _column_loop(terms).tolist()]
+                assert [v.hex() for v in _running_sums(terms).tolist()] == expected
+
+    def test_signed_zero_rows_sum_to_plus_zero(self):
+        terms = np.array([[-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0], [1.0, -1.0, -0.0], [-0.0, -0.0, 2.0]])
+        for rows in (terms, terms[:1], terms[:2]):
+            assert [v.hex() for v in _running_sums(rows).tolist()] == [v.hex() for v in _column_loop(rows).tolist()]
+        assert [v.hex() for v in _running_sums(terms).tolist()] == ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+1"]
 
 
 def _bound_risks():

@@ -108,6 +108,86 @@ class TestDualSet:
             assert not ds.feasible([0.5, 0.5], [0.5, bad])
 
 
+
+def _es_parts(risk):
+    """``risk`` as a mixture sum_i w_i ES_{a_i}: (w_i, a_i) pairs (Acerbi 2002; Kusuoka 2001).
+
+    A step spectrum phi = sum_j d_j 1{u >= u_j}, with d_0 = phi_0 and d_j
+    its j-th rise, is sum_j d_j (1 - u_j) ES_{u_j}, since ES_a has the
+    spectrum 1{u >= a} / (1 - a); the expectation is ES_0.
+    """
+    if isinstance(risk, Expectation):
+        return [(1.0, 0.0)]
+    if isinstance(risk, ExpectedShortfall):
+        return [(1.0, risk.level)]
+    if isinstance(risk, Spectral):
+        steps = risk.phi.breakpoints
+        rises = [(phi - (steps[j - 1][1] if j else 0.0)) * (1.0 - u) for j, (u, phi) in enumerate(steps)]
+        return [(w, u) for w, (u, _) in zip(rises, steps) if w > 0.0]
+    w = risk.weight
+    return [(w * v, a) for v, a in _es_parts(risk.first)] + [((1.0 - w) * v, a) for v, a in _es_parts(risk.second)]
+
+
+def _lp_sup(risk, values, probs):
+    """sup_q sum_z q_z values_z over the dual set of ``risk``, by one linear program.
+
+    One density q_i per ES part, each in {0 <= q_i <= p / (1 - a_i), sum q_i = 1}
+    (Rockafellar & Uryasev 2000); the mixture's dual set is their weighted sum.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    parts, k = _es_parts(risk), len(values)
+    objective = np.concatenate([-w * np.asarray(values) for w, _ in parts])
+    bounds = [(0.0, p / (1.0 - a)) for _, a in parts for p in probs]
+    sums = np.kron(np.eye(len(parts)), np.ones(k))
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    lp = optimize.linprog(objective, A_eq=sums, b_eq=np.ones(len(parts)), bounds=bounds, method="highs", options=tight)
+    assert lp.status == 0, lp.message
+    q = sum(w * lp.x[i * k : (i + 1) * k] for i, (w, _) in enumerate(parts))
+    return math.fsum(q * np.asarray(values)), q
+
+
+class TestDualSetLinearProgram:
+    """``DualSet.sup`` against a linear program that shares no code with it."""
+
+    @staticmethod
+    def step_spectrum(rng):
+        cuts = sorted(rng.choice([0.1, 0.25, 0.5, 0.75, 0.9], size=int(rng.integers(0, 4)), replace=False).tolist())
+        raw = np.sort(rng.uniform(0.0, 2.0, len(cuts) + 1))
+        us = [0.0] + cuts
+        mass = float(np.dot(raw, np.diff(us + [1.0])))
+        return Spectral(StepSpectrum(tuple((u, float(r) / mass) for u, r in zip(us, raw))))
+
+    def test_es_and_step_spectra_agree_with_the_lp_to_1e_10(self):
+        rng = np.random.default_rng(2010)
+        for case in range(400):
+            k = int(rng.integers(1, 9))
+            probs = rng.dirichlet(np.ones(k)).tolist()
+            if case % 2:  # tied atoms: values from a coarse grid
+                values = rng.integers(-2, 3, k).astype(float).tolist()
+            else:
+                values = rng.uniform(-10.0, 10.0, k).tolist()
+            level = float(rng.choice([0.0, 0.3, 0.5, 0.9, 0.99, rng.uniform(0.0, 0.99)]))
+            spectral = self.step_spectrum(rng)
+            for risk in (
+                ExpectedShortfall(level),
+                spectral,
+                Mixture(float(rng.uniform()), ExpectedShortfall(level), spectral),
+            ):
+                ds = dual_set(risk)
+                got, density = ds.sup(values, probs)
+                want, q = _lp_sup(risk, values, probs)
+                assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (risk, values, probs)
+                assert ds.feasible(density, probs) and ds.feasible(q.tolist(), probs, tol=1e-9)
+
+    def test_the_es_caps_bind_where_the_oracle_says(self):
+        # the worst half of a four-point law: the cap p / (1 - a) fills the top atoms
+        values, probs = [3.0, 1.0, 2.0, 2.0], [0.25, 0.25, 0.25, 0.25]
+        want, q = _lp_sup(ExpectedShortfall(0.5), values, probs)
+        assert want == pytest.approx(2.5, abs=1e-12)
+        assert q[0] == pytest.approx(0.5, abs=1e-12) and q[1] == pytest.approx(0.0, abs=1e-12)
+        assert dual_set(ExpectedShortfall(0.5)).sup(values, probs)[0] == pytest.approx(want, abs=1e-12)
+
+
 class TestNatureBestResponse:
     def test_singleton_dual_set_is_policy_evaluation(self):
         rng = np.random.default_rng(51)
