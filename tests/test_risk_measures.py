@@ -499,7 +499,6 @@ def test_certified_sums_equal_fsum_on_random_rows(data):
         assert [v.hex() for v in _fsum_rows(_tiled(rows)).tolist()] == expected
 
 
-
 class TestSizeGate:
     """``_fsum_rows`` either side of ``CERTIFIED_MIN_CELLS``: the route changes, the bits do not."""
 
