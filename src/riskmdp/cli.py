@@ -30,6 +30,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import examples as ex
@@ -56,6 +57,7 @@ __all__ = ["main", "entrypoint"]
 
 OK, VALIDATION_FAILURE, NOT_CONVERGED = 0, 2, 3
 MAX_HORIZON = 10**6  # stages: a finite solve keeps one value function and one rule per stage
+MAX_TRIALS = 10**6  # about 0.1 ms per axiom trial, 0.4 ms per contraction trial at 49 states x 49 actions (x86-64)
 
 
 def _fmt(x: float) -> str:
@@ -210,9 +212,9 @@ def _run_solve_infinite(args, sections) -> int:
 def _run_verify_axioms(args, sections) -> int:
     task = sections["task"]
     risk = _single_risk(sections)
-    trials = _task_field(task, "trials", int, 500)
+    trials = _task_field(task, "trials", int, 500, most=MAX_TRIALS)
     report = check_axioms(risk, trials, _seed_for(args, task))
-    _write_json(args, "report.json", {"task": "verify-axioms", "report": report.to_dict()})
+    _write_json(args, "report.json", {"task": "verify-axioms", "report": asdict(report)})
     _say(args, f"axiom report for {describe(risk)}: {'PASS' if report.passed else 'FAIL'}")
     return OK
 
@@ -222,7 +224,7 @@ def _run_verify_bounds(args, sections) -> int:
     spec = _section(sections, "bounds")
     risk = _single_risk(sections)
     report = verify_bounds(model, risk, spec)
-    _write_json(args, "report.json", {"task": "verify-bounds", "report": report.to_dict()})
+    _write_json(args, "report.json", {"task": "verify-bounds", "report": asdict(report)})
     _say(args, f"bounds {'verified' if report.ok else 'VIOLATED'} (modulus {report.modulus:g})")
     return OK
 
@@ -231,7 +233,7 @@ def _run_check_contraction(args, sections) -> int:
     model, task = sections["model"], sections["task"]
     spec = _section(sections, "bounds")
     risk = _single_risk(sections)
-    trials = _task_field(task, "trials", int, 100)
+    trials = _task_field(task, "trials", int, 100, most=MAX_TRIALS)
     seed = _seed_for(args, task)
     ratio = check_contraction(model, risk, spec, trials, seed)
     modulus = spec.modulus(model.discount)
@@ -261,7 +263,7 @@ def _run_robust_check(args, sections) -> int:
         _task_field(task, "tol", float, 1e-10),
         enumerate_policies=_task_field(task, "enumerate", bool, True),
     )
-    _write_json(args, "report.json", {"task": "robust-check", "report": report.to_dict()})
+    _write_json(args, "report.json", {"task": "robust-check", "report": asdict(report)})
     _say(args, f"robust equivalence {'PASS' if report.passed else 'FAIL'} "
                f"(dp vs game {report.max_diff_dp_robust:.3e})")
     return OK

@@ -21,7 +21,7 @@ update is a contraction with modulus alpha * discount.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import chain
 from typing import Sequence
@@ -197,16 +197,8 @@ class MdpModel:
         object.__setattr__(self, "z_indices", tuple(int(a) for a in self.disturbance.atoms))
 
     def _key(self) -> tuple:
-        return (
-            self.n_states,
-            self.n_actions,
-            self.admissible,
-            self.disturbance,
-            self.terminal_cost,
-            self.discount,
-            self.state_labels,
-            self.z_labels,
-        )
+        """Every init field but the two tables, which ``__eq__`` compares by ``_tables_equal``."""
+        return tuple(getattr(self, f.name) for f in fields(self) if f.init and f.name not in ("transition", "cost"))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -982,15 +974,6 @@ class BoundViolation:
     lhs: float
     rhs: float
 
-    def to_dict(self) -> dict:
-        return {
-            "inequality": self.inequality,
-            "state": self.state,
-            "action": self.action,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
-
 
 @dataclass(frozen=True)
 class BoundsReport:
@@ -1002,18 +985,6 @@ class BoundsReport:
     violations: tuple[BoundViolation, ...]
     global_lb: tuple[float, ...] | None
     global_ub: tuple[float, ...] | None
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "alpha": self.alpha,
-            "discount": self.discount,
-            "modulus": self.modulus,
-            "ok": self.ok,
-            "violations": [v.to_dict() for v in self.violations],
-            "global_lb": list(self.global_lb) if self.global_lb is not None else None,
-            "global_ub": list(self.global_ub) if self.global_ub is not None else None,
-        }
 
 
 def verify_bounds(

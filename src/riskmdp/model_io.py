@@ -11,6 +11,7 @@ back to the identical in-memory object.
 from __future__ import annotations
 
 import reprlib
+from dataclasses import asdict
 from itertools import chain, compress, repeat
 from operator import is_not
 from typing import Any
@@ -347,13 +348,7 @@ def parse_bounds(obj: Any) -> BoundingSpec:
 
 
 def bounds_to_obj(spec: BoundingSpec) -> dict:
-    return {
-        "lb": list(spec.lb),
-        "ub": list(spec.ub),
-        "eps_split": list(spec.eps_split),
-        "alpha": spec.alpha,
-        "mode": spec.mode.value,
-    }
+    return asdict(spec)  # JSON writes the tuples as arrays and the str-valued mode as its value
 
 
 def parse_model_file(doc: Any) -> dict:

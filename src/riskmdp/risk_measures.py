@@ -959,41 +959,23 @@ class PropertyCheck:
     max_violation: float
     witness: dict | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "trials": self.trials,
-            "max_violation": self.max_violation,
-            "witness": self.witness,
-        }
-
 
 @dataclass(frozen=True)
 class AxiomReport:
     risk: str
     seed: int
     trials: int
+    passed: bool = field(init=False)  # no check FAILs; before ``checks``, as a report lists it
     checks: tuple[PropertyCheck, ...]
 
-    @property
-    def passed(self) -> bool:
-        return all(c.status != "FAIL" for c in self.checks)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", all(c.status != "FAIL" for c in self.checks))
 
     def check(self, name: str) -> PropertyCheck:
         for c in self.checks:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "risk": self.risk,
-            "seed": self.seed,
-            "trials": self.trials,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
 
 def random_distribution(rng: np.random.Generator) -> DiscreteDistribution:

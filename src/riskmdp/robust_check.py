@@ -464,22 +464,6 @@ class EquivalenceReport:
     max_diff_enumeration: float | None
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "risk": self.risk,
-            "horizon": self.horizon,
-            "tol": self.tol,
-            "dp_values": list(self.dp_values),
-            "robust_values": list(self.robust_values),
-            "enumerated_values": list(self.enumerated_values)
-            if self.enumerated_values is not None
-            else None,
-            "n_policies": self.n_policies,
-            "max_diff_dp_robust": self.max_diff_dp_robust,
-            "max_diff_enumeration": self.max_diff_enumeration,
-            "passed": self.passed,
-        }
-
 
 def verify_equivalence(
     model: MdpModel,

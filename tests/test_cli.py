@@ -1,6 +1,7 @@
 """End-to-end command-line tests on temporary model files."""
 
 import copy
+import hashlib
 import json
 import math
 import tempfile
@@ -24,9 +25,20 @@ from riskmdp.model_io import (
     model_to_obj,
     parse_model,
     parse_model_file,
+    parse_risk,
     risk_to_obj,
 )
-from riskmdp.risk_measures import Expectation, ExpectedShortfall, Mixture
+from riskmdp.risk_measures import (
+    Distortion,
+    DistortionFunction,
+    Entropic,
+    Expectation,
+    ExpectedShortfall,
+    Mixture,
+    Spectral,
+    StepSpectrum,
+    describe,
+)
 
 from helpers import make_huge_cost_model
 
@@ -316,6 +328,37 @@ def test_bounds_round_trip():
     assert parse_bounds(bounds_to_obj(spec)) == spec
 
 
+_CONCAVE = Distortion(DistortionFunction("piecewise_linear", knots=((0.0, 0.0), (0.3, 0.6), (1.0, 1.0))))
+_SPECTRAL = Spectral(StepSpectrum(breakpoints=((0.0, 0.25), (0.4, 1.5))))
+
+
+@pytest.mark.parametrize(
+    "risk",
+    [
+        Distortion(DistortionFunction("identity")),
+        Distortion(DistortionFunction("var_indicator", level=0.6)),
+        Distortion(DistortionFunction("es_cap", level=0.7)),
+        _CONCAVE,
+        _SPECTRAL,
+        Entropic(0.5),
+        Mixture(0.3, Entropic(2.0), Mixture(0.5, _SPECTRAL, _CONCAVE)),
+    ],
+    ids=describe,
+)
+def test_every_risk_kind_round_trips_through_the_model_file(risk):
+    assert parse_risk(json.loads(json.dumps(risk_to_obj(risk)))) == risk
+
+
+def test_verify_axioms_on_a_piecewise_linear_distortion(tmp_path, capsys):
+    doc = {"risk": risk_to_obj(_CONCAVE), "task": {"type": "verify-axioms", "trials": 30, "seed": 2}}
+    out = tmp_path / "out"
+    assert main(["verify-axioms", write(tmp_path / "m.json", doc), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "axiom report for distortion(pwl,3 knots): PASS\n"
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert report["risk"] == "distortion(pwl,3 knots)" and report["passed"] is True
+    assert {c["name"]: c["status"] for c in report["checks"]}["subadditivity"] == "PASS"
+
+
 # The README's model file; each case below replaces its task section.
 README_MODEL = {
     "model": {
@@ -351,6 +394,8 @@ README_MODEL = {
         ({"type": "solve-finite", "horizon": 1.5}, "task.horizon: expected an integer >= 1"),
         ({"type": "solve-finite", "horizon": 10**6 + 1}, "task.horizon: expected at most 1000000, got 1000001"),
         ({"type": "robust-check", "horizon": 1e20}, "task.horizon: expected at most 1000000, got 1e+20"),
+        ({"type": "verify-axioms", "trials": 1e20}, "task.trials: expected at most 1000000, got 1e+20"),
+        ({"type": "check-contraction", "trials": 10**6 + 1}, "task.trials: expected at most 1000000, got 1000001"),
         ({"type": "solve-infinite"}, "task.tol is missing"),
         ({"type": "solve-infinite", "tol": "x"}, "task.tol: expected a finite number > 0"),
         ({"type": "solve-infinite", "tol": -1e-8}, "task.tol: expected a finite number > 0"),
@@ -436,6 +481,12 @@ _MIXTURE = {"kind": "mixture", "first": {"kind": "expectation"}, "second": {"kin
         (_casino_example(win_prob=_DROP), "task.params.win_prob is missing"),
         (_casino_example(horizon=2.7), "task.params.horizon: cannot read 2.7 (not an integer)"),
         (_casino_example(win_prob=1.5), "win probability must lie in [0, 1], got 1.5"),
+        (_with(("task", "params"), [0.75, 2], _casino_example()), "task.params must be an object, got [0.75, 2]"),
+        (_with(("task", "name"), "roulette", _casino_example()), "unknown example name 'roulette'"),
+        (_with(("task", "task"), _DROP, _casino_example()), "example task needs a nested 'task' object"),
+        (_with(("task", "task"), {"horizon": 2}, _casino_example()), "example task needs a nested 'task' object"),
+        (_with(("task", "task"), {"type": "solve-forever"}, _casino_example()), "unknown command 'solve-forever'"),
+        (_with(("risk",), [README_MODEL["risk"]]), "this task needs a single risk specification"),
         (_with(("bounds", "ub"), [2.5, math.nan]), "ub[1] is not a number"),
         (_with(("bounds", "alpha"), math.nan), "alpha must be finite and >= 0, got nan"),
         (_with(("bounds", "eps_split"), [math.nan, math.nan]), "eps split must be nonnegative and sum to 1"),
@@ -475,6 +526,22 @@ def test_malformed_fields_exit_2_with_a_located_message(tmp_path, capsys, doc, l
     assert main([doc["task"]["type"], path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert located in err and "Traceback" not in err
+
+
+def test_a_model_file_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = write(tmp_path / "m.json", [dict(README_MODEL, task={"type": "solve-finite", "horizon": 1})])
+    assert main(["solve-finite", path, "--quiet"]) == 2
+    assert capsys.readouterr().err == "model file must be a JSON object\n"
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_a_seed_flag_that_is_not_a_count_exits_2(tmp_path, capsys, seed):
+    path = write(tmp_path / "m.json", dict(README_MODEL, task={"type": "verify-axioms", "trials": 5}))
+    with pytest.raises(SystemExit) as stop:
+        main(["verify-axioms", path, "--out", str(tmp_path / "out"), "--seed", seed])
+    err = capsys.readouterr().err
+    assert stop.value.code == 2 and not (tmp_path / "out").exists()
+    assert err.splitlines()[-1].endswith(f"error: argument --seed: expected an integer >= 0, got '{seed}'")
 
 
 def test_a_wrong_n_outcomes_is_refused_before_a_null_cell_is_built(tmp_path, capsys):
@@ -744,7 +811,7 @@ def test_the_one_call_table_reader_agrees_with_the_per_cell_reader(obj):
             assert repr(one) == repr(other)
 
 
-# the task types that read tol, max_iter, horizon or seed, each with a base task it solves quickly
+# the task types that read tol, max_iter, horizon, trials or seed, each with a base task it solves quickly
 TASK_BASES = {
     "solve-infinite": {"tol": 1e-8, "max_iter": 500},
     "solve-finite": {"horizon": 2},
@@ -752,7 +819,7 @@ TASK_BASES = {
     "verify-axioms": {"trials": 5, "seed": 0},
     "check-contraction": {"trials": 5, "seed": 0},
 }
-TASK_PATHS = [("task", key) for key in ("type", "tol", "max_iter", "horizon", "seed")]
+TASK_PATHS = [("task", key) for key in ("type", "tol", "max_iter", "horizon", "trials", "seed")]
 TASK_VALUES = FUZZ_VALUES + (0, 1, 3, 2.0, 0.5, 1e-300, "2", *TASK_BASES)
 
 
@@ -764,6 +831,8 @@ TASK_VALUES = FUZZ_VALUES + (0, 1, 3, 2.0, 0.5, 1e-300, "2", *TASK_BASES)
 @example(command="solve-finite", mutations=[(("task", "horizon"), 1e20)])
 @example(command="robust-check", mutations=[(("task", "horizon"), 1e308)])
 @example(command="verify-axioms", mutations=[(("task", "seed"), 1e308)])
+@example(command="verify-axioms", mutations=[(("task", "trials"), 1e20)])
+@example(command="check-contraction", mutations=[(("task", "trials"), 1e308)])
 @example(command="solve-infinite", mutations=[(("task", "tol"), 1e-300), (("task", "max_iter"), 1e20)])
 def test_a_mutated_task_exits_0_or_2_with_a_located_message(tmp_path, capsys, command, mutations):
     doc = dict(README_MODEL, task=dict(TASK_BASES[command], type=command))
@@ -798,3 +867,84 @@ def test_a_rerun_replaces_each_output_file_with_a_new_one(tmp_path, casino_doc):
         for name in names:
             assert (work / f"linked_{name}").read_text() == "old\n"
             assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
+# Each report task on fixed inputs, and the example task's files with a bounds
+# section: (command, model file, {output file: SHA-256 of its bytes}). The
+# digests pin the files byte for byte (recorded on x86-64 Linux, Python 3.11,
+# numpy 2.4): a change to how a report or model is written shows here.
+_AXIOM_TASK = {"type": "verify-axioms", "trials": 40, "seed": 7}
+REPORT_FILES = [
+    pytest.param(
+        "verify-axioms",
+        {"risk": {"kind": "expected_shortfall", "level": 0.9}, "task": _AXIOM_TASK},
+        {"report.json": "2e3c29b3c209453f440e83c70261a5c16dd813efe90d68912ea4909469dcec81"},
+        id="verify-axioms-expected-shortfall",
+    ),
+    pytest.param(
+        "verify-axioms",  # not subadditive: the report holds a witness
+        {"risk": {"kind": "value_at_risk", "level": 0.7}, "task": _AXIOM_TASK},
+        {"report.json": "f571c2d910b8a83603aa145cfed7dbeaa85b345ae7f4a9e7f3f62a86eabfc713"},
+        id="verify-axioms-value-at-risk",
+    ),
+    pytest.param(
+        "verify-bounds",
+        dict(README_MODEL, task={"type": "verify-bounds"}),
+        {"report.json": "b55664a77fb3ecaa21cffa1337e2288c0b1f8c655f0ef7f556bea184f35f51bf"},
+        id="verify-bounds",
+    ),
+    pytest.param(
+        "verify-bounds",  # state 0 pays 2.0 above ub 1.0
+        _with(("bounds", "ub"), [1.0, 1.0], dict(README_MODEL, task={"type": "verify-bounds"})),
+        {"report.json": "4d6f5adaf98228c02e192202f905b17dc0e838904f266b2a33863a590f9aee18"},
+        id="verify-bounds-violated",
+    ),
+    pytest.param(
+        "check-contraction",
+        dict(README_MODEL, task={"type": "check-contraction", "trials": 20, "seed": 4}),
+        {"report.json": "ed6549794a59e5b02f47f4a12c8ce796dbf6b1e44781574a73f16942a4c705ff"},
+        id="check-contraction",
+    ),
+    pytest.param(
+        "robust-check",
+        dict(README_MODEL, task={"type": "robust-check", "horizon": 2, "tol": 1e-10}),
+        {"report.json": "2601a8b7f81492299d5f6ceffa8163e96d3c38793d2632fe4eb5d619a320ebb7"},
+        id="robust-check",
+    ),
+    pytest.param(
+        "robust-check",
+        dict(README_MODEL, task={"type": "robust-check", "horizon": 2, "tol": 1e-10, "enumerate": False}),
+        {"report.json": "7d1e86977a09938a8bd276aa55cf69787c1a567fbdb2693731428e19d7f86ca6"},
+        id="robust-check-no-enumeration",
+    ),
+    pytest.param(
+        "example",
+        {
+            "risk": {"kind": "value_at_risk", "level": 0.5},
+            "bounds": {"lb": [-9.0, -9.0, -9.0], "ub": [9.0, 9.0, 9.0], "eps_split": [0.25, 0.75], "alpha": 1.0},
+            "task": {
+                "type": "example",
+                "name": "var_myopic",
+                "params": {
+                    "labels": [0.0, 1.0, 2.0],
+                    "shifts": [[-1.0, 0.35], [0.0, 0.3], [1.0, 0.35]],
+                    "action_shifts": [0.0, -1.0],
+                },
+                "task": {"type": "solve-finite", "horizon": 3},
+            },
+        },
+        {
+            "model.json": "1d3a055881fd2a69ce8cec4476679dfdac7b0f01afe01fcc6181d62f5da7798e",
+            "values.csv": "a7903e9639b154dba090b34e3a1f1b9cd3da35412797b68edf0c14c1d8a1572b",
+            "policy.csv": "d88fae33d30e1b966f3bd8693f4259029c49af7b9d434bc7493b41338f0d7221",
+        },
+        id="example-with-bounds",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, doc, digests", REPORT_FILES)
+def test_each_report_and_example_file_keeps_its_bytes(tmp_path, command, doc, digests):
+    out = tmp_path / "out"
+    assert main([command, write(tmp_path / "m.json", doc), "--out", str(out), "--quiet"]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests

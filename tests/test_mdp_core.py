@@ -825,6 +825,23 @@ class TestArrayModel:
         )
         assert changed != m
 
+    def test_every_init_field_but_the_tables_counts_in_equality(self):
+        m = two_state_model()
+        changes = {
+            "n_states": 3,
+            "n_actions": 3,
+            "admissible": ((0,), (0,)),
+            "disturbance": make_distribution([0, 1], [0.25, 0.75]),
+            "terminal_cost": (1.0, 0.0),
+            "discount": 0.5,
+            "state_labels": (0.0, 1.0),
+            "z_labels": (-1.0, 1.0),
+        }
+        keyed = {f.name for f in dataclasses.fields(MdpModel) if f.init} - {"transition", "cost"}
+        assert set(changes) == keyed
+        for name, value in changes.items():
+            assert dataclasses.replace(m, **{name: value}) != m, name
+
     def test_ragged_tables_reach_validate_model(self):
         m = two_state_model()
 

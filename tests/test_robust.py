@@ -15,6 +15,8 @@ from riskmdp.errors import DimensionMismatch, NotCoherent, RiskMdpError, SumOver
 from riskmdp.examples import build_casino
 from riskmdp.mdp_core import BoundingSpec, MdpModel, Policy, ValueFunction, constant_bounding_spec
 from riskmdp.risk_measures import (
+    Distortion,
+    DistortionFunction,
     Entropic,
     Expectation,
     ExpectedShortfall,
@@ -114,12 +116,22 @@ def _es_parts(risk):
 
     A step spectrum phi = sum_j d_j 1{u >= u_j}, with d_0 = phi_0 and d_j
     its j-th rise, is sum_j d_j (1 - u_j) ES_{u_j}, since ES_a has the
-    spectrum 1{u >= a} / (1 - a); the expectation is ES_0.
+    spectrum 1{u >= a} / (1 - a); the expectation is ES_0. A concave
+    distortion with slope s_j on [u_j, u_{j+1}] (s_n = 0) is
+    sum_j (s_j - s_{j+1}) u_{j+1} min(u / u_{j+1}, 1), and the es_cap
+    distortion min(u / (1 - a), 1) is ES_a.
     """
     if isinstance(risk, Expectation):
         return [(1.0, 0.0)]
     if isinstance(risk, ExpectedShortfall):
         return [(1.0, risk.level)]
+    if isinstance(risk, Distortion):
+        g = risk.g
+        if g.form != "piecewise_linear":
+            return [(1.0, 0.0 if g.form == "identity" else g.level)]
+        ends = g.knots[1:]
+        slopes = [(g1 - g0) / (u1 - u0) for (u0, g0), (u1, g1) in zip(g.knots, ends)] + [0.0]
+        return [((s - slopes[j + 1]) * u, 1.0 - u) for j, (s, (u, _)) in enumerate(zip(slopes, ends))]
     if isinstance(risk, Spectral):
         steps = risk.phi.breakpoints
         rises = [(phi - (steps[j - 1][1] if j else 0.0)) * (1.0 - u) for j, (u, phi) in enumerate(steps)]
@@ -157,27 +169,58 @@ class TestDualSetLinearProgram:
         mass = float(np.dot(raw, np.diff(us + [1.0])))
         return Spectral(StepSpectrum(tuple((u, float(r) / mass) for u, r in zip(us, raw))))
 
+    @staticmethod
+    def concave_distortion(rng):
+        """A piecewise-linear g with nonincreasing slopes between cuts of [0, 1]."""
+        cuts = sorted(rng.choice([0.1, 0.25, 0.5, 0.75, 0.9], size=int(rng.integers(0, 4)), replace=False).tolist())
+        us = [0.0, *cuts, 1.0]
+        slopes = np.sort(rng.uniform(0.0, 2.0, len(cuts) + 1))[::-1]
+        rises = np.concatenate([[0.0], np.cumsum(slopes * np.diff(us))])
+        return Distortion(DistortionFunction("piecewise_linear", knots=tuple(zip(us, (rises / rises[-1]).tolist()))))
+
+    @staticmethod
+    def law(rng, case):
+        """Up to 8 atoms, their values from a coarse grid (tied atoms) in odd cases, and a level."""
+        k = int(rng.integers(1, 9))
+        probs = rng.dirichlet(np.ones(k)).tolist()
+        if case % 2:
+            values = rng.integers(-2, 3, k).astype(float).tolist()
+        else:
+            values = rng.uniform(-10.0, 10.0, k).tolist()
+        return values, probs, float(rng.choice([0.0, 0.3, 0.5, 0.9, 0.99, rng.uniform(0.0, 0.99)]))
+
+    @staticmethod
+    def check(risk, values, probs):
+        ds = dual_set(risk)
+        got, density = ds.sup(values, probs)
+        want, q = _lp_sup(risk, values, probs)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (risk, values, probs)
+        assert ds.feasible(density, probs) and ds.feasible(q.tolist(), probs, tol=1e-9)
+
     def test_es_and_step_spectra_agree_with_the_lp_to_1e_10(self):
         rng = np.random.default_rng(2010)
         for case in range(400):
-            k = int(rng.integers(1, 9))
-            probs = rng.dirichlet(np.ones(k)).tolist()
-            if case % 2:  # tied atoms: values from a coarse grid
-                values = rng.integers(-2, 3, k).astype(float).tolist()
-            else:
-                values = rng.uniform(-10.0, 10.0, k).tolist()
-            level = float(rng.choice([0.0, 0.3, 0.5, 0.9, 0.99, rng.uniform(0.0, 0.99)]))
+            values, probs, level = self.law(rng, case)
             spectral = self.step_spectrum(rng)
             for risk in (
                 ExpectedShortfall(level),
                 spectral,
                 Mixture(float(rng.uniform()), ExpectedShortfall(level), spectral),
             ):
-                ds = dual_set(risk)
-                got, density = ds.sup(values, probs)
-                want, q = _lp_sup(risk, values, probs)
-                assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (risk, values, probs)
-                assert ds.feasible(density, probs) and ds.feasible(q.tolist(), probs, tol=1e-9)
+                self.check(risk, values, probs)
+
+    def test_concave_distortions_agree_with_the_lp_to_1e_10(self):
+        rng = np.random.default_rng(2001)
+        for case in range(300):
+            values, probs, level = self.law(rng, case)
+            concave = self.concave_distortion(rng)
+            for risk in (
+                Distortion(DistortionFunction("identity")),
+                Distortion(DistortionFunction("es_cap", level=level)),
+                concave,
+                Mixture(float(rng.uniform()), concave, self.step_spectrum(rng)),
+            ):
+                self.check(risk, values, probs)
 
     def test_the_es_caps_bind_where_the_oracle_says(self):
         # the worst half of a four-point law: the cap p / (1 - a) fills the top atoms
@@ -289,7 +332,7 @@ class TestVerifyEquivalence:
         mixed = Mixture(0.5, Expectation(), ExpectedShortfall(0.9))
         for risk in (spectral, mixed):
             report = verify_equivalence(m, risk, 2, 1e-10)
-            assert report.passed, report.to_dict()
+            assert report.passed, dataclasses.asdict(report)
 
     def test_expectation_is_classic_optimality(self):
         rng = np.random.default_rng(57)
@@ -595,7 +638,7 @@ class TestBatchedAdversaryTable:
             reports = []
             for threshold in (0, 10**9):
                 monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", threshold)
-                reports.append(json.dumps(verify_equivalence(model, risk, horizon, 1e-10).to_dict()))
+                reports.append(json.dumps(dataclasses.asdict(verify_equivalence(model, risk, horizon, 1e-10))))
             assert reports[0] == reports[1]
 
     def test_a_nan_sup_never_wins(self, route):
