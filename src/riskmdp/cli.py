@@ -338,13 +338,13 @@ def _run_example(args, sections) -> int:
         raise ModelFileError(["example task needs a nested 'task' object"])
     model = _build_example(name, params)
     _refuse_invalid(model)
-    if sections["risk"] is not None:
-        emitted = model_file_dict(model, sections["risk"], downstream, sections["bounds"])
-        _write_json(args, "model.json", emitted)
     inner = dict(sections)
     inner["model"] = model
     inner["task"] = downstream
-    return _dispatch(downstream["type"], args, inner)
+    code = _dispatch(downstream["type"], args, inner)  # a refused nested task raises, and nothing is written
+    if sections["risk"] is not None:
+        _write_json(args, "model.json", model_file_dict(model, sections["risk"], downstream, sections["bounds"]))
+    return code
 
 
 def _dispatch(command: str, args, sections) -> int:

@@ -549,9 +549,9 @@ def _running_sums(terms: np.ndarray) -> np.ndarray:
 
 # Tables of at least this many entries (and three columns) are summed by
 # _certified_sums, with fsum only for the rows it leaves undecided; below
-# it, one fsum per row is faster (the two broke even at 500 to 900 entries
-# from 3 to 20 columns). The sum is the same either way.
-CERTIFIED_MIN_CELLS = 600
+# it, one fsum per row is faster (the two broke even at 400 to 560 entries
+# from 3 to 20 columns; scripts/sum_gate.py). The sum is the same either way.
+CERTIFIED_MIN_CELLS = 500
 
 
 def _fsum_rows(terms: np.ndarray) -> np.ndarray:
@@ -595,39 +595,41 @@ _SAFE = 2.0**1020  # below this no partial sum of a row, here or in fsum, overfl
 def _certified_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's sum rounded once, and whether that equals the row's ``math.fsum``.
 
-    A tree of TwoSum steps (Knuth; Ogita, Rump & Oishi 2005, "Accurate sum
-    and dot product") gives a rounded sum ``s`` and m - 1 errors that add
-    up exactly to the rest. Their float sum ``c`` is off by at most
-    gamma_{m-2} * sum|err|, which ``delta`` bounds with room for the
-    rounding of sum|err| itself. ``s + c`` is rounded once to ``r`` and one
-    more TwoSum gives its exact residual ``e``, so the exact row sum lies
-    within ``delta`` of ``r + e``. If that interval lies strictly inside
-    ``r``'s rounding interval (half the gap to each neighbour; below a
-    power of two that gap is half as wide), the row rounds to ``r``, which
-    is what fsum returns. Zero results, ties and near-ties, and rows that
-    are not finite are left undecided; so is every row of a table with an
-    entry too large for its partial sums to stay clear of overflow.
+    One error-free extraction (Rump, Ogita & Oishi 2008, "Accurate
+    floating-point summation part I") splits every term t against
+    ``sigma``, a power of two with sigma >= 2**M * max|t| over the table
+    and 2**M >= m + 2: ``q = (t + sigma) - sigma`` is a multiple of
+    u * sigma (u = 2**-53), ``p = t - q`` is exact and |p| <= u * sigma.
+    A row's partial sums of q are multiples of u * sigma below sigma, so
+    their sum ``tau`` is exact; the float sum ``pi`` of the p is off by at
+    most gamma_{m-1} * m * u * sigma < m(m - 1) u^2 sigma (1 + 2**-40), in
+    any order. ``r = tau + pi`` and its TwoSum residual ``e`` leave the
+    exact sum within that of r + e, and rounding e +- delta moves it by at
+    most u (|e| + delta) < u^2 sigma (1 + 2**-40), as |e| <= u |r| < u sigma.
+    So delta = (m^2 + 2) u^2 sigma (plus the smallest subnormal, should
+    the product underflow) puts the exact sum minus r between the rounded
+    e - delta and e + delta. Rounding is monotone: if r plus each of them
+    rounds to r, so does the exact sum, and fsum returns r. Zero sums,
+    ties and sums within delta of one are left undecided; so is every row
+    of a table with an entry that is not finite or is at least
+    2**(1023 - M), where sigma would overflow.
     """
     n, m = terms.shape
-    if not np.abs(terms).max(initial=0.0) < _SAFE / m:  # NaN fails too
+    M = (m + 1).bit_length()  # the least M with 2**M >= m + 2
+    cols = terms.T.copy()  # one contiguous row per column: numpy steps slowly through short rows
+    big = np.abs(cols).max(initial=0.0)
+    if not big < 2.0 ** (1023 - M):  # NaN fails too
         return np.zeros(n), np.zeros(n, dtype=bool)
-    s, errs = terms.T.copy(), []  # one contiguous row per column: the tree works on blocks
-    while len(s) > 1:
-        half = len(s) // 2
-        a, b = s[:half], s[half : 2 * half]
-        hi = a + b
-        bv = hi - a
-        errs.append((a - (hi - bv)) + (b - bv))
-        s = hi if len(s) == 2 * half else np.concatenate((hi, s[2 * half :]))
-    s, err = s[0], np.concatenate(errs)
-    c = err.sum(axis=0)
-    delta = np.abs(err).sum(axis=0) * (m * 2.0**-52) + _TINY
-    r = s + c
-    rv = r - s
-    e = (s - (r - rv)) + (c - rv)
-    up = (np.nextafter(r, math.inf) - r) * 0.5
-    down = (r - np.nextafter(r, -math.inf)) * 0.5
-    return r, (r != 0.0) & (e + delta < up) & (e - delta > -down)
+    sigma = math.ldexp(1.0, math.frexp(big)[1] + M)  # big < 2**frexp(big)[1]
+    q = cols + sigma
+    q -= sigma
+    tau = np.add.reduce(q, axis=0)
+    pi = np.add.reduce(np.subtract(cols, q, out=cols), axis=0)
+    r = tau + pi
+    rv = r - tau
+    e = (tau - (r - rv)) + (pi - rv)
+    delta = sigma * ((m * m + 2) * _U * _U) + _TINY
+    return r, (r + (e + delta) == r) & (r + (e - delta) == r)
 
 
 def _g_array(g: DistortionFunction, u: np.ndarray) -> np.ndarray:
@@ -689,16 +691,16 @@ def _row_values(risk: RiskMeasure, law: _RowLaws, weights: Iterator[np.ndarray])
     """Each row's risk value from its atoms and ``iter(_weights(risk, law))``."""
     atom, end = law.atom, law.end
     if isinstance(risk, Expectation):
-        return _fsum_rows(np.where(end, atom * law.prob, 0.0))
+        return _fsum_rows(_at_ends(law, atom * law.prob))
     if isinstance(risk, ValueAtRisk):
         return atom[np.arange(len(atom)), next(weights)]
     if isinstance(risk, ExpectedShortfall):
         tail, inc = next(weights), next(weights)
         return _running_sums(np.where(tail, atom * inc, 0.0)) / (1.0 - risk.level)
     if isinstance(risk, Distortion):
-        return _fsum_rows(np.where(end, atom * next(weights), 0.0))
+        return _fsum_rows(_at_ends(law, atom * next(weights)))
     if isinstance(risk, Spectral):
-        return _running_sums(np.where(end, atom * next(weights), 0.0))
+        return _running_sums(_at_ends(law, atom * next(weights)))
     if isinstance(risk, Mixture):
         w = risk.weight
         first = _row_values(risk.first, law, weights)  # consumes the first component's weights
@@ -711,14 +713,24 @@ def _row_values(risk: RiskMeasure, law: _RowLaws, weights: Iterator[np.ndarray])
         # route uses libm's, so these two go through the math module. The top
         # column (always an atom's end) has a shift of exactly 0.0 in a finite
         # row, and prob * exp(0.0) is prob
-        terms = np.where(end, law.prob, 0.0)
-        inner = end.copy()
-        inner[:, -1] = False
-        terms[inner] *= _libm(math.exp, (scaled - mx)[inner])
+        if law.ties:
+            terms = np.where(end, law.prob, 0.0)
+            inner = end.copy()
+            inner[:, -1] = False
+            terms[inner] *= _libm(math.exp, (scaled - mx)[inner])
+        else:
+            terms = law.prob.copy()
+            head = terms[:, :-1]
+            head *= _libm(math.exp, (scaled[:, :-1] - mx).ravel()).reshape(head.shape)
         top = mx[:, 0]
         # a row whose top product is not finite is that infinity, as pair by pair
         return np.where(np.isfinite(top), top + _libm(math.log, _fsum_rows(terms)), top) / gamma
     raise InvalidSpec(f"unknown risk specification {risk!r}")
+
+
+def _at_ends(law: _RowLaws, x: np.ndarray) -> np.ndarray:
+    """``x`` with 0.0 in the columns that do not end an atom; with no ties, every column ends one."""
+    return np.where(law.end, x, 0.0) if law.ties else x
 
 
 def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:

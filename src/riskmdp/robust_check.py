@@ -54,7 +54,7 @@ from .risk_measures import (
     RiskMeasure,
     _dual_density_sorted,
     _fsum,
-    _fsum_each,
+    _fsum_rows,
     _stale_rows,
     _sum_overflow,
     describe,
@@ -185,12 +185,12 @@ def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, rule=No
     ``z_indices`` order, as on the pair route (the order of tied values
     decides the density), or takes the explicit ``rows``, sorts every
     row and looks up one density per distinct stable order, read as one
-    byte string. ``memo.tables`` keeps
-    the orders and densities, and later steps sort again only the rows
-    that a stable sort would order differently: laid out in the kept
-    order, each neighbour pair must be strictly ascending, or equal where
-    the kept order has the two in outcome order (``allow``). Each row's
-    products are summed by one ``math.fsum``. A row holding NaN fails that
+    byte string. ``memo.tables`` keeps the orders and densities, and
+    later steps sort again only the rows that a stable sort would order
+    differently: laid out in the kept order, each neighbour pair must be
+    strictly ascending, or equal where the kept order has the two in
+    outcome order (``allow``). Each row's products are summed as
+    ``math.fsum`` sums them (``_fsum_rows``). A row holding NaN fails that
     test and goes through ``_sup``, since Python's sort places NaN where
     numpy's does not (a one-outcome row has no test, but one order).
     """
@@ -225,8 +225,8 @@ def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, rule=No
             allow[stale, :-1] = orders[:, 1:] > orders[:, :-1]
             nan_rows = stale[np.isnan(fresh).any(axis=1)]
         products = vals * q
-    products[nan_rows] = 0.0
-    sups = _fsum_each(products)
+        products[nan_rows] = 0.0
+        sups = _fsum_rows(products)
     for i in nan_rows.tolist():
         sups[i] = _sup(risk, probs, vals[i].tolist(), memo.densities)
     return sups

@@ -528,6 +528,22 @@ def test_malformed_fields_exit_2_with_a_located_message(tmp_path, capsys, doc, l
     assert located in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "nested, located",
+    [
+        ({"type": "solve-forever"}, "unknown command 'solve-forever'"),
+        ({"type": "solve-finite", "horizon": 1e20}, "task.horizon: expected at most 1000000, got 1e+20"),
+    ],
+)
+def test_an_example_whose_nested_task_is_refused_writes_nothing(tmp_path, capsys, nested, located):
+    # the emitted model.json comes only after the nested task has run
+    path = write(tmp_path / "m.json", _with(("task", "task"), nested, _casino_example()))
+    out = tmp_path / "out"
+    assert main(["example", path, "--out", str(out), "--quiet"]) == 2
+    assert located in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_a_model_file_that_is_not_an_object_exits_2(tmp_path, capsys):
     path = write(tmp_path / "m.json", [dict(README_MODEL, task={"type": "solve-finite", "horizon": 1})])
     assert main(["solve-finite", path, "--quiet"]) == 2

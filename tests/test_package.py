@@ -141,3 +141,22 @@ def test_cli_phases_prints_one_line_of_phase_times_per_model_file():
     # the total line sums the iterations
     iters = [int(line.split()[-2]) for line in lines[1:]]
     assert min(iters) > 0 and iters[-1] == sum(iters[:-1]), run.stdout
+
+
+def test_sum_gate_prints_both_routes_and_the_break_even_per_column_count():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sum_gate.py"), "--columns", "3", "8", "--entries", "30", "2400"]
+        + ["--number", "2", "--repeats", "1"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    gate = r"[1-9][0-9]*"
+    patterns = [f"CERTIFIED_MIN_CELLS {gate}", r" *columns +rows +entries +fsum_each +certified +ratio"]
+    for m, rows in ((3, (10, 800)), (8, (4, 300))):
+        patterns += [f" +{m} +{n} +{n * m} +[0-9]+\\.[0-9] +[0-9]+\\.[0-9] +[0-9]+\\.[0-9]{{2}}" for n in rows]
+        patterns.append(f" +{m} break-even (from [0-9]+ entries|not within the ladder) \\(gate {gate}\\)")
+    assert len(lines) == len(patterns), run.stdout
+    for line, pattern in zip(lines, patterns):
+        assert re.fullmatch(pattern, line), line

@@ -499,6 +499,92 @@ def test_certified_sums_equal_fsum_on_random_rows(data):
         assert [v.hex() for v in _fsum_rows(_tiled(rows)).tolist()] == expected
 
 
+def _rounded(row):
+    """The row's exact sum rounded to nearest, ties to even: the oracle that fsum must meet."""
+    return float(sum(map(Fraction, row), Fraction(0)))
+
+
+def _check_certified(table):
+    """Every certified row is the exactly rounded sum; every exact zero or tie is left undecided."""
+    sums, certified = _certified_sums(table)
+    for row, total, ok, fallback in zip(table.tolist(), sums.tolist(), certified.tolist(), _exact_fallbacks(table)):
+        if ok:
+            assert not fallback, row
+            assert total.hex() == _rounded(row).hex(), row
+    return certified
+
+
+@st.composite
+def _spread_tables(draw):
+    """Tables of 3 to 20 columns whose terms spread from subnormals to 2**+-1000, signed zeros included.
+
+    Each row has its own top exponent; a row may end in the negated
+    naive sum of the others moved by a few of its units in the last
+    place, which cancels all but a few rounding errors.
+    """
+    m = draw(st.integers(3, 20))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        top = draw(st.integers(-1074, 1000))
+        spread = draw(st.sampled_from([0, 1, 30, 60, 200, 2100]))
+        term = st.one_of(
+            st.builds(
+                lambda k, e: math.ldexp(k, min(max(e, -1074), 1000 - 53)),
+                st.integers(-(2**53), 2**53),
+                st.integers(top - spread - 53, top - 53),
+            ),
+            st.sampled_from([0.0, -0.0]),
+        )
+        row = draw(st.lists(term, min_size=m, max_size=m))
+        if draw(st.booleans()):
+            naive = sum(row[:-1])
+            row[-1] = -naive + draw(st.integers(-40, 40)) * math.ulp(naive)
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=_spread_tables())
+def test_certified_sums_are_the_exactly_rounded_sums(table):
+    _check_certified(table)
+    assert [v.hex() for v in _fsum_rows(table).tolist()] == _fsum_hexes(table)
+
+
+class TestExtraction:
+    """Tables that a smaller ``sigma``, a ``delta`` without its m^2 term, or a looser range test get wrong."""
+
+    @pytest.mark.parametrize("m", [5, 6, 9, 12, 17, 20])
+    def test_rows_that_fill_the_extraction_range(self, m):
+        # m same-sign terms just below the table's largest power of two: their
+        # high parts sum past sigma / 2, so half that sigma would round them
+        rng = np.random.default_rng(m)
+        table = -(1.0 - rng.uniform(0.0, 2.0**-20, (200, m))) * 2.0**40
+        table[:, -1] = rng.uniform(-1.0, 1.0, 200)  # off the ties of the high parts
+        assert _check_certified(table).mean() > 0.9
+
+    @pytest.mark.parametrize("m", [3, 4, 8, 10, 16, 20])
+    def test_rows_of_low_parts_only(self, m):
+        # 1.0 - 1.0 sets sigma and cancels; the other terms, below u * sigma
+        # with full mantissas, are all low part, and their float sum is off
+        # by several units in its last place, up to m^2 u^2 sigma
+        rng = np.random.default_rng(m)
+        unit = 2.0 ** ((m + 1).bit_length() - 52)  # u * sigma
+        rows = [[1.0, -1.0] + (rng.uniform(-1.0, 1.0, m - 2) * unit).tolist() for _ in range(400)]
+        _check_certified(np.array(rows))
+        assert [v.hex() for v in _fsum_rows(_tiled(rows)).tolist()] == _fsum_hexes(_tiled(rows))
+
+    @pytest.mark.parametrize("m", [3, 8, 20])
+    def test_entries_from_the_overflow_limit_on_fall_back(self, m):
+        # from 2**(1023 - M), 2**M >= m + 2, sigma would pass the float range
+        limit = 2.0 ** (1023 - (m + 1).bit_length())
+        rng = np.random.default_rng(m)
+        table = rng.uniform(-1.0, 1.0, (50, m)) * limit
+        table[0, 0] = limit
+        assert not _certified_sums(table)[1].any()
+        table[0, 0] = math.nextafter(limit, 0.0)
+        assert _check_certified(table).any()
+
+
 class TestSizeGate:
     """``_fsum_rows`` either side of ``CERTIFIED_MIN_CELLS``: the route changes, the bits do not."""
 
@@ -670,3 +756,39 @@ def test_batched_entropic_rows_match_the_scalar_route(data, k, gamma):
     batch = risk_measures._risk_values_of_rows(risk, np.array(rows), probs)
     scalar = [risk_measures._risk_value_of_pairs(risk, zip(row, probs.tolist())) for row in rows]
     assert [v.hex() for v in batch.tolist()] == [v.hex() for v in scalar]
+
+
+@pytest.mark.parametrize(
+    "risk",
+    [
+        Expectation(),
+        ValueAtRisk(0.7),
+        ExpectedShortfall(0.5),
+        Distortion(IDENTITY),
+        Distortion(DistortionFunction(form="es_cap", level=0.6)),
+        Distortion(DistortionFunction(form="piecewise_linear", knots=((0.0, 0.0), (0.5, 0.8), (1.0, 1.0)))),
+        Spectral(StepSpectrum(breakpoints=((0.0, 0.5), (0.5, 1.5)))),
+        Entropic(0.5),
+        Entropic(5.0),
+        Mixture(0.3, Entropic(2.0), Distortion(IDENTITY)),
+    ],
+    ids=lambda risk: describe(risk),
+)
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_tie_free_rows_give_the_masked_branchs_bits(risk, m):
+    # without ties every column ends an atom; the masked branch, taken
+    # here by naming a tied column that no row has, must give the same
+    # bits. The last rows' top atoms are past the float range or make
+    # gamma times them so, which the entropic kind keeps as that infinity
+    rng = np.random.default_rng(m)
+    values = rng.uniform(-50.0, 50.0, (80, m))
+    values[-2, 0], values[-1, 0] = math.inf, 1e308
+    raw = rng.uniform(0.1, 1.0, m)
+    probs = np.sort(np.array(make_distribution(list(range(m)), (raw / raw.sum()).tolist()).probs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        law, weights = risk_measures._row_laws(risk, values, probs)
+        assert not law.ties
+        plain = risk_measures._row_values(risk, law, iter(weights))
+        law.ties = [0]
+        masked = risk_measures._row_values(risk, law, iter(weights))
+    assert [v.hex() for v in plain.tolist()] == [v.hex() for v in masked.tolist()]

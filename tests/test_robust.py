@@ -814,7 +814,7 @@ class TestEnumerationClassRows:
 
     def test_one_dual_row_per_pair_and_class(self, route, monkeypatch):
         rows = []
-        sup, fsum_each = robust_check._sup, robust_check._fsum_each
+        sup, fsum_rows = robust_check._sup, robust_check._fsum_rows
 
         def counted_sup(*args):
             rows.append(1)
@@ -822,10 +822,10 @@ class TestEnumerationClassRows:
 
         def counted_sums(terms):
             rows.append(len(terms))
-            return fsum_each(terms)
+            return fsum_rows(terms)
 
         monkeypatch.setattr(robust_check, "_sup", counted_sup)
-        monkeypatch.setattr(robust_check, "_fsum_each", counted_sums)
+        monkeypatch.setattr(robust_check, "_fsum_rows", counted_sums)
         monkeypatch.setattr(
             robust_check, "nature_best_response", lambda model, ds, policy, horizon, *memo: ValueFunction([0.0] * model.n_states)
         )
