@@ -549,7 +549,7 @@ def _running_sums(terms: np.ndarray) -> np.ndarray:
 
 # Tables of at least this many entries (and three columns) are summed by
 # _certified_sums, with fsum only for the rows it leaves undecided; below
-# it, one fsum per row is faster (the two broke even at 400 to 560 entries
+# it, one fsum per row is faster (the two broke even at 300 to 560 entries
 # from 3 to 20 columns; scripts/sum_gate.py). The sum is the same either way.
 CERTIFIED_MIN_CELLS = 500
 

@@ -778,8 +778,9 @@ def test_batched_entropic_rows_match_the_scalar_route(data, k, gamma):
 def test_tie_free_rows_give_the_masked_branchs_bits(risk, m):
     # without ties every column ends an atom; the masked branch, taken
     # here by naming a tied column that no row has, must give the same
-    # bits. The last rows' top atoms are past the float range or make
-    # gamma times them so, which the entropic kind keeps as that infinity
+    # bits. The last two rows' top atoms are infinite or 1e308, where
+    # gamma times it overflows for gamma >= 2: the entropic value is then
+    # that infinity
     rng = np.random.default_rng(m)
     values = rng.uniform(-50.0, 50.0, (80, m))
     values[-2, 0], values[-1, 0] = math.inf, 1e308
