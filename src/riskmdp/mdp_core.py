@@ -625,8 +625,8 @@ def _stage_values(
         pick = at[np.arange(model.n_states), rule]
         succ, cost = succ[pick], cost[pick]
     if succ.size >= BATCH_MIN_OUTCOMES:
-        # overflowing stage values give inf or NaN, as pair by pair
-        with np.errstate(over="ignore", invalid="ignore"):
+        # overflow gives inf or NaN and underflow 0.0, as pair by pair, in any numpy error state
+        with np.errstate(all="ignore"):
             if memo is not None and rule is None:
                 return _memo_values(model, risk, _array_of(v), memo)
             rows = cost + model.discount * _array_of(v)[succ]
@@ -715,12 +715,12 @@ def _kept_values(model: MdpModel, risk: RiskMeasure, v: np.ndarray, memo: _Sweep
 # saves its evaluation, but the test costs bookkeeping at every sweep:
 # some 10 to 25 us, plus at every pair about what an entropic row spends
 # on one outcome. So the risk measure needs a part in ELIMINATION_KINDS,
-# directly or in a mixture: the entropic kind, whose libm call per outcome
-# makes a row dear (the other kinds lost at every size tried, cash balance
-# 21% at a 96% skip share). And the outcomes of the pairs beyond each
-# state's first, less one per pair, must reach ELIMINATION_MIN_OUTCOMES:
-# entropic models broke even at 100 to 170 of these and lost up to 29%
-# below, so the gate keeps a margin.
+# directly or in a mixture: the entropic kind, whose exp per outcome and
+# log per row make a row dear (its solves ran 1.2x slower without it, exp
+# batched; the other kinds lost at every size tried, cash balance 21% at
+# a 96% skip share). And the outcomes of the pairs beyond each state's
+# first, less one per pair, must reach ELIMINATION_MIN_OUTCOMES: entropic
+# models broke even at 100 to 170 of these and lost up to 29% below.
 ELIMINATION_KINDS = (Entropic,)
 ELIMINATION_MIN_OUTCOMES = 200
 
@@ -1018,7 +1018,7 @@ def verify_bounds(
     lb_x, ub_x = lb[xs], ub[xs]
 
     def rho(rows: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):  # as in bellman_T
+        with np.errstate(all="ignore"):  # as in bellman_T
             return _risk_values_of_rows(risk, rows, probs)
 
     # (inequality, violated per pair, lhs, rhs), in the order they are reported

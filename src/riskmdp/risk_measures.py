@@ -20,6 +20,7 @@ probes the classical properties on pseudo-random laws and couplings.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -709,19 +710,18 @@ def _row_values(risk: RiskMeasure, law: _RowLaws, weights: Iterator[np.ndarray])
         gamma = risk.gamma
         scaled = gamma * atom
         mx = scaled[:, -1:]  # the top atom has the largest product, as gamma > 0
-        # numpy's exp and log differ from libm's in the last bit; the scalar
-        # route uses libm's, so these two go through the math module. The top
-        # column (always an atom's end) has a shift of exactly 0.0 in a finite
-        # row, and prob * exp(0.0) is prob
+        # the scalar route takes libm's exp and log: _exp reaches libm's exp
+        # in one numpy call, log goes through the math module. The top column
+        # (always an atom's end) has a shift of exactly 0.0 in a finite row,
+        # and prob * exp(0.0) is prob; the other shifts are <= 0
         if law.ties:
             terms = np.where(end, law.prob, 0.0)
             inner = end.copy()
             inner[:, -1] = False
-            terms[inner] *= _libm(math.exp, (scaled - mx)[inner])
+            terms[inner] *= _exp((scaled - mx)[inner])
         else:
             terms = law.prob.copy()
-            head = terms[:, :-1]
-            head *= _libm(math.exp, (scaled[:, :-1] - mx).ravel()).reshape(head.shape)
+            terms[:, :-1] *= _exp(scaled[:, :-1] - mx)
         top = mx[:, 0]
         # a row whose top product is not finite is that infinity, as pair by pair
         return np.where(np.isfinite(top), top + _libm(math.log, _fsum_rows(terms)), top) / gamma
@@ -734,8 +734,26 @@ def _at_ends(law: _RowLaws, x: np.ndarray) -> np.ndarray:
 
 
 def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """``fn`` of each entry of the 1-d array ``x``, rounded as the math module rounds."""
+    """``fn`` of each entry of the 1-d array ``x``, one Python call each, rounded as the math module rounds:
+    the entropic log's route, as numpy's log is not libm's (``scripts/exp_route.py``)."""
     return np.fromiter(map(fn, x.tolist()), dtype=float, count=len(x))
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each entry of ``x``, bit for bit: numpy's complex exp where ``_complex_exp_is_libm``."""
+    if _complex_exp_is_libm():
+        return np.exp(x.astype(np.complex128)).real
+    return _libm(math.exp, x.ravel()).reshape(x.shape)
+
+
+@functools.cache  # once per process, lazily: glibc's cexp and numpy's fallback give exp(x) * cos(0) at x + 0j
+def _complex_exp_is_libm() -> bool:
+    """Whether numpy's complex exp gives ``math.exp``'s bits (NaN for NaN) on shifts <= 0 and their edges."""
+    edges = [0.0, -0.0, -745.1332191019412, math.inf, -math.inf, math.nan]  # exp is 0.0 from -745.13... down
+    probe = np.concatenate([np.linspace(-745.2, 0.0, 4096), -np.ldexp(1.0, np.arange(-1074, 10)), edges])
+    with np.errstate(all="ignore"):
+        got, want = np.exp(probe.astype(np.complex128)).real, _libm(math.exp, probe)
+    return bool(np.all((got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))))
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +763,7 @@ _U = 2.0**-53  # unit roundoff: one IEEE operation is off by at most u times its
 # second-order terms (products of two or more roundings, each term at most
 # m * u <= 2**-30 for rows of fewer than 2**23 columns) fit in this factor
 _SECOND_ORDER = 1.0 + 2.0**-20
-_LIBM_ERR = 4 * _U  # libm's exp and log taken within 2 ulps; glibc documents under 1
+_LIBM_ERR = 4 * _U  # libm's exp (``_exp``'s too) and log within 2 ulps; glibc documents under 1
 
 
 def _level_error(probs: np.ndarray) -> float:

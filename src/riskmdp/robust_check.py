@@ -205,7 +205,7 @@ def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, rule=No
     succ, cost, flat, allow, q = table  # flat: each row's kept order, as indices into the raveled values
     probs = model.disturbance.probs
     n, m = succ.shape
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or NaN, as pair by pair
+    with np.errstate(all="ignore"):  # overflow gives inf or NaN and underflow 0.0, as pair by pair
         vals = cost + model.discount * mdp_core._array_of(cont)[succ]
         if flat is None:  # the rule's first step builds every row
             stale = np.arange(n)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from riskmdp import model_io
+from riskmdp import cli, model_io
 from riskmdp.cli import main
 from riskmdp.examples import build_casino
 from riskmdp.mdp_core import constant_bounding_spec
@@ -861,6 +861,111 @@ def test_a_mutated_task_exits_0_or_2_with_a_located_message(tmp_path, capsys, co
     else:
         assert code in (0, 2) and (code == 0) == (not err), (code, err)
         assert "Traceback" not in err and (code == 0 or "task" in err), err
+
+
+@pytest.mark.parametrize(
+    "params, located",
+    [
+        ({"horizon": 10**9}, "task.params.horizon = 1000000000 with task.params.grid up to 3"),
+        ({"horizon": 2**70, "grid": [1]}, f"task.params.horizon = {2**70} with task.params.grid up to 1"),
+        ({"horizon": 1, "grid": [0, 10**7]}, "task.params.horizon = 1 with task.params.grid up to 10000000"),
+        ({"horizon": 1, "grid": [2**200]}, f"task.params.horizon = 1 with task.params.grid up to {2**200}"),
+        ({"horizon": 19, "grid": [1]}, "task.params.horizon = 19 with task.params.grid up to 1"),
+    ],
+)
+def test_a_casino_past_the_cell_limit_is_refused_before_it_is_built(tmp_path, capsys, params, located):
+    path = write(tmp_path / "m.json", _casino_example(**params))
+    tracemalloc.start()
+    try:
+        code = main(["example", path, "--out", str(tmp_path / "out"), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and err == f"{located}: the casino's (state, bet, outcome) tables would hold more than 1000000 cells\n"
+    assert peak < 2**20 and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "params, built",
+    [
+        ({"horizon": 1, "grid": [0, 499]}, True),  # capital 998: 999 states x 500 bets x 2 outcomes
+        ({"horizon": 3, "grid": [124]}, True),
+        ({"horizon": 1, "grid": [0, 500]}, False),  # capital 1000: 1001 x 501 x 2
+        ({"horizon": 3, "grid": [125]}, False),
+        ({"horizon": 0, "grid": [10**9]}, True),  # build_casino refuses these
+        ({"horizon": 10**9, "grid": [-5, 0]}, True),
+        ({"horizon": 10**9, "grid": []}, True),
+    ],
+)
+def test_the_casino_cell_limit_counts_the_dense_tables(tmp_path, capsys, monkeypatch, params, built):
+    def build(win_prob, horizon, grid):
+        raise ModelFileError(["built"])
+
+    monkeypatch.setattr(cli.ex, "build_casino", build)
+    path = write(tmp_path / "m.json", _casino_example(**params))
+    assert main(["example", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert (capsys.readouterr().err == "built\n") is built
+
+
+# each example with params it builds quickly, and the values the fuzz below puts in them
+EXAMPLE_PARAMS = {
+    "casino": {"win_prob": 0.75, "horizon": 2, "grid": [0, 1, 2, 3]},
+    "house_selling": {"offers": [[0, 0.25], [1, 0.25], [2, 0.25], [3, 0.25]], "rent": 0.5, "beta": 0.9, "horizon": 2},
+    "cash_balance": {
+        "levels": [-2.0, -1.0, 0.0, 1.0, 2.0],
+        "holding_costs": [4.0, 1.0, 0.0, 1.0, 4.0],
+        "transfer_up": 1.0,
+        "transfer_down": 1.0,
+        "shifts": [[-1.0, 0.5], [1.0, 0.5]],
+        "beta": 0.9,
+    },
+    "var_myopic": {
+        "labels": [0.0, 1.0, 2.0],
+        "shifts": [[-1.0, 0.35], [0.0, 0.3], [1.0, 0.35]],
+        "action_shifts": [0.0, -1.0],
+        "level": 0.5,
+        "horizon": 3,
+    },
+}
+PARAM_VALUES = FUZZ_VALUES + (
+    0, 1, 2, 3, 0.5, "12", 2**70, -(2**70), 10**9, [0], [1, 1], [0, 1, 2], [-1.0, 0.0, 1.0], [0, 10**7], [2**70],
+    ["a"], [None], [[1]], [[0, 0.5]], [[0, 0.5], [1, 0.5]], [[0, 1, 2]], [[0.0, math.nan]], [[-1.0, 2.0], [1.0, -1.0]],
+    {"a": 1},
+)
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    name=st.sampled_from(sorted(EXAMPLE_PARAMS)),
+    mutations=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(PARAM_VALUES)), min_size=1, max_size=3),
+    extra=st.booleans(),
+)
+@example(name="casino", mutations=[(1, 10**9)], extra=False)
+@example(name="casino", mutations=[(2, [0, 10**7])], extra=False)
+@example(name="var_myopic", mutations=[(0, [])], extra=False)
+@example(name="cash_balance", mutations=[(1, [1, 1])], extra=False)
+def test_mutated_example_params_exit_0_or_2_with_a_located_message(tmp_path, capsys, name, mutations, extra):
+    # every params key may be dropped or take a number, string, null, list, nested list or huge integer
+    params = copy.deepcopy(EXAMPLE_PARAMS[name])
+    keys = sorted(params)
+    for index, value in mutations:
+        key = keys[index % len(keys)]
+        if value is _DROP:
+            params.pop(key, None)
+        else:
+            params[key] = copy.deepcopy(value)
+    if extra:
+        params["unknown"] = None
+    doc = {
+        "risk": {"kind": "expected_shortfall", "level": 0.5},
+        "task": {"type": "example", "name": name, "params": params, "task": {"type": "solve-finite", "horizon": 2}},
+    }
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    code = main(["example", write(work / "m.json", doc), "--out", str(work / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code in (0, 2) and (code == 0) == (not err), (code, err)
+    assert "Traceback" not in err
 
 
 def test_a_rerun_replaces_each_output_file_with_a_new_one(tmp_path, casino_doc):

@@ -517,6 +517,81 @@ class TestBatchedSweep:
                     log_differs += np.log(acc) != math.log(acc)
         assert exp_differs and log_differs
 
+    def test_math_exp_per_entry_gives_the_batched_exps_bits(self, monkeypatch):
+        # where the platform check fails, _exp takes math.exp per entry;
+        # sweeps and bound checks must read the same bits either way, on
+        # laws with ties (the masked branch) and without
+        rng = np.random.default_rng(4104)
+        S, K = 20, 9
+        tie_free = MdpModel(  # costs off any grid: no two stage values of a row tie
+            n_states=S,
+            n_actions=3,
+            admissible=((0, 1, 2),) * S,
+            disturbance=make_distribution(list(range(K)), rng.dirichlet(np.ones(K)).tolist()),
+            transition=rng.integers(0, S, (S, 3, K)).tolist(),
+            cost=rng.uniform(-20, 20, (S, 3, K)).tolist(),
+            terminal_cost=(0.0,) * S,
+            discount=0.9,
+        )
+        cases = []
+        for risk in (Entropic(0.3), Entropic(1.2), Mixture(0.4, Entropic(0.9), ExpectedShortfall(0.5))):
+            for m in (wide_random_model(rng), coarse_random_model(rng), tie_free):
+                v = np.round(rng.uniform(-15, 15, m.n_states), int(rng.integers(0, 3))).tolist()
+                if m is tie_free:
+                    v = rng.uniform(-15, 15, S).tolist()
+                lb = np.round(rng.uniform(-30, -0.5, m.n_states), 1).tolist()
+                ub = np.round(rng.uniform(0.5, 30, m.n_states), 1).tolist()
+                cases.append((m, risk, v, BoundingSpec(lb=lb, ub=ub, alpha=0.5)))
+
+        def results():
+            out = []
+            for m, risk, v, spec in cases:
+                values, actions = bellman_T(m, risk, v)
+                report = verify_bounds(m, risk, spec)
+                out.append((bits(values), actions, [(b.inequality, b.state, b.action, b.lhs.hex()) for b in report.violations]))
+            return out
+
+        exp, ndims = risk_measures._exp, []
+        monkeypatch.setattr(risk_measures, "_exp", lambda x: ndims.append(x.ndim) or exp(x))
+        batched = results()
+        assert {1, 2} <= set(ndims)  # the masked branch's and the tie-free branch's calls
+        monkeypatch.setattr(risk_measures, "_exp", exp)
+        calls = []
+        libm = risk_measures._libm
+        monkeypatch.setattr(risk_measures, "_complex_exp_is_libm", lambda: False)
+        monkeypatch.setattr(risk_measures, "_libm", lambda fn, x: calls.append(fn) or libm(fn, x))
+        assert results() == batched
+        assert calls.count(math.exp) >= 4 * len(cases)
+
+    def test_underflowing_entropic_terms_ignore_the_callers_error_state(self):
+        # gamma * costs up to 2000 put exp's terms below the subnormal range;
+        # pair by pair they round to 0.0, so the batch must not raise either
+        rng = np.random.default_rng(4103)
+        S, K = 30, 8
+        m = MdpModel(
+            n_states=S,
+            n_actions=2,
+            admissible=((0, 1),) * S,
+            disturbance=make_distribution(list(range(K)), [1.0 / K] * K),
+            transition=rng.integers(0, S, (S, 2, K)).tolist(),
+            cost=np.round(rng.uniform(0, 2000, (S, 2, K)), 1).tolist(),
+            terminal_cost=(0.0,) * S,
+            discount=1.0,
+        )
+        spec = BoundingSpec(lb=[-3000.0] * S, ub=[3000.0] * S, alpha=0.5)
+        v = np.round(rng.uniform(-5, 5, S), 1).tolist()
+        for risk in (Entropic(1.0), Mixture(0.5, Entropic(1.0), ExpectedShortfall(0.5))):
+            values, rule = pairwise_sweep(m, risk, v)
+            calm = verify_bounds(m, risk, spec)
+            with np.errstate(all="raise"):
+                out, actions = bellman_T(m, risk, v)
+                report = verify_bounds(m, risk, spec)
+            assert (bits(out), actions) == (bits(values), rule), risk
+            assert [(b.inequality, b.state, b.action, b.lhs.hex()) for b in report.violations] == [
+                (b.inequality, b.state, b.action, b.lhs.hex()) for b in calm.violations
+            ], risk
+            assert len(report.violations) > 10, risk
+
     def test_verify_bounds_on_entropic_models_matches_the_scalar_route(self):
         rng = np.random.default_rng(4102)
         tol, alpha = 1e-9, 0.5

@@ -1,7 +1,7 @@
 """Every module of the package exports only names it defines or imports;
 every committed benchmark record carries the fields a speed claim rests on,
 and the pairs driver writes records of that layout; the digest script that
-bit-identity claims rest on, and the CLI phase timer, run."""
+bit-identity claims rest on, the CLI phase timer and the exp route survey, run."""
 
 import importlib.util
 import json
@@ -160,3 +160,25 @@ def test_sum_gate_prints_both_routes_and_the_break_even_per_column_count():
     assert len(lines) == len(patterns), run.stdout
     for line, pattern in zip(lines, patterns):
         assert re.fullmatch(pattern, line), line
+
+
+def test_exp_route_prints_the_differing_counts_and_the_per_call_times():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "exp_route.py"), "--count", "20000", "--number", "2", "--repeats", "1"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    patterns = [r"numpy \S+", r"fn +range +args +complex +real"]
+    patterns += [r"exp +\[-745\.2, 0\) +20000 +[0-9]+ +[0-9]+", r"exp +\[-700, 700\) +20000 +[0-9]+ +[0-9]+"]
+    patterns += [r"log +\[\S+, \S+\) +20000 +[0-9]+ +[0-9]+"] * 3
+    patterns += [
+        r"us per 2100-argument exp call: complex [0-9]+\.[0-9], per element [0-9]+\.[0-9]",
+        r"platform check: complex exp is libm's (True|False) \([0-9]+\.[0-9]{2} ms\)",
+    ]
+    assert len(lines) == len(patterns), run.stdout
+    for line, pattern in zip(lines, patterns):
+        assert re.fullmatch(pattern, line), line
+    if lines[-1].split()[-3] == "True":  # where the check passes, no drawn shift differs either
+        assert [line.split()[-2] for line in lines[2:4]] == ["0", "0"], run.stdout

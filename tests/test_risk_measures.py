@@ -1,6 +1,9 @@
 """Evaluation, dual representation, and representation-consistency tests."""
 
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -43,6 +46,7 @@ from helpers import (
     exact_stage_value,
 )
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 UNIFORM4 = make_distribution([1, 2, 3, 4], [0.25] * 4)
 IDENTITY = DistortionFunction(form="identity")
 
@@ -793,3 +797,54 @@ def test_tie_free_rows_give_the_masked_branchs_bits(risk, m):
         law.ties = [0]
         masked = risk_measures._row_values(risk, law, iter(weights))
     assert [v.hex() for v in plain.tolist()] == [v.hex() for v in masked.tolist()]
+
+
+# the platform check's edge values: both zeros, -2**k from the smallest
+# subnormal up, the last shift whose exp is not 0.0 and the first that is,
+# and the non-finite shifts of a row whose top atom is not finite
+EXP_EDGES = np.concatenate(
+    [
+        [0.0, -0.0, np.nextafter(-745.1332191019412, 0.0), -745.1332191019412, math.inf, -math.inf, math.nan],
+        -np.ldexp(1.0, np.arange(-1074, 10)),
+    ]
+)
+
+
+def _exp_hexes(values):
+    return ["nan" if math.isnan(v) else v.hex() for v in values]
+
+
+class TestExpRoute:
+    """``_exp``, the entropic batch's exp, against ``math.exp``, bit for bit."""
+
+    def test_a_million_shifts_and_the_edges_give_libms_bits(self):
+        rng = np.random.default_rng(2210)
+        x = np.concatenate([rng.uniform(-745.2, 0.0, 10**6), EXP_EDGES])
+        want = _exp_hexes(map(math.exp, x.tolist()))
+        with np.errstate(all="ignore"):
+            flat = risk_measures._exp(x)  # as the masked branch calls it
+            table = risk_measures._exp(np.resize(x, (-(-len(x) // 7), 7)))  # as the tie-free branch calls it
+        assert flat.shape == x.shape and table.shape[1] == 7
+        assert _exp_hexes(flat.tolist()) == want
+        assert _exp_hexes(table.ravel()[: len(x)].tolist()) == want
+
+    def test_the_check_runs_once_and_not_at_import(self):
+        code = (
+            "import riskmdp.risk_measures as rm; n = rm._complex_exp_is_libm.cache_info().currsize; "
+            "rm._exp(rm.np.zeros(3)); rm._exp(rm.np.zeros(3)); info = rm._complex_exp_is_libm.cache_info(); "
+            "print(n, info.misses, info.hits)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["0", "1", "1"]
+
+    def test_a_failed_check_takes_math_exp_per_entry(self, monkeypatch):
+        calls = []
+        libm = risk_measures._libm
+        monkeypatch.setattr(risk_measures, "_complex_exp_is_libm", lambda: False)
+        monkeypatch.setattr(risk_measures, "_libm", lambda fn, x: calls.append((fn, x.shape)) or libm(fn, x))
+        x = np.resize(EXP_EDGES, (40, 30))
+        got = risk_measures._exp(x)
+        assert calls == [(math.exp, (1200,))] and got.shape == x.shape
+        assert _exp_hexes(got.ravel().tolist()) == _exp_hexes(map(math.exp, x.ravel().tolist()))

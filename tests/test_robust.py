@@ -633,6 +633,27 @@ class TestBatchedAdversaryTable:
         check_robust_game_value(cases)
         check_nature_best_response([(tie_model(rng, 17, n_states=2), ExpectedShortfall(0.7), 2)])
 
+    def test_underflowing_products_ignore_the_callers_error_state(self, monkeypatch):
+        # stage values near 1e-307 times densities below 1 are subnormal
+        rng = np.random.default_rng(641)
+        S, K = 30, 8
+        m = MdpModel(
+            n_states=S,
+            n_actions=2,
+            admissible=((0, 1),) * S,
+            disturbance=make_distribution(list(range(K)), [1.0 / K] * K),
+            transition=rng.integers(0, S, (S, 2, K)).tolist(),
+            cost=(rng.uniform(0, 1, (S, 2, K)) * 1e-307).tolist(),
+            terminal_cost=[0.0] * S,
+            discount=1.0,
+        )
+        ds = dual_set(ExpectedShortfall(0.5))
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", 10**9)
+        expected = bits(robust_game_value(m, ds, 3))
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", 0)
+        with np.errstate(all="raise"):
+            assert bits(robust_game_value(m, ds, 3)) == expected
+
     def test_reports_agree_across_routes(self, monkeypatch):
         for model, risk, horizon in oracle_cases(range(620, 640), 300, max_outcomes=8):
             reports = []
