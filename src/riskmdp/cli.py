@@ -58,7 +58,7 @@ __all__ = ["main", "entrypoint"]
 OK, VALIDATION_FAILURE, NOT_CONVERGED = 0, 2, 3
 MAX_HORIZON = 10**6  # stages: a finite solve keeps one value function and one rule per stage
 MAX_TRIALS = 10**6  # about 0.1 ms per axiom trial, 0.4 ms per contraction trial at 49 states x 49 actions (x86-64)
-MAX_CASINO_CELLS = 10**6  # states x bets x 2 outcomes: about 70 MB and 0.1 s to build and validate (x86-64)
+MAX_CASINO_CELLS = 10**6  # states x bets x outcomes: about 70 MB and 0.1 s to build and validate (x86-64)
 
 
 def _fmt(x: float) -> str:
@@ -289,7 +289,7 @@ def _build_example(name: str, params: dict):
         win_prob, horizon, cap = param("win_prob", float), param("horizon", _int), max(grid, default=0)
         # the top capital 2**horizon * cap is below 2**(cap.bit_length() + horizon): checked before the power
         top = 2**horizon * cap if 0 < horizon <= 40 - cap.bit_length() else 2**40
-        if horizon > 0 and cap > 0 and (top + 1) * (top // 2 + 1) * 2 > MAX_CASINO_CELLS:
+        if horizon > 0 and cap > 0 and (top + 1) * (top // 2 + 1) * (1 + (0 < win_prob < 1)) > MAX_CASINO_CELLS:
             raise ModelFileError([f"task.params.horizon = {horizon} with task.params.grid up to {cap}: the casino's "
                                   f"(state, bet, outcome) tables would hold more than {MAX_CASINO_CELLS} cells"])
         return ex.build_casino(win_prob, horizon, grid)

@@ -710,10 +710,10 @@ def _row_values(risk: RiskMeasure, law: _RowLaws, weights: Iterator[np.ndarray])
         gamma = risk.gamma
         scaled = gamma * atom
         mx = scaled[:, -1:]  # the top atom has the largest product, as gamma > 0
-        # the scalar route takes libm's exp and log: _exp reaches libm's exp
-        # in one numpy call, log goes through the math module. The top column
-        # (always an atom's end) has a shift of exactly 0.0 in a finite row,
-        # and prob * exp(0.0) is prob; the other shifts are <= 0
+        # the scalar route takes libm's exp and log: _exp reaches libm's exp in one numpy call; numpy's log
+        # is not libm's (scripts/exp_route.py), so log goes through the math module. The top column (always
+        # an atom's end) has a shift of exactly 0.0 in a finite row, and prob * exp(0.0) is prob; the other
+        # shifts are <= 0
         if law.ties:
             terms = np.where(end, law.prob, 0.0)
             inner = end.copy()
@@ -734,8 +734,8 @@ def _at_ends(law: _RowLaws, x: np.ndarray) -> np.ndarray:
 
 
 def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """``fn`` of each entry of the 1-d array ``x``, one Python call each, rounded as the math module rounds:
-    the entropic log's route, as numpy's log is not libm's (``scripts/exp_route.py``)."""
+    """``fn`` of each entry of the 1-d array ``x``, one Python call each, rounded as the math module rounds: the
+    entropic log's route, ``_exp``'s fallback and ``_complex_exp_is_libm``'s reference (``scripts/exp_route.py``)."""
     return np.fromiter(map(fn, x.tolist()), dtype=float, count=len(x))
 
 

@@ -893,6 +893,9 @@ def test_a_casino_past_the_cell_limit_is_refused_before_it_is_built(tmp_path, ca
         ({"horizon": 3, "grid": [124]}, True),
         ({"horizon": 1, "grid": [0, 500]}, False),  # capital 1000: 1001 x 501 x 2
         ({"horizon": 3, "grid": [125]}, False),
+        ({"horizon": 1, "grid": [0, 706], "win_prob": 1.0}, True),  # one outcome column: 1413 x 707 x 1
+        ({"horizon": 1, "grid": [0, 706], "win_prob": 0.0}, True),
+        ({"horizon": 1, "grid": [0, 707], "win_prob": 1.0}, False),  # 1415 x 708 x 1
         ({"horizon": 0, "grid": [10**9]}, True),  # build_casino refuses these
         ({"horizon": 10**9, "grid": [-5, 0]}, True),
         ({"horizon": 10**9, "grid": []}, True),
