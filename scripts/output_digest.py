@@ -11,7 +11,11 @@ Two checkouts that print the same lines agree bit for bit. Per seed:
   reached, not what it is;
 - one ``seed N counters`` line per infinite_cli model with the
   ``pair_evaluations`` of its solve, so two checkouts can show that
-  they evaluate the same pairs. The other lines do not depend on them.
+  they evaluate the same pairs. The other lines do not depend on them;
+- one ``seed N fixed-rule`` digest over paths that no workload runs, on
+  every infinite_cli model file: ``evaluate_policy_finite`` of the
+  greedy rule at v = 0 as a stationary policy over 3 stages, and, on the
+  coherent models, ``check_contraction`` (20 trials, seed 0).
 
 The inputs come from perfbench's workload generators, which are only
 imported; the model files are written to a temporary directory. The
@@ -25,6 +29,7 @@ import argparse
 import dataclasses
 import hashlib
 import importlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -84,6 +89,20 @@ def solve_counted(lib, inst) -> tuple[int, list[int]]:
         lib.cli.solve_infinite = solve
 
 
+def fixed_rule_results(lib, models: Path) -> list[str]:
+    """The fixed-rule and contraction results on each model file in ``models``, by file name."""
+    results = []
+    for path in sorted(models.glob("*.json")):
+        doc = lib.model_io.parse_model_file(json.loads(path.read_text()))
+        model, risk, spec = doc["model"], doc["risk"], doc["bounds"]
+        rule = lib.mdp_core.bellman_T(model, risk, [0.0] * model.n_states)[1]
+        policy = lib.mdp_core.Policy(stages=(rule,), stationary=True)
+        values = lib.solvers.evaluate_policy_finite(model, risk, policy, 3)
+        ratio = lib.solvers.check_contraction(model, risk, spec, 20, 0) if lib.risk_measures.is_coherent(risk) else None
+        results.append(f"{path.stem}={canonical(values)},{canonical(ratio)}")
+    return results
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 20101])
@@ -102,6 +121,7 @@ def main() -> None:
                 print(f"seed {seed} infinite_cli {inst.name} exit {code} {digest(files)}")
                 counters.append(f"seed {seed} counters {inst.name} pair_evaluations {' '.join(map(str, evaluations))}")
             print(*counters, sep="\n")
+            print(f"seed {seed} fixed-rule {digest(chr(10).join(fixed_rule_results(lib, work / 'cli' / 'models')).encode())}")
             for name in ("casino", "robust"):
                 batch = getattr(workloads, name)(lib, seed, work / name)
                 results = [f"{inst.name}={canonical(inst.solve())}" for inst in batch.instances]

@@ -29,6 +29,7 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -42,9 +43,11 @@ from .model_io import (
     ModelFileError,
     _cast,
     _field,
+    _float,
     _floats,
     _int,
     _ints,
+    _is_number,
     _pairs,
     model_file_dict,
     parse_model_file,
@@ -147,12 +150,12 @@ def _task_field(task: dict, key: str, kind: type, default=_REQUIRED, least: int 
         if default is _REQUIRED:
             raise ModelFileError([f"task.{key} is missing"])
         return default
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    number = _is_number(value)
     if kind is bool:
         ok, want = isinstance(value, bool), "a JSON boolean"
     elif kind is int:
-        integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-        ok, want = number and integral and value >= least, f"an integer >= {least}"
+        integral = number and (isinstance(value, numbers.Integral) or float(value).is_integer())
+        ok, want = integral and value >= least, f"an integer >= {least}"
         if ok and value > most:
             ok, want = False, f"at most {most}"
     else:
@@ -286,7 +289,7 @@ def _build_example(name: str, params: dict):
 
     if name == "casino":
         grid = param("grid", _ints, (0, 1, 2, 3))
-        win_prob, horizon, cap = param("win_prob", float), param("horizon", _int), max(grid, default=0)
+        win_prob, horizon, cap = param("win_prob", _float), param("horizon", _int), max(grid, default=0)
         # the top capital 2**horizon * cap is below 2**(cap.bit_length() + horizon): checked before the power
         top = 2**horizon * cap if 0 < horizon <= 40 - cap.bit_length() else 2**40
         if horizon > 0 and cap > 0 and (top + 1) * (top // 2 + 1) * (1 + (0 < win_prob < 1)) > MAX_CASINO_CELLS:
@@ -297,8 +300,8 @@ def _build_example(name: str, params: dict):
         return ex.build_house_selling(
             ex.HouseSellingParams(
                 offer_law=law("offers"),
-                rent=param("rent", float),
-                beta=param("beta", float, 1.0),
+                rent=param("rent", _float),
+                beta=param("beta", _float, 1.0),
                 horizon=param("horizon", _int, 2),
             )
         )
@@ -309,10 +312,10 @@ def _build_example(name: str, params: dict):
             ex.CashBalanceParams(
                 levels=levels,
                 holding_cost=lambda v: table[v],
-                transfer_up=param("transfer_up", float),
-                transfer_down=param("transfer_down", float),
+                transfer_up=param("transfer_up", _float),
+                transfer_down=param("transfer_down", _float),
                 z_law=law("shifts"),
-                beta=param("beta", float, 0.9),
+                beta=param("beta", _float, 0.9),
             )
         )
     if name == "var_myopic":
@@ -329,7 +332,7 @@ def _build_example(name: str, params: dict):
                 z_law=law("shifts"),
                 transition=lambda x, a, z: clamp(x + action_shifts[a] + z),
                 cost=lambda x, nxt: x + 2.0 * nxt,
-                level=param("level", float, 0.5),
+                level=param("level", _float, 0.5),
                 horizon=param("horizon", _int, 3),
             )
         )

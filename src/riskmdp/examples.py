@@ -27,7 +27,7 @@ import numpy as np
 
 from .distributions import DiscreteDistribution, make_distribution, pushforward
 from .errors import InvalidParams, MonotonicityViolation
-from .mdp_core import MdpModel, _stage_values
+from .mdp_core import MdpModel, _pair_table, _stage_values
 from .risk_measures import RiskMeasure, ValueAtRisk, evaluate
 from .solvers import solve_finite
 
@@ -486,12 +486,9 @@ def verify_myopia(model: MdpModel, level: float, horizon: int) -> bool:
     risk = ValueAtRisk(level)
     result = solve_finite(model, risk, horizon)
 
-    xs, acts = model._sweep[:2]
-
     def minimizers(values) -> np.ndarray:
         """(S, A) mask of each state's minimizing actions, from one value per pair."""
-        table = np.full((model.n_states, model.transition.shape[1]), math.inf)
-        table[xs, acts] = values
+        table = _pair_table(model, values)
         return table == table.min(axis=1, keepdims=True)
 
     # the quantile of the next label is the stage step at zero cost and discount 1

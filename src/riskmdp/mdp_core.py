@@ -41,8 +41,8 @@ from .risk_measures import (
     _SECOND_ORDER,
     _U,
     Entropic,
-    Mixture,
     RiskMeasure,
+    _parts,
     _risk_value_of_pairs,
     _risk_values_of_rows,
     _rounding_bound,
@@ -148,8 +148,9 @@ class MdpModel:
     The tables accept any nested sequence or array. Cells of inadmissible
     actions are set to zero, so models compare equal (by value) however
     their builders filled them. A table that is not rectangular is kept
-    as nested tuples for ``validate_model`` to report on; the sweep
-    operators raise ``DimensionMismatch`` on such a model.
+    as nested tuples for ``validate_model``. The sweep operators raise
+    ``DimensionMismatch`` unless both are arrays of one shape with
+    ``n_states`` rows, as ``admissible`` has.
     """
 
     n_states: int
@@ -166,6 +167,8 @@ class MdpModel:
     # derived views, built on first use; set with object.__setattr__ rather
     # than a cached_property, whose __dict__ writes slow every attribute read
     _rows: tuple | None = field(init=False, default=None, repr=False)
+    # the (S, A) admissible mask, kept when the tables form one (S, A, K) layout and None otherwise
+    _mask: np.ndarray | None = field(init=False, default=None, repr=False)
     _sweep_tables: tuple | None = field(init=False, default=None, repr=False)
     _sweep_lists: tuple | None = field(init=False, default=None, repr=False)
     _starts: np.ndarray | None = field(init=False, default=None, repr=False)
@@ -179,11 +182,12 @@ class MdpModel:
             isinstance(transition, np.ndarray)
             and isinstance(cost, np.ndarray)
             and transition.shape == cost.shape
-            and len(transition) == len(admissible)
+            and len(transition) == len(admissible) == self.n_states
         ):
-            keep = _admissible_mask(admissible, transition.shape[1])[:, :, None]
-            transition = np.where(keep, transition, 0)
-            cost = np.where(keep, cost, 0.0)
+            mask = _admissible_mask(admissible, transition.shape[1])
+            object.__setattr__(self, "_mask", mask)
+            transition = np.where(mask[:, :, None], transition, 0)
+            cost = np.where(mask[:, :, None], cost, 0.0)
         for tab in (transition, cost):
             if isinstance(tab, np.ndarray):
                 tab.flags.writeable = False
@@ -245,16 +249,9 @@ class MdpModel:
         ascending probability as the batched risk evaluation requires.
         """
         if self._sweep_tables is None:
-            if not (
-                isinstance(self.transition, np.ndarray)
-                and isinstance(self.cost, np.ndarray)
-                and self.transition.shape == self.cost.shape
-                and len(self.transition) == self.n_states
-            ):
-                raise DimensionMismatch(
-                    "transition and cost are not (S, A, K) tables; validate_model locates the fault"
-                )
-            xs, acts = np.nonzero(_admissible_mask(self.admissible, self.transition.shape[1]))
+            if self._mask is None:
+                raise DimensionMismatch("transition and cost are not (S, A, K) tables; validate_model locates the fault")
+            xs, acts = np.nonzero(self._mask)
             probs = np.array(self.disturbance.probs)
             by_prob = np.argsort(probs, kind="stable")
             zs = np.array(self.z_indices)[by_prob]
@@ -514,18 +511,17 @@ def validate_model(model: MdpModel) -> list[Diagnostic]:
 
 
 def _pairs_valid(model: MdpModel, K: int) -> bool:
-    """Whether ``validate_model``'s per-pair checks pass, found in array passes: (S, A, K) tables,
-    admissible actions in range and listed once (the mask keeps one of each, in range), successors in
-    range and finite costs. Every disturbance index must lie in [0, K)."""
-    S, tables = model.n_states, (model.transition, model.cost)
-    if not all(isinstance(t, np.ndarray) and t.shape == (S, model.n_actions, K) for t in tables):
+    """Whether ``validate_model``'s per-pair checks pass, found in array passes: the model's (S, A, K)
+    layout at A = n_actions, admissible actions in range and listed once (the mask keeps one of each, in
+    range), successors in range and finite costs. Every disturbance index must lie in [0, K)."""
+    if model._mask is None or model.transition.shape[1:] != (model.n_actions, K):
         return False
     xs, _, succ, cost, _ = model._sweep
     return (
         len(xs) == sum(map(len, model.admissible))
-        and len(model._state_starts) == S
+        and len(model._state_starts) == model.n_states
         and 0 <= succ.min(initial=0)
-        and succ.max(initial=0) < S
+        and succ.max(initial=0) < model.n_states
         and bool(np.isfinite(cost).all())
     )
 
@@ -618,11 +614,9 @@ def _stage_values(
     and read +inf (``_Elimination``). Fixed-rule and pair-by-pair steps do
     not read the memo.
     """
-    xs, acts, succ, cost, probs = model._sweep
+    succ, cost, probs = model._sweep[2:]
     if rule is not None:
-        at = np.zeros(model.transition.shape[:2], dtype=np.int64)
-        at[xs, acts] = np.arange(len(xs))
-        pick = at[np.arange(model.n_states), rule]
+        pick = _pair_table(model, np.arange(len(succ)), 0)[np.arange(model.n_states), rule]
         succ, cost = succ[pick], cost[pick]
     if succ.size >= BATCH_MIN_OUTCOMES:
         # overflow gives inf or NaN and underflow 0.0, as pair by pair, in any numpy error state
@@ -847,9 +841,7 @@ def _bounds(vals: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _has_kind(risk: RiskMeasure, kinds: tuple) -> bool:
     """Whether ``risk`` or a part of its mixture is one of ``kinds``."""
-    if isinstance(risk, Mixture):
-        return _has_kind(risk.first, kinds) or _has_kind(risk.second, kinds)
-    return isinstance(risk, kinds)
+    return any(isinstance(part, kinds) for part in _parts(risk))
 
 
 def _dominated(lower: np.ndarray, upper: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> np.ndarray:
@@ -863,6 +855,14 @@ def _dominated(lower: np.ndarray, upper: np.ndarray, starts: np.ndarray, seg: np
     return lower > np.take(np.minimum.reduceat(upper, starts), seg)
 
 
+def _pair_table(model: MdpModel, vals, fill: float = math.inf) -> np.ndarray:
+    """Each state's row of pair values: an (S, A) table of ``fill``, and of its dtype, with ``vals``,
+    one per admissible pair in ``model._sweep`` order, written at the admissible mask."""
+    table = np.full(model._mask.shape, fill)
+    table[model._mask] = vals
+    return table
+
+
 def _first_min(model: MdpModel, vals):
     """Per state, the first strict minimum of its pairs' values, and its action.
 
@@ -872,12 +872,12 @@ def _first_min(model: MdpModel, vals):
     (+inf, -1). The minima come as ``vals`` came, a list or an array, and
     the actions as a list; both kinds of input give the same result.
 
-    An array is put into an (S, A) table of +inf through flat indices,
-    NaN becomes +inf (``fmin`` keeps the sign of a zero), and ``argmin``
-    takes each row's first minimum; a state without a pair keeps a row
-    of +inf. A pass over the state-sorted pairs with ``np.minimum.reduceat``
-    needs three more passes to find each state's first minimizing pair,
-    and measured slower at every infinite_cli size.
+    An array is put into its ``_pair_table``, NaN becomes +inf (``fmin``
+    keeps the sign of a zero), and ``argmin`` takes each row's first
+    minimum; a state without a pair keeps a row of +inf. A pass over the
+    state-sorted pairs with ``np.minimum.reduceat`` needs three more
+    passes to find each state's first minimizing pair, and measured
+    slower at every infinite_cli size.
     """
     if isinstance(vals, list):
         xs, acts = model._pairs[:2]
@@ -886,15 +886,10 @@ def _first_min(model: MdpModel, vals):
             if val < best[x]:
                 best[x], actions[x] = val, a
         return best, actions
-    xs, acts = model._sweep[:2]
-    n_states, width = model.n_states, model.transition.shape[1]
-    flat = xs * width
-    flat += acts
-    table = np.full(n_states * width, math.inf)
-    table[flat] = vals
-    table = np.fmin(table, math.inf, out=table).reshape(n_states, width)
+    table = _pair_table(model, vals)
+    table = np.fmin(table, math.inf, out=table)
     first = table.argmin(axis=1)
-    best = table[np.arange(n_states), first]
+    best = table[np.arange(model.n_states), first]
     return best, np.where(best < math.inf, first, -1).tolist()
 
 

@@ -88,10 +88,29 @@ def _field(obj: dict, key: str, cast, where: str):
     return _cast(f"{where}.{key}", cast, obj[key])
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number: an int or a float, numpy's included, never a bool or a string."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _array(values) -> list | tuple:
+    """``values`` if it is a JSON array, or a list or tuple from a Python caller."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError("not an array")
+    return values
+
+
+def _numbers(values) -> list | tuple:
+    """``values`` if it is an array of numbers; plain ints and floats, as JSON gives them, pass in one C pass."""
+    if not {int, float}.issuperset(map(type, _array(values))) and not all(map(_is_number, values)):
+        raise TypeError("not a number")
+    return values
+
+
 def _ints(values) -> tuple[int, ...]:
-    """``int`` of each value, refusing a float it would truncate: 2.0 reads as 2, 2.5 is an error."""
-    ints = tuple(map(int, values))
-    if ints != tuple(values) and any(isinstance(v, float) and not v.is_integer() for v in values):
+    """``int`` of each number, refusing a float it would truncate: 2.0 reads as 2, 2.5 is an error."""
+    ints = tuple(map(int, _numbers(values)))
+    if ints != tuple(values):
         raise ValueError("not an integer")
     return ints
 
@@ -101,29 +120,39 @@ def _int(value) -> int:
 
 
 def _floats(values) -> tuple[float, ...]:
-    return tuple(map(float, values))
+    return tuple(map(float, _numbers(values)))
+
+
+def _float(value) -> float:
+    if not _is_number(value):
+        raise TypeError("not a number")
+    return float(value)
 
 
 def _pairs(rows) -> tuple[tuple[float, float], ...]:
-    return tuple((float(u), float(v)) for u, v in rows)
+    return tuple((u, v) for u, v in map(_floats, _array(rows)))
 
 
 def _array_cells(raw, n_actions: int, k: int, kinds: str):
     """The (S, A) mask of the filled cells of table ``raw`` and their (n, k) array, read by one numpy call.
 
     None unless every row holds ``n_actions`` cells and numpy reads the filled ones as a rectangle of
-    width ``k`` of a dtype kind in ``kinds`` ("i": int64, "f": float64): bool, unsigned, str and object
-    cells, ragged and nested ones go to the per-cell reader, with all that it refuses or reads otherwise.
+    width ``k`` of a dtype kind in ``kinds`` ("i": int64, "f": float64) without a bool among them (numpy
+    reads ``[0, true]`` as ints): bool, unsigned, str and object cells, ragged and nested ones go to the
+    per-cell reader, with all that it refuses or reads otherwise.
     """
     try:
         if set(map(len, raw)) != {n_actions}:
             return None
         flat = list(chain.from_iterable(raw))
         filled = np.fromiter(map(is_not, flat, repeat(None)), dtype=bool, count=len(flat))
-        cells = np.array(list(compress(flat, filled)))
+        kept = list(compress(flat, filled))
+        cells = np.array(kept)
     except (TypeError, ValueError, OverflowError):
         return None
     if cells.ndim != 2 or cells.shape[1] != k or cells.dtype.kind not in kinds:
+        return None
+    if bool in set(map(type, chain.from_iterable(kept))):
         return None
     return filled.reshape(len(raw), n_actions), cells
 
@@ -136,9 +165,9 @@ def parse_risk(obj: Any, where: str = "risk") -> RiskMeasure:
     if kind == "expectation":
         return Expectation()
     if kind == "value_at_risk":
-        return ValueAtRisk(level=_field(obj, "level", float, where))
+        return ValueAtRisk(level=_field(obj, "level", _float, where))
     if kind == "expected_shortfall":
-        return ExpectedShortfall(level=_field(obj, "level", float, where))
+        return ExpectedShortfall(level=_field(obj, "level", _float, where))
     if kind == "distortion":
         form = obj.get("form", "piecewise_linear")
         if form == "piecewise_linear":
@@ -147,17 +176,17 @@ def parse_risk(obj: Any, where: str = "risk") -> RiskMeasure:
         level = obj.get("level")
         return Distortion(
             g=DistortionFunction(
-                form=form, level=None if level is None else _cast(f"{where}.level", float, level)
+                form=form, level=None if level is None else _cast(f"{where}.level", _float, level)
             )
         )
     if kind == "spectral":
         bps = _field(obj, "breakpoints", _pairs, where)
         return Spectral(phi=StepSpectrum(breakpoints=bps))
     if kind == "entropic":
-        return Entropic(gamma=_field(obj, "gamma", float, where))
+        return Entropic(gamma=_field(obj, "gamma", _float, where))
     if kind == "mixture":
         return Mixture(
-            weight=_field(obj, "weight", float, where),
+            weight=_field(obj, "weight", _float, where),
             first=_field(obj, "first", lambda sub: parse_risk(sub, f"{where}.first"), where),
             second=_field(obj, "second", lambda sub: parse_risk(sub, f"{where}.second"), where),
         )
@@ -207,7 +236,7 @@ def parse_model(obj: Any) -> MdpModel:
     if not isinstance(dist_obj, dict) or "probs" not in dist_obj:
         raise ModelFileError(["model.disturbance must be an object with 'probs'"])
     probs = _field(dist_obj, "probs", _floats, "model.disturbance")
-    indices = dist_obj.get("indices", range(len(probs)))
+    indices = dist_obj.get("indices", tuple(range(len(probs))))
     atoms = _cast("model.disturbance.indices", lambda v: _floats(_ints(v)), indices)
     disturbance = make_distribution(atoms, probs)
     n_states = _field(obj, "n_states", _int, "model")
@@ -223,8 +252,8 @@ def parse_model(obj: Any) -> MdpModel:
 
     def table(name: str, read, kinds: str):
         where = f"model.{name}"
-        raw = obj[name]
-        if _cast(where, len, raw) != n_states:
+        raw = _cast(where, _array, obj[name])
+        if len(raw) != n_states:
             diags.append(f"{where} has {len(raw)} rows, expected {n_states}")
             return None
         fast = _array_cells(raw, n_actions, k, kinds)
@@ -232,7 +261,7 @@ def parse_model(obj: Any) -> MdpModel:
             return fast
         out = []
         for x, row in enumerate(raw):
-            if _cast(where, len, row, x) != n_actions:
+            if len(_cast(where, _array, row, x)) != n_actions:
                 diags.append(f"{where}[{x}] has {len(row)} actions, expected {n_actions}")
                 return None
             cells = []
@@ -246,24 +275,23 @@ def parse_model(obj: Any) -> MdpModel:
             out.append(cells)
         return out
 
-    def filled(out, read, dtype):
+    def filled(out, read, dtype, width):
         # null cells are zeros, built only once the filled cells of both
-        # tables agree with k and no admissible pair has a null cell, so a
-        # wrong n_outcomes is refused before it is allocated
+        # tables agree with k and no admissible pair has a null cell, and
+        # only at a width that a filled cell has: a wrong n_outcomes is
+        # refused, or left to validate_model, before it is allocated
         if isinstance(out, tuple):  # the fast reader's mask and cells
-            table = np.zeros((*out[0].shape, k), dtype=dtype)
+            table = np.zeros((*out[0].shape, width), dtype=dtype)
             table[out[0]] = out[1]
             return table
-        if any(cell is None for row in out for cell in row):
-            zero = _cast("model.disturbance.n_outcomes", lambda n: read((0,) * n), k)
-            out = [[zero if cell is None else cell for cell in row] for row in out]
-        return tuple(map(tuple, out))
+        zero = read((0,) * width)
+        return tuple(tuple(zero if cell is None else cell for cell in row) for row in out)
 
     transition = table("transition", _ints, "i")
     cost = table("cost", _floats, "if")
     if diags or transition is None or cost is None:
         raise ModelFileError(diags)
-    admissible = _field(obj, "admissible", lambda rows: tuple(map(_ints, rows)), "model")
+    admissible = _field(obj, "admissible", lambda rows: tuple(map(_ints, _array(rows))), "model")
     diags = [
         f"model.{name}[{x}][{a}] is null, but action {a} is admissible in state {x}"
         for name in ("transition", "cost")
@@ -274,7 +302,10 @@ def parse_model(obj: Any) -> MdpModel:
     ]
     if diags:
         raise ModelFileError(diags)
-    transition, cost = filled(transition, _ints, np.int64), filled(cost, _floats, np.float64)
+    # k is confirmed once a filled cell has it; the fast reader's (mask, cells) tuple holds one
+    confirmed = any(isinstance(t, tuple) or any(c is not None for row in t for c in row) for t in (transition, cost))
+    width = k if confirmed else 0
+    transition, cost = filled(transition, _ints, np.int64, width), filled(cost, _floats, np.float64, width)
     labels = obj.get("state_labels")
     z_labels = obj.get("z_labels")
     return MdpModel(
@@ -285,7 +316,7 @@ def parse_model(obj: Any) -> MdpModel:
         transition=transition,
         cost=cost,
         terminal_cost=_field(obj, "terminal_cost", _floats, "model"),
-        discount=_cast("model.discount", float, obj.get("discount", 1.0)),
+        discount=_cast("model.discount", _float, obj.get("discount", 1.0)),
         state_labels=None if labels is None else _cast("model.state_labels", _floats, labels),
         z_labels=None if z_labels is None else _cast("model.z_labels", _floats, z_labels),
     )
@@ -332,8 +363,8 @@ def parse_bounds(obj: Any) -> BoundingSpec:
         where = f"bounds.{key}"
         if default is None and key not in obj:
             _fail(f"{where} is missing")
-        raw = _cast(where, list, obj.get(key, default))
-        return tuple(_cast(where, float, v, i) for i, v in enumerate(raw))
+        raw = _cast(where, _array, obj.get(key, default))
+        return tuple(_cast(where, _float, v, i) for i, v in enumerate(raw))
 
     eps_split = floats("eps_split", (0.5, 0.5))
     if len(eps_split) != 2:
@@ -342,7 +373,7 @@ def parse_bounds(obj: Any) -> BoundingSpec:
         lb=floats("lb"),
         ub=floats("ub"),
         eps_split=eps_split,
-        alpha=_cast("bounds.alpha", float, obj.get("alpha", 1.0)),
+        alpha=_cast("bounds.alpha", _float, obj.get("alpha", 1.0)),
         mode=_cast("bounds.mode", BoundMode, obj.get("mode", "coherent")),
     )
 

@@ -291,32 +291,29 @@ def describe(risk: RiskMeasure) -> str:
     raise InvalidSpec(f"unknown risk specification {risk!r}")
 
 
-def is_positive_homogeneous(risk: RiskMeasure) -> bool:
-    if isinstance(risk, (Expectation, ValueAtRisk, ExpectedShortfall, Distortion, Spectral)):
-        return True
+def _parts(risk) -> list:
+    """The parts of ``risk`` that are not mixtures, first before second; a mixture has a property below
+    exactly when every part has it."""
     if isinstance(risk, Mixture):
-        return is_positive_homogeneous(risk.first) and is_positive_homogeneous(risk.second)
-    return False
+        return _parts(risk.first) + _parts(risk.second)
+    return [risk]
+
+
+def is_positive_homogeneous(risk: RiskMeasure) -> bool:
+    return all(isinstance(part, (Expectation, ValueAtRisk, ExpectedShortfall, Distortion, Spectral)) for part in _parts(risk))
 
 
 def is_comonotonic_additive(risk: RiskMeasure) -> bool:
-    # the distortion class; mixtures inherit from both components
-    if isinstance(risk, (Expectation, ValueAtRisk, ExpectedShortfall, Distortion, Spectral)):
-        return True
-    if isinstance(risk, Mixture):
-        return is_comonotonic_additive(risk.first) and is_comonotonic_additive(risk.second)
-    return False
+    return is_positive_homogeneous(risk)  # the distortion class has both properties
 
 
 def is_coherent(risk: RiskMeasure) -> bool:
     """Monotone, translation invariant, positive homogeneous and subadditive."""
-    if isinstance(risk, (Expectation, ExpectedShortfall, Spectral)):
-        return True
-    if isinstance(risk, Distortion):
-        return risk.g.is_concave()
-    if isinstance(risk, Mixture):
-        return is_coherent(risk.first) and is_coherent(risk.second)
-    return False
+    return all(
+        isinstance(part, (Expectation, ExpectedShortfall, Spectral))
+        or isinstance(part, Distortion) and part.g.is_concave()
+        for part in _parts(risk)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1052,13 +1049,13 @@ def _claims(risk: RiskMeasure) -> set[str]:
 
 
 def _levels_of(risk: RiskMeasure) -> list[float]:
-    if isinstance(risk, (ValueAtRisk, ExpectedShortfall)):
-        return [risk.level]
-    if isinstance(risk, Distortion) and risk.g.level is not None:
-        return [risk.g.level]
-    if isinstance(risk, Mixture):
-        return _levels_of(risk.first) + _levels_of(risk.second)
-    return []
+    levels = []
+    for part in _parts(risk):
+        if isinstance(part, (ValueAtRisk, ExpectedShortfall)):
+            levels.append(part.level)
+        elif isinstance(part, Distortion) and part.g.level is not None:
+            levels.append(part.g.level)
+    return levels
 
 
 def _subadditivity_battery(risk: RiskMeasure) -> list[tuple[list[float], list[float], list[float]]]:

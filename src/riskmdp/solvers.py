@@ -140,6 +140,7 @@ def _feasible_rules(models: Sequence[MdpModel], policy: Policy, horizon: int):
         m = models[n]
         if len(rule) != m.n_states:
             raise InfeasiblePolicy(f"stage {n} rule covers {len(rule)} states of {m.n_states}")
+        m._sweep  # DimensionMismatch unless the tables form one layout, as admissible[x] then has a row
         for x, a in enumerate(rule):
             if a not in m.admissible[x]:
                 raise InfeasiblePolicy(f"stage {n}: action {a} not admissible in state {x}")

@@ -4,6 +4,9 @@ import copy
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -519,6 +522,32 @@ _MIXTURE = {"kind": "mixture", "first": {"kind": "expectation"}, "second": {"kin
             f"model.transition[0][1] has 2 outcomes, expected {int(1e20)}",
             id="n_outcomes-1e20-before-a-null-cell",
         ),
+        # numbers and arrays are read by their JSON type: a digit string or a bool is neither
+        (_with(("model", "n_states"), "2"), "model.n_states: cannot read '2' (not a number)"),
+        (_with(("model", "discount"), "0.9"), "model.discount: cannot read '0.9' (not a number)"),
+        (_with(("model", "disturbance", "probs"), ["0.5", "0.5"]), "model.disturbance.probs: cannot read ['0.5', '0.5']"),
+        (_with(("model", "disturbance", "n_outcomes"), True), "model.disturbance.n_outcomes: cannot read True"),
+        (_with(("model", "disturbance", "indices"), "01"), "model.disturbance.indices: cannot read '01' (not an array)"),
+        (_with(("model", "admissible"), ["01", "0"]), "model.admissible: cannot read ['01', '0'] (not an array)"),
+        (_with(("model", "admissible"), [[0, True], [0]]), "model.admissible: cannot read [[0, True], [0]] (not a number)"),
+        (_with(("model", "terminal_cost"), "00"), "model.terminal_cost: cannot read '00' (not an array)"),
+        (_with(("model", "cost", 0, 0), "12"), "model.cost[0][0]: cannot read '12' (not an array)"),
+        (_with(("model", "transition", 0, 0), "01"), "model.transition[0][0]: cannot read '01' (not an array)"),
+        (_with(("model", "transition", 0, 0), [0, True]), "model.transition[0][0]: cannot read [0, True] (not a number)"),
+        (_with(("model", "cost", 0, 0), [False, 2.0]), "model.cost[0][0]: cannot read [False, 2.0] (not a number)"),
+        (_with(("model", "transition"), "ab"), "model.transition: cannot read 'ab' (not an array)"),
+        (_with(("bounds", "alpha"), "1"), "bounds.alpha: cannot read '1' (not a number)"),
+        (_with(("bounds", "lb"), "33"), "bounds.lb: cannot read '33' (not an array)"),
+        (_with(("bounds", "ub"), [2.5, True]), "bounds.ub[1]: cannot read True (not a number)"),
+        (_with(("risk",), dict(_MIXTURE, weight="0.5")), "risk.weight: cannot read '0.5' (not a number)"),
+        (_with(("risk", "level"), True), "risk.level: cannot read True (not a number)"),
+        (
+            _with(("risk",), {"kind": "spectral", "breakpoints": ["05", [0.5, 1.5]]}),
+            "risk.breakpoints: cannot read ['05', [0.5, 1.5]] (not an array)",
+        ),
+        (_casino_example(grid="12"), "task.params.grid: cannot read '12' (not an array)"),
+        (_casino_example(win_prob=True), "task.params.win_prob: cannot read True (not a number)"),
+        (_casino_example(horizon="2"), "task.params.horizon: cannot read '2' (not a number)"),
     ],
 )
 def test_malformed_fields_exit_2_with_a_located_message(tmp_path, capsys, doc, located):
@@ -679,8 +708,8 @@ def _paths(node, path):
 
 
 FUZZ_PATHS = [path for section in ("model", "risk", "bounds") for path in _paths(README_MODEL[section], (section,))]
-# drop the key; null, wrong types, NaN, +-inf, negative numbers, huge integral floats
-FUZZ_VALUES = (_DROP, None, "x", [], {}, True, math.nan, math.inf, -math.inf, -1, -2.5, 1e20, 1e308, -1e308)
+# drop the key; null, wrong types (a digit string among them), NaN, +-inf, negative numbers, huge integral floats
+FUZZ_VALUES = (_DROP, None, "x", "01", [], {}, True, math.nan, math.inf, -math.inf, -1, -2.5, 1e20, 1e308, -1e308)
 
 
 def _mutated(mutations, doc=None):
@@ -748,6 +777,47 @@ def test_all_null_tables_at_admissible_pairs_are_refused_before_a_null_cell_is_b
     err = capsys.readouterr().err
     assert code == 2 and "model.cost[1][0] is null, but action 0 is admissible in state 1" in err
     assert peak < 2**20
+
+
+def _without_admissible_pairs(n_outcomes):
+    """The README model file, solved for one stage, with no admissible action, every cell null and ``n_outcomes``."""
+    doc = _with(("model", "disturbance", "n_outcomes"), n_outcomes)
+    doc["model"].update(admissible=[[], []], transition=[[None, None], [None, None]], cost=[[None, None], [None, None]])
+    doc["task"] = {"type": "solve-finite", "horizon": 1}
+    return doc
+
+
+_NO_ADMISSIBLE_ACTION = "".join(f"EmptyAdmissibleSet(state={x}): no admissible action\n" for x in range(2))
+
+
+def test_null_cells_are_built_only_at_a_width_that_a_filled_cell_has(tmp_path, capsys):
+    # no cell is filled, so no zero cell is built at n_outcomes; validate_model refuses the model
+    path = write(tmp_path / "m.json", _without_admissible_pairs(10**6))
+    tracemalloc.start()
+    try:
+        code = main(["solve-finite", path, "--out", str(tmp_path / "out"), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and capsys.readouterr().err == _NO_ADMISSIBLE_ACTION
+    assert peak < 4 * 2**20
+
+
+def test_null_cells_at_a_huge_n_outcomes_are_refused_in_bounded_memory(tmp_path):
+    # a zero cell of 10**9 outcomes would take some 8 GB; run under a 2 GiB address-space cap
+    resource = pytest.importorskip("resource")
+    path = write(tmp_path / "m.json", _without_admissible_pairs(10**9))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    run = subprocess.run(
+        [sys.executable, "-m", "riskmdp.cli", "solve-finite", path, "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
+    )
+    assert (run.returncode, run.stderr) == (2, _NO_ADMISSIBLE_ACTION)
 
 
 def _parsed(obj, per_cell: bool):
@@ -909,6 +979,28 @@ def test_the_casino_cell_limit_counts_the_dense_tables(tmp_path, capsys, monkeyp
     path = write(tmp_path / "m.json", _casino_example(**params))
     assert main(["example", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert (capsys.readouterr().err == "built\n") is built
+
+
+@pytest.mark.parametrize("grid", [[1], [0, 2], [1, 3]])
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+@pytest.mark.parametrize("win_prob", [0.0, 0.5, 1.0])
+def test_the_casino_cell_limit_is_the_size_of_the_built_tables(tmp_path, capsys, monkeypatch, win_prob, horizon, grid):
+    # at a limit of exactly the cells build_casino makes, the file builds; one less refuses it
+    cells = build_casino(win_prob, horizon, grid).transition.size
+
+    def build(win_prob, horizon, grid):
+        raise ModelFileError(["built"])
+
+    monkeypatch.setattr(cli.ex, "build_casino", build)
+    path = write(tmp_path / "m.json", _casino_example(win_prob=win_prob, horizon=horizon, grid=grid))
+    for limit, err in (
+        (cells, "built\n"),
+        (cells - 1, f"task.params.horizon = {horizon} with task.params.grid up to {max(grid)}: the casino's "
+                    f"(state, bet, outcome) tables would hold more than {cells - 1} cells\n"),
+    ):
+        monkeypatch.setattr(cli, "MAX_CASINO_CELLS", limit)
+        assert main(["example", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err == err
 
 
 # each example with params it builds quickly, and the values the fuzz below puts in them

@@ -951,34 +951,38 @@ class TestArrayModel:
             ("BadTransition", {"x": 0, "a": 0, "z": 1})
         ]
 
-    def test_sweep_on_a_ragged_model_raises_a_library_error(self, monkeypatch):
-        m = two_state_model()
-        ragged = MdpModel(
-            n_states=2,
-            n_actions=2,
-            admissible=m.admissible,
-            disturbance=m.disturbance,
-            transition=(((0, 1, 0), (1, 1)), ((0, 0), (0, 0))),
-            cost=(((1.0, 2.0, 0.0), (0.5, 0.5)), ((0.0, 0.0), (0.0, 0.0))),
-            terminal_cost=m.terminal_cost,
-            discount=0.9,  # contractive, so the bounds check reaches the tables
-        )
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            pytest.param(
+                dict(
+                    transition=(((0, 1, 0), (1, 1)), ((0, 0), (0, 0))),
+                    cost=(((1.0, 2.0, 0.0), (0.5, 0.5)), ((0.0, 0.0), (0.0, 0.0))),
+                ),
+                id="ragged",
+            ),
+            pytest.param(dict(admissible=((0, 1), (0,), (0,))), id="admissible-row-too-many"),
+            pytest.param(dict(admissible=((0, 1),)), id="admissible-row-too-few"),
+        ],
+    )
+    def test_sweep_on_a_ragged_model_raises_a_library_error(self, monkeypatch, changes):
+        # contractive, so the bounds check reaches the tables
+        ragged = dataclasses.replace(two_state_model(beta=0.9), **changes)
         assert validate_model(ragged)
-        with pytest.raises(DimensionMismatch, match="validate_model"):
-            bellman_T(ragged, Expectation(), [0.0, 0.0])
-        with pytest.raises(DimensionMismatch, match="validate_model"):
-            constant_bounding_spec(ragged)
-        # the dual route's steps read the same pair layout, on both routes
+        # the primal and dual steps read the same pair layout, on both routes
         ds = robust_check.dual_set(ExpectedShortfall(0.5))
         spec = BoundingSpec(lb=(-5.0, -5.0), ub=(5.0, 5.0))
         policy = Policy(stages=((0, 0), (1, 0)))
         for threshold in (0, 10**9):
             monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", threshold)
             for solve in (
+                lambda: bellman_T(ragged, Expectation(), [0.0, 0.0]),
+                lambda: constant_bounding_spec(ragged),
                 lambda: robust_check.robust_game_value(ragged, ds, 2),
                 lambda: robust_check.nature_best_response(ragged, ds, policy, 2),
                 lambda: robust_check.robust_value_iteration(ragged, ds, spec, 1e-6),
                 lambda: robust_check.verify_equivalence(ragged, ExpectedShortfall(0.5), 2, 1e-9),
+                lambda: evaluate_policy_finite(ragged, Expectation(), policy, 2),
             ):
                 with pytest.raises(DimensionMismatch, match="validate_model"):
                     solve()
