@@ -152,7 +152,8 @@ def _array_cells(raw, n_actions: int, k: int, kinds: str):
         return None
     if cells.ndim != 2 or cells.shape[1] != k or cells.dtype.kind not in kinds:
         return None
-    if bool in set(map(type, chain.from_iterable(kept))):
+    # numpy reads a bool as 0 or 1, so only there can one hide
+    if any(type(kept[i // k][i % k]) is bool for i in np.flatnonzero((cells == 0) | (cells == 1)).tolist()):
         return None
     return filled.reshape(len(raw), n_actions), cells
 
