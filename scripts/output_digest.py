@@ -121,7 +121,8 @@ def main() -> None:
                 print(f"seed {seed} infinite_cli {inst.name} exit {code} {digest(files)}")
                 counters.append(f"seed {seed} counters {inst.name} pair_evaluations {' '.join(map(str, evaluations))}")
             print(*counters, sep="\n")
-            print(f"seed {seed} fixed-rule {digest(chr(10).join(fixed_rule_results(lib, work / 'cli' / 'models')).encode())}")
+            fixed = "\n".join(fixed_rule_results(lib, work / "cli" / "models"))
+            print(f"seed {seed} fixed-rule {digest(fixed.encode())}")
             for name in ("casino", "robust"):
                 batch = getattr(workloads, name)(lib, seed, work / name)
                 results = [f"{inst.name}={canonical(inst.solve())}" for inst in batch.instances]
