@@ -15,7 +15,10 @@ Two checkouts that print the same lines agree bit for bit. Per seed:
 - one ``seed N fixed-rule`` digest over paths that no workload runs, on
   every infinite_cli model file: ``evaluate_policy_finite`` of the
   greedy rule at v = 0 as a stationary policy over 3 stages, and, on the
-  coherent models, ``check_contraction`` (20 trials, seed 0).
+  coherent models, ``check_contraction`` (20 trials, seed 0) and, for
+  that policy, ``nature_best_response`` over 3 stages and
+  ``weak_increase_check`` over 3 stages. Their rule steps have at least
+  48 outcomes, so they take the batched routes.
 
 The inputs come from perfbench's workload generators, which are only
 imported; the model files are written to a temporary directory. The
@@ -90,7 +93,7 @@ def solve_counted(lib, inst) -> tuple[int, list[int]]:
 
 
 def fixed_rule_results(lib, models: Path) -> list[str]:
-    """The fixed-rule and contraction results on each model file in ``models``, by file name."""
+    """The fixed-rule, contraction and dual fixed-rule results on each model file in ``models``, by file name."""
     results = []
     for path in sorted(models.glob("*.json")):
         doc = lib.model_io.parse_model_file(json.loads(path.read_text()))
@@ -98,8 +101,15 @@ def fixed_rule_results(lib, models: Path) -> list[str]:
         rule = lib.mdp_core.bellman_T(model, risk, [0.0] * model.n_states)[1]
         policy = lib.mdp_core.Policy(stages=(rule,), stationary=True)
         values = lib.solvers.evaluate_policy_finite(model, risk, policy, 3)
-        ratio = lib.solvers.check_contraction(model, risk, spec, 20, 0) if lib.risk_measures.is_coherent(risk) else None
-        results.append(f"{path.stem}={canonical(values)},{canonical(ratio)}")
+        line = f"{path.stem}={canonical(values)}"
+        if lib.risk_measures.is_coherent(risk):
+            ratio = lib.solvers.check_contraction(model, risk, spec, 20, 0)
+            response = lib.robust_check.nature_best_response(model, lib.robust_check.dual_set(risk), policy, 3)
+            increase = lib.solvers.weak_increase_check(model, risk, spec, policy, 3)
+            line += f",{canonical(ratio)},{canonical(response)},{canonical(increase)}"
+        else:
+            line += f",{canonical(None)}"
+        results.append(line)
     return results
 
 

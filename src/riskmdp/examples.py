@@ -481,6 +481,7 @@ def verify_myopia(model: MdpModel, level: float, horizon: int) -> bool:
     tie-broken greedy policy is the same at every stage. Compares argmin
     sets rather than values to stay insensitive to ties.
     """
+    model._sweep  # DimensionMismatch unless the tables form one layout, as admissible[x] then has a row
     _monotone_mode_or_raise(model)
     labels = model.state_labels
     risk = ValueAtRisk(level)

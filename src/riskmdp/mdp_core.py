@@ -170,7 +170,8 @@ class MdpModel:
     # the (S, A) admissible mask, kept when the tables form one (S, A, K) layout and None otherwise
     _mask: np.ndarray | None = field(init=False, default=None, repr=False)
     _sweep_tables: tuple | None = field(init=False, default=None, repr=False)
-    _sweep_lists: tuple | None = field(init=False, default=None, repr=False)
+    _pair_lists: tuple | None = field(init=False, default=None, repr=False)
+    _index: list | None = field(init=False, default=None, repr=False)
     _starts: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -262,14 +263,23 @@ class MdpModel:
 
     @property
     def _pairs(self) -> tuple[list, ...]:
-        """The ``_sweep`` tables as lists of plain numbers, for the pair-by-pair steps.
+        """The ``_sweep`` pairs and their successor and cost rows in ``z_indices`` order (whose ties the
+        dual sup reads), as lists of plain numbers for the pair-by-pair steps and the dual route.
 
-        Built once per model and shared by every reader: read them, never
-        modify them.
+        Built once per model and shared by every reader: never modify them.
         """
-        if self._sweep_lists is None:
-            object.__setattr__(self, "_sweep_lists", tuple(t.tolist() for t in self._sweep))
-        return self._sweep_lists
+        if self._pair_lists is None:
+            xs, acts = self._sweep[:2]
+            rows = [t[xs, acts][:, list(self.z_indices)] for t in (self.transition, self.cost)]
+            object.__setattr__(self, "_pair_lists", tuple(t.tolist() for t in (xs, acts, *rows)))
+        return self._pair_lists
+
+    @property
+    def _pair_index(self) -> list[list[int]]:
+        """Each (x, a)'s index in ``_sweep`` order as (S, A) nested lists, -1 where the mask has no pair."""
+        if self._index is None:
+            object.__setattr__(self, "_index", _pair_table(self, np.arange(len(self._sweep[0])), -1).tolist())
+        return self._index
 
     @property
     def _state_starts(self) -> np.ndarray:
@@ -531,7 +541,7 @@ def _pairs_valid(model: MdpModel, K: int) -> bool:
 
 
 def _check_feasible(model: MdpModel, x: int, a: int) -> None:
-    if a not in model.admissible[x]:
+    if not (0 <= x < model.n_states and a in model.admissible[x]):
         raise InfeasibleAction(f"action {a} not admissible in state {x}")
 
 
@@ -602,8 +612,8 @@ def _stage_values(
     """The one-stage operator at many pairs, each value bit-identical to ``bellman_L``.
 
     Without ``rule``: one value per admissible pair, in ``model._sweep``
-    order. With a decision rule (one admissible action per state): one
-    value per state, at that state's rule pair. Steps over at least
+    order. With a decision rule's pair indices (``solvers._feasible_rules``):
+    one value per state, at its rule pair. Steps over at least
     ``BATCH_MIN_OUTCOMES`` stage outcomes are evaluated in one batch and
     return an array; smaller ones go pair by pair and return a list.
 
@@ -615,21 +625,20 @@ def _stage_values(
     not read the memo.
     """
     succ, cost, probs = model._sweep[2:]
-    if rule is not None:
-        pick = _pair_table(model, np.arange(len(succ)), 0)[np.arange(model.n_states), rule]
-        succ, cost = succ[pick], cost[pick]
-    if succ.size >= BATCH_MIN_OUTCOMES:
+    if (len(succ) if rule is None else len(rule)) * succ.shape[1] >= BATCH_MIN_OUTCOMES:
         # overflow gives inf or NaN and underflow 0.0, as pair by pair, in any numpy error state
         with np.errstate(all="ignore"):
-            if memo is not None and rule is None:
+            if rule is not None:
+                succ, cost = succ.take(rule, axis=0), cost.take(rule, axis=0)
+            elif memo is not None:
                 return _memo_values(model, risk, _array_of(v), memo)
             rows = cost + model.discount * _array_of(v)[succ]
             return _risk_values_of_rows(risk, rows, probs)
-    succ, cost = model._pairs[2:4] if rule is None else (succ.tolist(), cost.tolist())
-    beta, p, values = model.discount, model._pairs[4], _values_of(v)
+    rows = model._pairs[2:] if rule is None else [[t[i] for i in rule] for t in model._pairs[2:]]
+    beta, p, values = model.discount, model.disturbance.probs, _values_of(v)
     return [
         _risk_value_of_pairs(risk, zip([c + beta * values[s] for s, c in zip(row_s, row_c)], p))
-        for row_s, row_c in zip(succ, cost)
+        for row_s, row_c in zip(*rows)
     ]
 
 

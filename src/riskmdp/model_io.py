@@ -365,7 +365,10 @@ def parse_bounds(obj: Any) -> BoundingSpec:
         if default is None and key not in obj:
             _fail(f"{where} is missing")
         raw = _cast(where, _array, obj.get(key, default))
-        return tuple(_cast(where, _float, v, i) for i, v in enumerate(raw))
+        try:
+            return _floats(raw)
+        except (TypeError, ValueError, OverflowError):  # read again entry by entry, to locate the fault
+            return tuple(_cast(where, _float, v, i) for i, v in enumerate(raw))
 
     eps_split = floats("eps_split", (0.5, 0.5))
     if len(eps_split) != 2:

@@ -100,13 +100,8 @@ class DualSet:
         """Value and maximizing density of sup_q sum q_z values_z, q in the dual set."""
         if len(values) != len(probs):
             raise DimensionMismatch(f"{len(values)} values against {len(probs)} probabilities")
-        order = sorted(range(len(values)), key=values.__getitem__)
-        q_sorted = _dual_density_sorted(self.risk, [probs[i] for i in order])
-        q = [0.0] * len(values)
-        for rank, i in enumerate(order):
-            q[i] = q_sorted[rank]
-        value = _fsum(values[i] * q[i] for i in range(len(values)))
-        return value, tuple(q)
+        q = _density(self.risk, probs, tuple(sorted(range(len(values)), key=values.__getitem__)), {})
+        return _fsum(map(mul, values, q)), tuple(q)
 
     def feasible(self, q: Sequence[float], probs: Sequence[float], tol: float = 1e-12) -> bool:
         """Simplex membership plus the kind-specific cap constraints (where checkable).
@@ -139,17 +134,16 @@ class _Memo:
     The risk measure and the probabilities are fixed within a solve, so
     nature's maximizing density depends on a pair's stage values only
     through their stable sort order: ``densities`` keeps one density per
-    order met, by outcome. ``tables`` keeps, per decision rule (``None``:
-    every admissible pair) or per ``id`` of explicit rows, what
-    ``_batched_sups`` carries from one step to the next: the successor
-    and cost rows, and from the last step each row's stable order (as
-    indices into the raveled rows), the mask of the sorted positions
-    whose tie with the next one is in outcome order, and the row's
-    density by outcome. Each public entry point makes one and drops it
-    on return, so nothing is shared between solves; the policy
-    enumeration lends its own to the best responses it reads, which
-    solve the same model and risk measure. A plain class, since building
-    a dataclass costs about 0.5 ms at every import.
+    order met, by outcome. ``tables`` keeps, per key of the rows that
+    ``_adversary_values`` evaluates, what ``_batched_sups`` carries from
+    one step to the next: the successor and cost rows, and from the last
+    step each row's stable order (as indices into the raveled rows), the
+    mask of the sorted positions whose tie with the next one is in
+    outcome order, and the row's density by outcome. Each public entry
+    point makes one and drops it on return, so nothing is shared between
+    solves; the policy enumeration lends its own to the best responses it
+    reads, which solve the same model and risk measure. A plain class,
+    since building a dataclass costs about 0.5 ms at every import.
     """
 
     __slots__ = ("densities", "tables")
@@ -178,14 +172,12 @@ def _sup(risk: RiskMeasure, probs, values: list[float], densities: dict) -> floa
         raise _sum_overflow(exc) from exc
 
 
-def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, rule=None, rows=None) -> np.ndarray:
-    """Nature's sup at the rows of ``_adversary_values``, as an array.
+def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, rows, key) -> np.ndarray:
+    """Nature's sup at the successor and cost ``rows`` of ``_adversary_values``, as an array.
 
-    A rule's first step gathers its successor and cost rows in
-    ``z_indices`` order, as on the pair route (the order of tied values
-    decides the density), or takes the explicit ``rows``, sorts every
-    row and looks up one density per distinct stable order, read as one
-    byte string. ``memo.tables`` keeps the orders and densities, and
+    The first step under ``key`` keeps the rows as arrays, sorts every row
+    and looks up one density per distinct stable order, read as one byte
+    string. ``memo.tables[key]`` keeps the orders and densities, and
     later steps sort again only the rows that a stable sort would order
     differently: laid out in the kept order, each neighbour pair must be
     strictly ascending, or equal where the kept order has the two in
@@ -194,20 +186,15 @@ def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, rule=No
     test and goes through ``_sup``, since Python's sort places NaN where
     numpy's does not (a one-outcome row has no test, but one order).
     """
-    key = rule if rows is None else id(rows)
     table = memo.tables.get(key)
     if table is None:
-        if rows is None:
-            xs, acts = model._sweep[:2] if rule is None else (np.arange(model.n_states), np.array(rule))
-            zs = np.array(model.z_indices)
-            rows = model.transition[xs, acts][:, zs], model.cost[xs, acts][:, zs]
-        table = memo.tables[key] = [np.asarray(rows[0]), np.asarray(rows[1], dtype=float), None, None, None]
+        table = memo.tables[key] = [np.array(rows[0]), np.array(rows[1], dtype=float), None, None, None]
     succ, cost, flat, allow, q = table  # flat: each row's kept order, as indices into the raveled values
     probs = model.disturbance.probs
     n, m = succ.shape
     with np.errstate(all="ignore"):  # overflow gives inf or NaN and underflow 0.0, as pair by pair
         vals = cost + model.discount * mdp_core._array_of(cont)[succ]
-        if flat is None:  # the rule's first step builds every row
+        if flat is None:  # the first step under the key builds every row
             stale = np.arange(n)
             flat, allow, q = np.empty((n, m), dtype=np.intp), np.zeros((n, m), dtype=bool), np.empty((n, m))
             table[2:] = flat, allow, q
@@ -232,39 +219,35 @@ def _batched_sups(model: MdpModel, risk: RiskMeasure, cont, memo: _Memo, rule=No
     return sups
 
 
-def _adversary_values(model: MdpModel, ds: DualSet, cont, memo: _Memo, rule=None, rows=None):
-    """Nature's sup against the continuation ``cont`` at many pairs.
+def _adversary_values(model: MdpModel, ds: DualSet, cont, memo: _Memo, rows=None, key=None):
+    """Nature's sup against the continuation ``cont`` at many rows.
 
-    The dual route's stage step, in the layout of ``mdp_core._stage_values``:
-    without ``rule``, one value per admissible pair in ``model._sweep``
-    order; with a decision rule (a tuple, one admissible action per
-    state), one value per state at that state's rule pair. Explicit
-    ``rows``, a pair of successor and cost rows in ``z_indices`` order
-    whose successors index ``cont``, give one value per row; a solve
-    passes the same ``rows`` object at every step, since the memo keys
-    its table by ``id``. Each value is bit-identical to ``ds.sup`` of the
-    row's stage values, and each sort order's density comes from the
-    solve's ``memo``. Steps over at least ``mdp_core.BATCH_MIN_OUTCOMES``
-    stage outcomes go through ``_batched_sups`` and return an array;
-    smaller ones go pair by pair and return a list.
+    The dual route's stage step, in the layout of ``mdp_core._stage_values``,
+    over successor and cost rows in ``z_indices`` order (the order of tied
+    values decides the density): by default every admissible pair's, one
+    value per pair in ``model._sweep`` order; with a decision rule's pair
+    indices (``solvers._feasible_rules``) as ``rows``, one value per state
+    at its rule pair; or explicit ``rows``, whose successors index
+    ``cont``, kept in ``memo`` under the caller's ``key``. Each value is
+    bit-identical to ``ds.sup`` of the row's stage values, with each sort
+    order's density from ``memo``. Steps over at least
+    ``mdp_core.BATCH_MIN_OUTCOMES`` stage outcomes go through
+    ``_batched_sups`` and return an array; smaller ones go pair by pair
+    and return a list.
     """
-    xs = model._sweep[0]  # raises DimensionMismatch unless the tables are (S, A, K)
-    n_rows = len(rows[0]) if rows is not None else len(xs) if rule is None else len(rule)
-    if n_rows * len(model.z_indices) >= mdp_core.BATCH_MIN_OUTCOMES:
-        return _batched_sups(model, ds.risk, cont, memo, rule, rows)
-    beta, zs, probs = model.discount, model.z_indices, model.disturbance.probs
+    pairs = model._pairs[2:]  # raises DimensionMismatch unless the tables are (S, A, K)
+    if rows is None:
+        rows = pairs
+    elif key is None:  # a rule's pair indices, which key its rows
+        key, rows = rows, [[t[i] for i in rows] for t in pairs]
+    if len(rows[0]) * len(model.z_indices) >= mdp_core.BATCH_MIN_OUTCOMES:
+        return _batched_sups(model, ds.risk, cont, memo, rows, key)
+    beta, probs = model.discount, model.disturbance.probs
     cont = mdp_core._values_of(cont)
-    if rows is not None:
-        return [
-            _sup(ds.risk, probs, [c + beta * cont[s] for s, c in zip(row_s, row_c)], memo.densities)
-            for row_s, row_c in zip(*rows)
-        ]
-    trans, costs = model.rows
-    values = []
-    for x, a in zip(*model._pairs[:2]) if rule is None else enumerate(rule):
-        row_t, row_c = trans[x][a], costs[x][a]
-        values.append(_sup(ds.risk, probs, [row_c[z] + beta * cont[row_t[z]] for z in zs], memo.densities))
-    return values
+    return [
+        _sup(ds.risk, probs, [c + beta * cont[s] for s, c in zip(row_s, row_c)], memo.densities)
+        for row_s, row_c in zip(*rows)
+    ]
 
 
 def nature_best_response(model: MdpModel, ds: DualSet, policy: Policy, horizon: int, memo=None) -> ValueFunction:
@@ -345,14 +328,10 @@ def _class_table(model: MdpModel, spans: list[range], picks: list[tuple[int, ...
     pair and the first rule of its class, the successor and cost rows, and
     each rule's row at each pair as an (R, P) array.
     """
-    trans, costs = model.rows
-    zs = model.z_indices
     sizes = [len(span) for span in spans]
     strides = [math.prod(sizes[y + 1 :]) for y in range(len(sizes))]
     pair_of, first, succ, cost, weights = [], [], [], [], []
-    for i, (x, a) in enumerate(zip(*model._pairs[:2])):
-        row_t, row_c = trans[x][a], costs[x][a]
-        to = [row_t[z] for z in zs]
+    for i, (to, row_c) in enumerate(zip(*model._pairs[2:])):
         # the first rule of each class, in order; a class's place among them
         # is the digits at the successors read in the radix of their sizes
         firsts, width, weight = [0], 1, [0] * len(sizes)
@@ -363,7 +342,7 @@ def _class_table(model: MdpModel, spans: list[range], picks: list[tuple[int, ...
         pair_of += [i] * len(firsts)
         first += firsts
         succ += [list(map(picks[f].__getitem__, to)) for f in firsts]
-        cost += [[row_c[z] for z in zs]] * len(firsts)
+        cost += [row_c] * len(firsts)
     offsets = np.searchsorted(pair_of, np.arange(len(weights)))
     digits = np.array(picks) - [span.start for span in spans]
     return pair_of, first, succ, cost, digits @ np.array(weights).T + offsets
@@ -407,8 +386,7 @@ def _enumerated_minimum(model: MdpModel, ds: DualSet, horizon: int) -> tuple[flo
 
     rows = None
     if horizon > 1 and len(picks) >= 8:  # fewer children save too few steps to pay for the table
-        pair_of, first, succ, cost, row_of = _class_table(model, spans, picks)
-        rows = succ, cost
+        pair_of, first, *rows, row_of = _class_table(model, spans, picks)
 
     def descend(n: int, values: list[float], suffix: tuple[int, ...]) -> None:
         # values: each pair's value at stage n under the rules of suffix
@@ -420,7 +398,7 @@ def _enumerated_minimum(model: MdpModel, ds: DualSet, horizon: int) -> tuple[flo
             return
         if rows is not None:
             try:
-                sups = _adversary_values(model, ds, values, memo, rows=rows)
+                sups = _adversary_values(model, ds, values, memo, rows, "classes")
                 sups = sups if isinstance(sups, list) else sups.tolist()
                 fine = n > 1 or all(map(math.isfinite, sups))
             except RiskMdpError:

@@ -134,21 +134,26 @@ def solve_finite(model, risks, horizon: int) -> FiniteSolveResult:
     )
 
 
-def _feasible_rules(models: Sequence[MdpModel], policy: Policy, horizon: int):
-    rules = policy.rules(horizon)
-    for n, rule in enumerate(rules):
+def _feasible_rules(models: Sequence[MdpModel], policy: Policy, horizon: int) -> list[tuple[int, ...]]:
+    """Each stage's rule as its pair indices in ``model._sweep`` order, one per state; refuses the
+    first action, stage by stage and state by state, outside [0, A) or not admissible in its state."""
+    out = []
+    for n, rule in enumerate(policy.rules(horizon)):
         m = models[n]
         if len(rule) != m.n_states:
             raise InfeasiblePolicy(f"stage {n} rule covers {len(rule)} states of {m.n_states}")
-        m._sweep  # DimensionMismatch unless the tables form one layout, as admissible[x] then has a row
-        for x, a in enumerate(rule):
-            if a not in m.admissible[x]:
-                raise InfeasiblePolicy(f"stage {n}: action {a} not admissible in state {x}")
-    return rules
+        index = m._pair_index  # DimensionMismatch unless the tables form one layout
+        # the range first: a list, like an array, reads index -1 as the last action
+        pairs = tuple(index[x][a] if 0 <= a < len(index[x]) else -1 for x, a in enumerate(rule))
+        if -1 in pairs:
+            x = pairs.index(-1)
+            raise InfeasiblePolicy(f"stage {n}: action {rule[x]} not admissible in state {x}")
+        out.append(pairs)
+    return out
 
 
 def _policy_fold(models: Sequence[MdpModel], risks, rules, v) -> list[ValueFunction]:
-    """Fixed-rule values backward from ``v``: entry n applies rules n.. of the list, ``v`` last."""
+    """Fixed-rule values backward from ``v``: entry n applies rules n.. of the list (pair indices), ``v`` last."""
     out = [v]
     for n in range(len(rules) - 1, -1, -1):
         v = ValueFunction(_stage_values(models[n], risks[n], v, rules[n]))

@@ -539,6 +539,7 @@ _MIXTURE = {"kind": "mixture", "first": {"kind": "expectation"}, "second": {"kin
         (_with(("bounds", "alpha"), "1"), "bounds.alpha: cannot read '1' (not a number)"),
         (_with(("bounds", "lb"), "33"), "bounds.lb: cannot read '33' (not an array)"),
         (_with(("bounds", "ub"), [2.5, True]), "bounds.ub[1]: cannot read True (not a number)"),
+        (_with(("bounds", "lb"), [-2.5, -(10**400)]), "bounds.lb[1]: cannot read"),  # past the float range
         (_with(("risk",), dict(_MIXTURE, weight="0.5")), "risk.weight: cannot read '0.5' (not a number)"),
         (_with(("risk", "level"), True), "risk.level: cannot read True (not a number)"),
         (

@@ -18,7 +18,7 @@ from riskmdp.errors import (
     RiskMdpError,
     SumOverflow,
 )
-from riskmdp.examples import build_casino
+from riskmdp.examples import build_casino, verify_myopia
 from riskmdp.mdp_core import (
     BoundingSpec,
     BoundMode,
@@ -151,10 +151,13 @@ class TestStageLaw:
         law = stage_law(m, v, 2, 2)
         assert law.atoms == (0.0,)
 
-    def test_infeasible_action(self):
+    @pytest.mark.parametrize("x, a", [(1, 1), (-1, 0), (2, 0)])
+    @pytest.mark.parametrize("operator", [stage_law, lambda m, v, x, a: bellman_L(m, Expectation(), v, x, a)])
+    def test_infeasible_action(self, operator, x, a):
+        # a state outside the model is refused too, never read as another state's row
         m = two_state_model()
         with pytest.raises(InfeasibleAction):
-            stage_law(m, [0.0, 0.0], 1, 1)
+            operator(m, [0.0, 0.0], x, a)
 
     def test_zero_probability_outcomes_ignored(self):
         base = two_state_model()
@@ -801,7 +804,7 @@ class TestSweepMemo:
         for threshold in (0, 10**9):
             monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", threshold)
             memo = mdp_core._SweepMemo()
-            rule = [acts[0] for acts in m.admissible]
+            rule = solvers._feasible_rules([m], Policy(stages=(tuple(acts[0] for acts in m.admissible),)), 1)[0]
             fixed = mdp_core._stage_values(m, ExpectedShortfall(0.5), v, rule, memo)
             assert bits(fixed) == bits(mdp_core._stage_values(m, ExpectedShortfall(0.5), v, rule))
             assert memo.law is None
@@ -983,6 +986,7 @@ class TestArrayModel:
                 lambda: robust_check.robust_value_iteration(ragged, ds, spec, 1e-6),
                 lambda: robust_check.verify_equivalence(ragged, ExpectedShortfall(0.5), 2, 1e-9),
                 lambda: evaluate_policy_finite(ragged, Expectation(), policy, 2),
+                lambda: verify_myopia(ragged, 0.5, 2),
             ):
                 with pytest.raises(DimensionMismatch, match="validate_model"):
                     solve()

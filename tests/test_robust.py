@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 
 from riskmdp import mdp_core, robust_check
 from riskmdp.distributions import make_distribution
-from riskmdp.errors import DimensionMismatch, NotCoherent, RiskMdpError, SumOverflow, TooLargeForEnumeration
+from riskmdp.errors import (
+    DimensionMismatch,
+    InfeasiblePolicy,
+    NotCoherent,
+    RiskMdpError,
+    SumOverflow,
+    TooLargeForEnumeration,
+)
 from riskmdp.examples import build_casino
 from riskmdp.mdp_core import BoundingSpec, MdpModel, Policy, ValueFunction, constant_bounding_spec
 from riskmdp.risk_measures import (
@@ -36,7 +44,7 @@ from riskmdp.robust_check import (
     robust_value_iteration,
     verify_equivalence,
 )
-from riskmdp.solvers import evaluate_policy_finite, solve_finite, solve_infinite
+from riskmdp.solvers import evaluate_policy_finite, solve_finite, solve_infinite, weak_increase_check
 
 from helpers import classic_finite_dp, make_enumeration_model, make_huge_cost_model, make_random_model
 
@@ -998,10 +1006,19 @@ def kept_order_cases(draw):
     return model, sequence, keys
 
 
+def rule_pairs(model, rule):
+    """The pair indices of a decision rule, found by a search of the sweep's pairs."""
+    pairs = list(zip(*model._pairs[:2]))
+    return tuple(pairs.index((x, a)) for x, a in enumerate(rule))
+
+
 def batched_outcome(model, risk, v, memo, rule):
-    """Bit patterns of a batched dual step, or the error it raised."""
+    """Bit patterns of a batched dual step over every pair or the rule's, or the error it raised."""
+    succ, cost = model._pairs[2:]
+    key = None if rule is None else rule_pairs(model, rule)
+    rows = (succ, cost) if key is None else ([succ[i] for i in key], [cost[i] for i in key])
     try:
-        return bits(robust_check._batched_sups(model, risk, v, memo, rule))
+        return bits(robust_check._batched_sups(model, risk, v, memo, rows, key))
     except RiskMdpError as exc:
         return type(exc), str(exc)
 
@@ -1033,7 +1050,7 @@ def check_kept_steps(model, risk, sequence, keys):
         fresh = robust_check._Memo()
         expected = batched_outcome(model, risk, v, fresh, key)
         assert batched_outcome(model, risk, v, memo, key) == expected, v
-        assert_kept_like_built(memo, fresh, key)
+        assert_kept_like_built(memo, fresh, None if key is None else rule_pairs(model, key))
         if isinstance(expected, list):
             assert expected == bits(memo_free_sups(model, risk, v, key)), v
         else:
@@ -1097,7 +1114,99 @@ class TestKeptOrders:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(robust_check, "_sup", counted)
             memo = robust_check._Memo()
-            sups = [robust_check._batched_sups(model, ExpectedShortfall(0.5), v, memo) for v in sequence]
+            rows = model._pairs[2:]
+            sups = [robust_check._batched_sups(model, ExpectedShortfall(0.5), v, memo, rows, None) for v in sequence]
         assert len(calls) == 2 * 3  # every row of both NaN steps
         assert all(math.isnan(s) for s in sups[1]) and bits(sups[1]) == bits(sups[2])
         assert bits(sups[3]) == bits(sups[0])
+
+
+# ---------------------------------------------------------------------------
+# Decision rules: checked and mapped to pairs once, for both routes
+
+
+def rule_models(seed, count=12):
+    """Seeded models, some with rule steps of at least 48 stage outcomes, with costs
+    rounded so that stage values tie, and a discount under 1 for the bounds check."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = make_random_model(rng, max_states=12, max_actions=4, max_outcomes=8)
+        yield dataclasses.replace(m, cost=np.round(m.cost, 1), discount=0.9), rng
+
+
+RULE_RISKS = (Expectation(), ExpectedShortfall(0.6), Mixture(0.4, ExpectedShortfall(0.8), Expectation()))
+
+
+class TestDecisionRules:
+    @pytest.fixture(params=[0, 48, 10**9], ids=["batched", "default", "pairwise"])
+    def threshold(self, request, monkeypatch):
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", request.param)
+
+    def test_a_bad_action_is_refused_at_its_stage_and_state(self, threshold):
+        # -1 would read the last action's pair if the table were read without the range check
+        wrapped = 0
+        for m, rng in rule_models(2525):
+            horizon = int(rng.integers(1, 4))
+            policy = random_policy(rng, m, horizon)
+            n, x = int(rng.integers(horizon)), int(rng.integers(m.n_states))
+            wrapped += m.n_actions - 1 in m.admissible[x]
+            spec, ds = constant_bounding_spec(m), dual_set(Expectation())
+            for a in (-1, m.n_actions, *(a for a in range(m.n_actions) if a not in m.admissible[x])):
+                stages = [list(rule) for rule in policy.stages]
+                stages[n][x] = a
+                for bad in (Policy(stages=tuple(map(tuple, stages))), Policy(stages=(tuple(stages[n]),), stationary=True)):
+                    stage = n if not bad.stationary else 0
+                    text = re.escape(f"stage {stage}: action {a} not admissible in state {x}")
+                    for solve in (
+                        lambda: evaluate_policy_finite(m, Expectation(), bad, horizon),
+                        lambda: weak_increase_check(m, Expectation(), spec, bad, horizon),
+                        lambda: nature_best_response(m, ds, bad, horizon),
+                    ):
+                        with pytest.raises(InfeasiblePolicy, match=f"^{text}$"):
+                            solve()
+        assert wrapped >= 3
+
+    def test_rule_values_match_the_oracles_on_both_routes(self, threshold):
+        wide = 0
+        for m, rng in rule_models(2526):
+            wide += m.n_states * len(m.z_indices) >= 48
+            horizon = int(rng.integers(1, 4))
+            policy = random_policy(rng, m, horizon)
+            for risk in (*RULE_RISKS, ValueAtRisk(0.7), Entropic(0.5)):
+                v = list(m.terminal_cost)
+                expected = [v]
+                for rule in reversed(policy.stages):  # the fold over bellman_L
+                    v = [mdp_core.bellman_L(m, risk, v, x, a) for x, a in enumerate(rule)]
+                    expected.append(v)
+                got = evaluate_policy_finite(m, risk, policy, horizon)
+                assert [bits(w) for w in got] == [bits(w) for w in expected[::-1]], risk
+            for risk in RULE_RISKS:
+                w = list(m.terminal_cost)
+                for rule in reversed(policy.stages):
+                    w = memo_free_sups(m, risk, w, rule)
+                assert bits(nature_best_response(m, dual_set(risk), policy, horizon)) == bits(w), risk
+        assert wide >= 3
+
+    def test_weak_increase_check_matches_the_oracle(self, threshold):
+        outcomes = set()
+        for m, rng in rule_models(2527):
+            horizon = int(rng.integers(1, 4))
+            policy = random_policy(rng, m, horizon)
+            spec = constant_bounding_spec(m)
+            q = spec.modulus(m.discount)
+            for risk in RULE_RISKS:
+                J = [[0.0] * m.n_states]  # J_n applies the first n rules to the zero vector
+                for n in range(1, horizon + 1):
+                    v = J[0]
+                    for rule in reversed(policy.stages[:n]):
+                        v = [mdp_core.bellman_L(m, risk, v, x, a) for x, a in enumerate(rule)]
+                    J.append(v)
+                for tol in (1e-9, -1.0):
+                    expected = all(
+                        J[n][x] >= J[n - 1][x] + q ** (n - 1) * spec.lb[x] - tol
+                        for n in range(1, horizon + 1)
+                        for x in range(m.n_states)
+                    )
+                    assert weak_increase_check(m, risk, spec, policy, horizon, tol) is expected, risk
+                    outcomes.add(expected)
+        assert outcomes == {True, False}
