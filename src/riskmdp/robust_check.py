@@ -19,8 +19,9 @@ stage step over a row per (pair, choice at its successors) serves them
 all once there are enough of them.
 
 Every route evaluates nature's sup by one stage step, laid out as the
-primal one: a flat value per admissible pair in the sweep's order, or
-one per state at a decision rule, with the per-state first minimum taken
+primal one, over rows in outcome order (``MdpModel._pairs``): a flat
+value per admissible pair in the sweep's order, or one per state at a
+decision rule's pair indices, with the per-state first minimum taken
 by ``mdp_core._first_min`` as in ``bellman_T``. Within one solve the
 density of a pair depends only on the sort order of its stage values, so
 each public entry point keeps a memo of one density per order and passes
@@ -235,11 +236,11 @@ def _adversary_values(model: MdpModel, ds: DualSet, cont, memo: _Memo, rows=None
     ``_batched_sups`` and return an array; smaller ones go pair by pair
     and return a list.
     """
-    pairs = model._pairs[2:]  # raises DimensionMismatch unless the tables are (S, A, K)
+    succ, cost = model._pairs[2:]  # raises DimensionMismatch unless the tables are (S, A, K)
     if rows is None:
-        rows = pairs
+        rows = succ, cost
     elif key is None:  # a rule's pair indices, which key its rows
-        key, rows = rows, [[t[i] for i in rows] for t in pairs]
+        key, rows = rows, ([succ[i] for i in rows], [cost[i] for i in rows])
     if len(rows[0]) * len(model.z_indices) >= mdp_core.BATCH_MIN_OUTCOMES:
         return _batched_sups(model, ds.risk, cont, memo, rows, key)
     beta, probs = model.discount, model.disturbance.probs

@@ -142,13 +142,14 @@ def _feasible_rules(models: Sequence[MdpModel], policy: Policy, horizon: int) ->
         m = models[n]
         if len(rule) != m.n_states:
             raise InfeasiblePolicy(f"stage {n} rule covers {len(rule)} states of {m.n_states}")
-        index = m._pair_index  # DimensionMismatch unless the tables form one layout
-        # the range first: a list, like an array, reads index -1 as the last action
-        pairs = tuple(index[x][a] if 0 <= a < len(index[x]) else -1 for x, a in enumerate(rule))
-        if -1 in pairs:
-            x = pairs.index(-1)
-            raise InfeasiblePolicy(f"stage {n}: action {rule[x]} not admissible in state {x}")
-        out.append(pairs)
+        index, pairs = m._pair_index, []  # DimensionMismatch unless the tables form one layout
+        for x, a in enumerate(rule):
+            row = index[x]
+            i = row[a] if 0 <= a < len(row) else -1  # the range first: a list, like an array, wraps -1
+            if i < 0:
+                raise InfeasiblePolicy(f"stage {n}: action {a} not admissible in state {x}")
+            pairs.append(i)
+        out.append(tuple(pairs))
     return out
 
 

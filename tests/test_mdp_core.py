@@ -797,6 +797,25 @@ class TestSweepMemo:
             var = mdp_core._stage_values(model, ValueAtRisk(0.5), [0.0, 0.0, -0.0], None, memo)
             assert bits(var)[1] == "-0x0.0p+0"
 
+    def test_a_pairwise_step_reads_a_nan_atom_in_outcome_order_as_bellman_L(self, monkeypatch):
+        # sorting (value, probability) pairs is order-independent except at
+        # NaN; the probabilities here are not ascending in outcome order
+        monkeypatch.setattr(mdp_core, "BATCH_MIN_OUTCOMES", 10**9)
+        m = MdpModel(
+            n_states=3,
+            n_actions=1,
+            admissible=((0,),) * 3,
+            disturbance=make_distribution([0, 1, 2], [0.5, 0.2, 0.3]),
+            transition=[[[0, 1, 2]]] * 3,
+            cost=[[[0.0, 0.0, 0.0]]] * 3,
+            terminal_cost=(0.0,) * 3,
+        )
+        for v in ([1.0, math.nan, 2.0], [2.0, 1.0, math.nan], [math.nan, 2.0, 1.0]):
+            for risk in (ValueAtRisk(0.4), ValueAtRisk(0.6), ExpectedShortfall(0.5)):
+                expected = [bellman_L(m, risk, v, x, 0) for x in range(3)]
+                assert bits(mdp_core._stage_values(m, risk, v)) == bits(expected), (v, risk)
+                assert bits(mdp_core._stage_values(m, risk, v, (0, 1, 2))) == bits(expected), (v, risk)
+
     def test_fixed_rule_and_pairwise_steps_leave_the_memo_alone(self, monkeypatch):
         rng = np.random.default_rng(77)
         m = make_random_model(rng, zero_terminal=True)
