@@ -159,7 +159,7 @@ def _density(risk: RiskMeasure, probs, order: tuple[int, ...], densities: dict) 
     q = densities.get(order)
     if q is None:
         q_sorted = _dual_density_sorted(risk, [probs[i] for i in order])
-        q = densities[order] = [q_sorted[order.index(i)] for i in range(len(order))]
+        q = densities[order] = [q_sorted[rank] for rank in sorted(range(len(order)), key=order.__getitem__)]
     return q
 
 

@@ -539,7 +539,6 @@ _MIXTURE = {"kind": "mixture", "first": {"kind": "expectation"}, "second": {"kin
         (_with(("bounds", "alpha"), "1"), "bounds.alpha: cannot read '1' (not a number)"),
         (_with(("bounds", "lb"), "33"), "bounds.lb: cannot read '33' (not an array)"),
         (_with(("bounds", "ub"), [2.5, True]), "bounds.ub[1]: cannot read True (not a number)"),
-        (_with(("bounds", "lb"), [-2.5, -(10**400)]), "bounds.lb[1]: cannot read"),  # past the float range
         (_with(("risk",), dict(_MIXTURE, weight="0.5")), "risk.weight: cannot read '0.5' (not a number)"),
         (_with(("risk", "level"), True), "risk.level: cannot read True (not a number)"),
         (
@@ -549,6 +548,7 @@ _MIXTURE = {"kind": "mixture", "first": {"kind": "expectation"}, "second": {"kin
         (_casino_example(grid="12"), "task.params.grid: cannot read '12' (not an array)"),
         (_casino_example(win_prob=True), "task.params.win_prob: cannot read True (not a number)"),
         (_casino_example(horizon="2"), "task.params.horizon: cannot read '2' (not a number)"),
+        (_with(("bounds", "lb"), [-2.5, -(10**400)]), "bounds.lb[1]: cannot read"),  # past the float range
     ],
 )
 def test_malformed_fields_exit_2_with_a_located_message(tmp_path, capsys, doc, located):
