@@ -18,7 +18,13 @@ Two checkouts that print the same lines agree bit for bit. Per seed:
   coherent models, ``check_contraction`` (20 trials, seed 0) and, for
   that policy, ``nature_best_response`` over 3 stages and
   ``weak_increase_check`` over 3 stages. Their rule steps have at least
-  48 outcomes, so they take the batched routes.
+  48 outcomes, so they take the batched routes;
+- one ``seed N model-files`` digest over the model files that
+  ``model_io.model_file_dict`` writes: one per casino and robust
+  instance, from the model, risk measure and bounds that its solve
+  receives; one per infinite_cli file, as read back by
+  ``parse_model_file``; and the ``model.json`` that ``riskmdp example``
+  writes for each example given only its required params.
 
 The inputs come from perfbench's workload generators, which are only
 imported; the model files are written to a temporary directory. The
@@ -29,6 +35,7 @@ Example:
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import importlib
@@ -44,6 +51,21 @@ import workloads  # noqa: E402  (perfbench's generators, from the path set above
 
 MODULES = ("cli", "distributions", "examples", "mdp_core", "model_io", "risk_measures", "robust_check", "solvers")
 NOT_RESULTS = {"stage_seconds", "pair_evaluations"}
+# the solves of the casino and robust instances, whose inputs the model-files line writes
+SOLVES = (("solvers", "solve_finite"), ("robust_check", "verify_equivalence"), ("robust_check", "robust_value_iteration"))
+# each example given only its required params
+EXAMPLES = {
+    "casino": {"win_prob": 0.75, "horizon": 2},
+    "house_selling": {"offers": [[0, 0.25], [1, 0.25], [2, 0.25], [3, 0.25]], "rent": 0.5},
+    "cash_balance": {
+        "levels": [-2.0, -1.0, 0.0, 1.0, 2.0],
+        "holding_costs": [4.0, 1.0, 0.0, 1.0, 4.0],
+        "transfer_up": 1.0,
+        "transfer_down": 1.0,
+        "shifts": [[-1.0, 0.5], [1.0, 0.5]],
+    },
+    "var_myopic": {"labels": [0.0, 1.0, 2.0], "shifts": [[-1.0, 0.35], [0.0, 0.3], [1.0, 0.35]], "action_shifts": [0.0, -1.0]},
+}
 
 
 class Library:
@@ -113,6 +135,61 @@ def fixed_rule_results(lib, models: Path) -> list[str]:
     return results
 
 
+@contextlib.contextmanager
+def recording(lib, calls: list):
+    """Record the name and arguments of each call of a ``SOLVES`` function while the block runs."""
+    originals = [(getattr(lib, module), name, getattr(getattr(lib, module), name)) for module, name in SOLVES]
+
+    def recorder(name, solve):
+        def record(*args, **kwargs):
+            calls.append((name, args))
+            return solve(*args, **kwargs)
+
+        return record
+
+    for module, name, solve in originals:
+        setattr(module, name, recorder(name, solve))
+    try:
+        yield
+    finally:
+        for module, name, solve in originals:
+            setattr(module, name, solve)
+
+
+def solve_input_file(lib, name: str, args: tuple) -> bytes:
+    """The model file of a recorded solve: its model, its risk measure (a dual set's) and its bounds, if any."""
+    model, risk, *rest = args
+    bounds = next((a for a in rest if isinstance(a, lib.mdp_core.BoundingSpec)), None)
+    doc = lib.model_io.model_file_dict(model, getattr(risk, "risk", risk), {"type": name}, bounds)
+    return json.dumps(doc).encode()
+
+
+def read_back_files(lib, models: Path) -> list[bytes]:
+    """Each model file in ``models``, by file name, read by ``parse_model_file`` and written again."""
+    files = []
+    for path in sorted(models.glob("*.json")):
+        doc = lib.model_io.parse_model_file(json.loads(path.read_text()))
+        files.append(json.dumps(lib.model_io.model_file_dict(doc["model"], doc["risk"], doc["task"], doc["bounds"])).encode())
+    return files
+
+
+def example_files(lib, work: Path) -> list[bytes]:
+    """The ``model.json`` that ``riskmdp example`` writes for each of ``EXAMPLES``, by name."""
+    files = []
+    work.mkdir()
+    for name, params in sorted(EXAMPLES.items()):
+        nested = {"type": "solve-finite", "horizon": 2}
+        doc = {"risk": {"kind": "expected_shortfall", "level": 0.5},
+               "task": {"type": "example", "name": name, "params": params, "task": nested}}
+        path = work / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code = lib.cli.main(["example", str(path), "--out", str(work / name), "--quiet"])
+        if code != 0:
+            raise SystemExit(f"riskmdp example {name} exited {code}")
+        files.append((work / name / "model.json").read_bytes())
+    return files
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 20101])
@@ -133,10 +210,16 @@ def main() -> None:
             print(*counters, sep="\n")
             fixed = "\n".join(fixed_rule_results(lib, work / "cli" / "models"))
             print(f"seed {seed} fixed-rule {digest(fixed.encode())}")
+            files = read_back_files(lib, work / "cli" / "models")
+            calls = []
             for name in ("casino", "robust"):
                 batch = getattr(workloads, name)(lib, seed, work / name)
-                results = [f"{inst.name}={canonical(inst.solve())}" for inst in batch.instances]
+                with recording(lib, calls):
+                    results = [f"{inst.name}={canonical(inst.solve())}" for inst in batch.instances]
                 print(f"seed {seed} {name} {len(results)} results {digest(chr(10).join(results).encode())}")
+            files += [solve_input_file(lib, *call) for call in calls]
+            files += example_files(lib, work / "examples")
+            print(f"seed {seed} model-files {len(files)} files {digest(*files)}")
 
 
 if __name__ == "__main__":

@@ -49,6 +49,7 @@ from .model_io import (
     _ints,
     _is_number,
     _pairs,
+    _present,
     model_file_dict,
     parse_model_file,
 )
@@ -277,18 +278,16 @@ def _build_example(name: str, params: dict):
     if not isinstance(params, dict):
         raise ModelFileError([f"task.params must be an object, got {params!r}"])
 
-    def param(key: str, cast, default=_REQUIRED):
-        """``params[key]`` read by ``cast``, located as ``task.params.<key>``."""
-        if default is _REQUIRED:
-            return _field(params, key, cast, "task.params")
-        return _cast(f"task.params.{key}", cast, params.get(key, default))
+    def param(key: str, cast):
+        """The required ``params[key]`` read by ``cast``, located as ``task.params.<key>``."""
+        return _field(params, key, cast, "task.params")
 
     def law(key: str):
         pairs = param(key, _pairs)
         return make_distribution([v for v, _ in pairs], [p for _, p in pairs])
 
     if name == "casino":
-        grid = param("grid", _ints, (0, 1, 2, 3))
+        grid = _cast("task.params.grid", _ints, params.get("grid", (0, 1, 2, 3)))
         win_prob, horizon, cap = param("win_prob", _float), param("horizon", _int), max(grid, default=0)
         # the top capital 2**horizon * cap is below 2**(cap.bit_length() + horizon): checked before the power
         top = 2**horizon * cap if 0 < horizon <= 40 - cap.bit_length() else 2**40
@@ -301,8 +300,7 @@ def _build_example(name: str, params: dict):
             ex.HouseSellingParams(
                 offer_law=law("offers"),
                 rent=param("rent", _float),
-                beta=param("beta", _float, 1.0),
-                horizon=param("horizon", _int, 2),
+                **_present(params, "task.params", beta=_float, horizon=_int),
             )
         )
     if name == "cash_balance":
@@ -315,7 +313,7 @@ def _build_example(name: str, params: dict):
                 transfer_up=param("transfer_up", _float),
                 transfer_down=param("transfer_down", _float),
                 z_law=law("shifts"),
-                beta=param("beta", _float, 0.9),
+                **_present(params, "task.params", beta=_float),
             )
         )
     if name == "var_myopic":
@@ -332,8 +330,7 @@ def _build_example(name: str, params: dict):
                 z_law=law("shifts"),
                 transition=lambda x, a, z: clamp(x + action_shifts[a] + z),
                 cost=lambda x, nxt: x + 2.0 * nxt,
-                level=param("level", _float, 0.5),
-                horizon=param("horizon", _int, 3),
+                **_present(params, "task.params", level=_float, horizon=_int),
             )
         )
     raise ModelFileError([f"unknown example name {name!r}"])

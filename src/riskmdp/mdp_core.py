@@ -274,12 +274,13 @@ class MdpModel:
             object.__setattr__(self, "_pair_lists", tuple(t.tolist() for t in (xs, acts, *rows)))
         return self._pair_lists
 
-    @property
-    def _pair_index(self) -> list[list[int]]:
-        """Each (x, a)'s index in ``_sweep`` order as (S, A) nested lists, -1 where the mask has no pair."""
+    def _pair_index(self, x: int, a: int) -> int:
+        """(x, a)'s index in ``_sweep`` order, or -1 unless it is an admissible pair. The ranges are checked
+        first, since a list, like an array, wraps -1; the (S, A) table of indices is built on first use."""
         if self._index is None:
             object.__setattr__(self, "_index", _pair_table(self, np.arange(len(self._sweep[0])), -1).tolist())
-        return self._index
+        row = self._index[x] if 0 <= x < self.n_states else ()
+        return row[a] if 0 <= a < len(row) else -1
 
     @property
     def _state_starts(self) -> np.ndarray:
@@ -541,7 +542,7 @@ def _pairs_valid(model: MdpModel, K: int) -> bool:
 
 
 def _check_feasible(model: MdpModel, x: int, a: int) -> None:
-    if not (0 <= x < model.n_states and a in model.admissible[x]):
+    if model._pair_index(x, a) < 0:  # DimensionMismatch unless the tables form one layout
         raise InfeasibleAction(f"action {a} not admissible in state {x}")
 
 

@@ -11,7 +11,7 @@ back to the identical in-memory object.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from itertools import chain, compress, repeat
 from operator import is_not
 from typing import Any
@@ -88,6 +88,12 @@ def _field(obj: dict, key: str, cast, where: str):
     return _cast(f"{where}.{key}", cast, obj[key])
 
 
+def _present(obj: dict, where: str, **casts) -> dict:
+    """The optional fields that ``obj`` holds, each read by its cast and located as ``where.key``; one left
+    out is not passed on, so the dataclass that owns it gives its default."""
+    return {key: _field(obj, key, cast, where) for key, cast in casts.items() if key in obj}
+
+
 def _is_number(value) -> bool:
     """Whether ``value`` is a JSON number: an int or a float, numpy's included, never a bool or a string."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
@@ -158,79 +164,75 @@ def _array_cells(raw, n_actions: int, k: int, kinds: str):
     return filled.reshape(len(raw), n_actions), cells
 
 
+# each risk class and its file ``kind``: the one place that names a kind
+_KINDS = {
+    Expectation: "expectation", ValueAtRisk: "value_at_risk", ExpectedShortfall: "expected_shortfall",
+    Distortion: "distortion", Spectral: "spectral", Entropic: "entropic", Mixture: "mixture",
+}
+
+
+def _inline_g(obj: dict, key: str, where: str) -> DistortionFunction:
+    """A distortion's g, held in the measure's own object: a ``form`` (piecewise_linear if left out) and
+    the parameter that the form takes; a null level is read as none."""
+    form = obj.get("form", "piecewise_linear")
+    if form == "piecewise_linear":
+        return DistortionFunction(form, knots=_field(obj, "knots", _pairs, where))
+    level = obj.get("level")
+    return DistortionFunction(form, None if level is None else _cast(f"{where}.level", _float, level))
+
+
+# how a file holds a measure's field, by the field's annotated type
+_READ_FIELD = {
+    "float": lambda obj, key, where: _field(obj, key, _float, where),
+    "RiskMeasure": lambda obj, key, where: _field(obj, key, lambda sub: parse_risk(sub, f"{where}.{key}"), where),
+    "DistortionFunction": _inline_g,
+    "StepSpectrum": lambda obj, key, where: StepSpectrum(_field(obj, "breakpoints", _pairs, where)),
+}
+
+
 def parse_risk(obj: Any, where: str = "risk") -> RiskMeasure:
     """The risk specification ``obj``; diagnostics name fields as ``where.<field>``."""
     if not isinstance(obj, dict) or "kind" not in obj:
         _fail(f"{where} must be an object with a 'kind', got {obj!r}")
     kind = obj["kind"]
-    if kind == "expectation":
-        return Expectation()
-    if kind == "value_at_risk":
-        return ValueAtRisk(level=_field(obj, "level", _float, where))
-    if kind == "expected_shortfall":
-        return ExpectedShortfall(level=_field(obj, "level", _float, where))
-    if kind == "distortion":
-        form = obj.get("form", "piecewise_linear")
-        if form == "piecewise_linear":
-            knots = _field(obj, "knots", _pairs, where)
-            return Distortion(g=DistortionFunction(form=form, knots=knots))
-        level = obj.get("level")
-        return Distortion(
-            g=DistortionFunction(
-                form=form, level=None if level is None else _cast(f"{where}.level", _float, level)
-            )
-        )
-    if kind == "spectral":
-        bps = _field(obj, "breakpoints", _pairs, where)
-        return Spectral(phi=StepSpectrum(breakpoints=bps))
-    if kind == "entropic":
-        return Entropic(gamma=_field(obj, "gamma", _float, where))
-    if kind == "mixture":
-        return Mixture(
-            weight=_field(obj, "weight", _float, where),
-            first=_field(obj, "first", lambda sub: parse_risk(sub, f"{where}.first"), where),
-            second=_field(obj, "second", lambda sub: parse_risk(sub, f"{where}.second"), where),
-        )
+    for cls, name in _KINDS.items():
+        if name == kind:  # compared, not looked up: a kind such as [1] cannot be hashed
+            return cls(**{f.name: _READ_FIELD[f.type](obj, f.name, where) for f in fields(cls)})
     _fail(f"unknown risk kind {kind!r}")
 
 
+def _plain(value):
+    """``value`` with each tuple a list, as JSON reads an array back; a tuple holds numbers or tuples."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value] if value and isinstance(value[0], tuple) else list(value)
+    return value
+
+
+def _held(obj) -> dict:
+    """The init fields of dataclass ``obj`` that are not None, in declaration order, each tuple a list."""
+    return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj) if f.init and getattr(obj, f.name) is not None}
+
+
 def risk_to_obj(risk: RiskMeasure) -> dict:
-    if isinstance(risk, Expectation):
-        return {"kind": "expectation"}
-    if isinstance(risk, ValueAtRisk):
-        return {"kind": "value_at_risk", "level": risk.level}
-    if isinstance(risk, ExpectedShortfall):
-        return {"kind": "expected_shortfall", "level": risk.level}
-    if isinstance(risk, Distortion):
-        g = risk.g
-        if g.form == "piecewise_linear":
-            return {"kind": "distortion", "form": g.form, "knots": [list(k) for k in g.knots]}
-        out = {"kind": "distortion", "form": g.form}
-        if g.level is not None:
-            out["level"] = g.level
-        return out
-    if isinstance(risk, Spectral):
-        return {"kind": "spectral", "breakpoints": [list(b) for b in risk.phi.breakpoints]}
-    if isinstance(risk, Entropic):
-        return {"kind": "entropic", "gamma": risk.gamma}
-    if isinstance(risk, Mixture):
-        return {
-            "kind": "mixture",
-            "weight": risk.weight,
-            "first": risk_to_obj(risk.first),
-            "second": risk_to_obj(risk.second),
-        }
-    _fail(f"cannot serialize risk {risk!r}")
+    """The measure's ``kind`` and fields; a distortion's g and a spectrum's phi are written inline."""
+    kind = next((name for cls, name in _KINDS.items() if isinstance(risk, cls)), None)
+    if kind is None:
+        _fail(f"cannot serialize risk {risk!r}")
+    out = {"kind": kind}
+    for name, value in _held(risk).items():
+        if isinstance(value, (DistortionFunction, StepSpectrum)):
+            out.update(_held(value))
+        else:
+            out[name] = risk_to_obj(value) if isinstance(value, RiskMeasure) else value
+    return out
 
 
 def parse_model(obj: Any) -> MdpModel:
     """Build the model, collecting structural diagnostics before touching tables."""
-    diags: list[str] = []
     if not isinstance(obj, dict):
         raise ModelFileError(["model section must be an object"])
-    for key in ("n_states", "n_actions", "admissible", "disturbance", "transition", "cost", "terminal_cost"):
-        if key not in obj:
-            diags.append(f"model.{key} is missing")
+    required = (f.name for f in fields(MdpModel) if f.init and f.default is MISSING)
+    diags = [f"model.{key} is missing" for key in required if key not in obj]
     if diags:
         raise ModelFileError(diags)
     dist_obj = obj["disturbance"]
@@ -307,8 +309,7 @@ def parse_model(obj: Any) -> MdpModel:
     confirmed = any(isinstance(t, tuple) or any(c is not None for row in t for c in row) for t in (transition, cost))
     width = k if confirmed else 0
     transition, cost = filled(transition, _ints, np.int64, width), filled(cost, _floats, np.float64, width)
-    labels = obj.get("state_labels")
-    z_labels = obj.get("z_labels")
+    labels = {k: obj[k] for k in ("state_labels", "z_labels") if obj.get(k) is not None}  # a null reads as absent
     return MdpModel(
         n_states=n_states,
         n_actions=n_actions,
@@ -317,13 +318,14 @@ def parse_model(obj: Any) -> MdpModel:
         transition=transition,
         cost=cost,
         terminal_cost=_field(obj, "terminal_cost", _floats, "model"),
-        discount=_cast("model.discount", _float, obj.get("discount", 1.0)),
-        state_labels=None if labels is None else _cast("model.state_labels", _floats, labels),
-        z_labels=None if z_labels is None else _cast("model.z_labels", _floats, z_labels),
+        **_present(obj, "model", discount=_float),
+        **_present(labels, "model", state_labels=_floats, z_labels=_floats),
     )
 
 
 def model_to_obj(model: MdpModel) -> dict:
+    """The model's fields; the disturbance is written as its indices, probabilities and table width, and
+    an inadmissible action's cells as null."""
     admissible, actions = model.admissible, range(model.n_actions)
 
     def rows(tab):
@@ -333,26 +335,13 @@ def model_to_obj(model: MdpModel) -> dict:
         ]
 
     trans, costs = model.rows
-
-    obj = {
-        "n_states": model.n_states,
-        "n_actions": model.n_actions,
-        "admissible": [list(row) for row in model.admissible],
-        "disturbance": {
-            "indices": [int(a) for a in model.disturbance.atoms],
-            "probs": list(model.disturbance.probs),
-            "n_outcomes": model.n_outcomes,
-        },
+    law = model.disturbance
+    return {
+        **_held(model),  # the three below keep their places
+        "disturbance": {"indices": [int(a) for a in law.atoms], "probs": list(law.probs), "n_outcomes": model.n_outcomes},
         "transition": rows(trans),
         "cost": rows(costs),
-        "terminal_cost": list(model.terminal_cost),
-        "discount": model.discount,
     }
-    if model.state_labels is not None:
-        obj["state_labels"] = list(model.state_labels)
-    if model.z_labels is not None:
-        obj["z_labels"] = list(model.z_labels)
-    return obj
 
 
 def parse_bounds(obj: Any) -> BoundingSpec:
@@ -360,25 +349,24 @@ def parse_bounds(obj: Any) -> BoundingSpec:
     if not isinstance(obj, dict):
         _fail("bounds section must be an object")
 
-    def floats(key: str, default=None) -> tuple[float, ...]:
-        where = f"bounds.{key}"
-        if default is None and key not in obj:
-            _fail(f"{where} is missing")
-        raw = _cast(where, _array, obj.get(key, default))
+    def floats(raw, key: str) -> tuple[float, ...]:
         try:
             return _floats(raw)
         except (TypeError, ValueError, OverflowError):  # read again entry by entry, to locate the fault
-            return tuple(_cast(where, _float, v, i) for i, v in enumerate(raw))
+            return tuple(_cast(f"bounds.{key}", _float, v, i) for i, v in enumerate(_array(raw)))
 
-    eps_split = floats("eps_split", (0.5, 0.5))
-    if len(eps_split) != 2:
-        _fail(f"bounds.eps_split has {len(eps_split)} entries, expected 2")
+    def split(raw) -> tuple[float, ...]:
+        eps_split = floats(raw, "eps_split")
+        if len(eps_split) != 2:
+            _fail(f"bounds.eps_split has {len(eps_split)} entries, expected 2")
+        return eps_split
+
+    eps_split = _present(obj, "bounds", eps_split=split)  # checked before the envelopes that it shifts
     return BoundingSpec(
-        lb=floats("lb"),
-        ub=floats("ub"),
-        eps_split=eps_split,
-        alpha=_cast("bounds.alpha", _float, obj.get("alpha", 1.0)),
-        mode=_cast("bounds.mode", BoundMode, obj.get("mode", "coherent")),
+        lb=_field(obj, "lb", lambda raw: floats(raw, "lb"), "bounds"),
+        ub=_field(obj, "ub", lambda raw: floats(raw, "ub"), "bounds"),
+        **eps_split,
+        **_present(obj, "bounds", alpha=_float, mode=BoundMode),
     )
 
 

@@ -112,6 +112,8 @@ class DistortionFunction:
         if self.form == "identity":
             if self.level is not None or self.knots is not None:
                 raise InvalidSpec("identity distortion takes no parameters")
+        elif self.form in ("var_indicator", "es_cap") and self.knots is not None:
+            raise InvalidSpec(f"{self.form} distortion takes a level, not knots")
         elif self.form == "var_indicator":
             if self.level is None or not 0.0 < self.level < 1.0:
                 raise InvalidSpec(f"var_indicator needs a level in (0, 1), got {self.level!r}")
@@ -119,6 +121,8 @@ class DistortionFunction:
             if self.level is None or not 0.0 <= self.level < 1.0:
                 raise InvalidSpec(f"es_cap needs a level in [0, 1), got {self.level!r}")
         elif self.form == "piecewise_linear":
+            if self.level is not None:
+                raise InvalidSpec("piecewise_linear distortion takes knots, not a level")
             knots = self.knots
             if not knots or len(knots) < 2:
                 raise InvalidSpec("piecewise_linear needs at least the two endpoint knots")
@@ -256,8 +260,8 @@ class Mixture:
     """Convex combination weight * first + (1 - weight) * second."""
 
     weight: float
-    first: "RiskMeasure"
-    second: "RiskMeasure"
+    first: RiskMeasure
+    second: RiskMeasure
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.weight <= 1.0:

@@ -423,7 +423,7 @@ def _enumerated_minimum(model: MdpModel, ds: DualSet, horizon: int) -> tuple[flo
     out = []
     for x, a in enumerate(mdp_core._first_min(model, [b for b, _ in best])[1]):
         stage0 = tuple(first_rule[:x] + [a] + first_rule[x + 1 :])
-        stages = (stage0, *(rules[r] for r in best[acts.index(a, starts[x])][1]))
+        stages = (stage0, *(rules[r] for r in best[model._pair_index(x, a)][1]))
         if stages not in responses:
             responses[stages] = nature_best_response(model, ds, Policy(stages=stages), horizon, memo)
         out.append(responses[stages][x])

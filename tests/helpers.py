@@ -14,6 +14,15 @@ from fractions import Fraction
 import numpy as np
 
 from riskmdp.mdp_core import MdpModel
+from riskmdp.risk_measures import (
+    Distortion,
+    Entropic,
+    Expectation,
+    ExpectedShortfall,
+    Mixture,
+    Spectral,
+    ValueAtRisk,
+)
 
 
 def _plain_tables(model: MdpModel):
@@ -339,3 +348,69 @@ def exact_difference(computed, exact):
             ctx.prec = EXACT_DIGITS
             return Decimal(computed) - exact
     return Fraction(computed) - exact
+
+
+# ---------------------------------------------------------------------------
+# Model-file writers written out by hand, kind by kind and field by field, as
+# the oracle of model_io's writers, which walk the dataclass fields
+
+
+def risk_file_obj(risk) -> dict:
+    """The model-file object of a risk specification."""
+    if isinstance(risk, Expectation):
+        return {"kind": "expectation"}
+    if isinstance(risk, ValueAtRisk):
+        return {"kind": "value_at_risk", "level": risk.level}
+    if isinstance(risk, ExpectedShortfall):
+        return {"kind": "expected_shortfall", "level": risk.level}
+    if isinstance(risk, Distortion):
+        g = risk.g
+        if g.form == "piecewise_linear":
+            return {"kind": "distortion", "form": g.form, "knots": [list(k) for k in g.knots]}
+        out = {"kind": "distortion", "form": g.form}
+        if g.level is not None:
+            out["level"] = g.level
+        return out
+    if isinstance(risk, Spectral):
+        return {"kind": "spectral", "breakpoints": [list(b) for b in risk.phi.breakpoints]}
+    if isinstance(risk, Entropic):
+        return {"kind": "entropic", "gamma": risk.gamma}
+    if isinstance(risk, Mixture):
+        return {
+            "kind": "mixture",
+            "weight": risk.weight,
+            "first": risk_file_obj(risk.first),
+            "second": risk_file_obj(risk.second),
+        }
+    raise TypeError(f"not a risk specification: {risk!r}")
+
+
+def model_file_obj(model: MdpModel) -> dict:
+    """The model-file object of a model: null cells at inadmissible actions, labels only when set."""
+    trans, costs = model.rows
+
+    def rows(tab):
+        return [
+            [list(tab[x][a]) if a in model.admissible[x] else None for a in range(model.n_actions)]
+            for x in range(model.n_states)
+        ]
+
+    obj = {
+        "n_states": model.n_states,
+        "n_actions": model.n_actions,
+        "admissible": [list(row) for row in model.admissible],
+        "disturbance": {
+            "indices": [int(a) for a in model.disturbance.atoms],
+            "probs": list(model.disturbance.probs),
+            "n_outcomes": model.n_outcomes,
+        },
+        "transition": rows(trans),
+        "cost": rows(costs),
+        "terminal_cost": list(model.terminal_cost),
+        "discount": model.discount,
+    }
+    if model.state_labels is not None:
+        obj["state_labels"] = list(model.state_labels)
+    if model.z_labels is not None:
+        obj["z_labels"] = list(model.z_labels)
+    return obj

@@ -1,6 +1,7 @@
 """End-to-end command-line tests on temporary model files."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,12 +21,13 @@ from hypothesis import strategies as st
 from riskmdp import cli, model_io
 from riskmdp.cli import main
 from riskmdp.examples import build_casino
-from riskmdp.mdp_core import constant_bounding_spec
+from riskmdp.mdp_core import BoundingSpec, constant_bounding_spec
 from riskmdp.model_io import (
     ModelFileError,
     bounds_to_obj,
     model_file_dict,
     model_to_obj,
+    parse_bounds,
     parse_model,
     parse_model_file,
     parse_risk,
@@ -40,10 +42,11 @@ from riskmdp.risk_measures import (
     Mixture,
     Spectral,
     StepSpectrum,
+    ValueAtRisk,
     describe,
 )
 
-from helpers import make_huge_cost_model
+from helpers import make_huge_cost_model, model_file_obj, risk_file_obj
 
 
 def write(path, doc):
@@ -470,6 +473,9 @@ _MIXTURE = {"kind": "mixture", "first": {"kind": "expectation"}, "second": {"kin
         (_with(("risk",), {"kind": "entropic"}), "risk.gamma is missing"),
         (_with(("risk",), _MIXTURE), "risk.weight is missing"),
         (_with(("risk",), dict(_MIXTURE, weight=0.5)), "risk.second.level is missing"),
+        # a kind that cannot be hashed is an unknown kind, not a failed lookup
+        (_with(("risk", "kind"), [1]), "unknown risk kind [1]"),
+        (_with(("risk", "kind"), {}), "unknown risk kind {}"),
         (_with(("model", "n_states"), "two"), "model.n_states: cannot read 'two'"),
         (_with(("model", "admissible"), 5), "model.admissible: cannot read 5"),
         (_with(("model", "cost", 0, 1), 3), "model.cost[0][1]: cannot read 3"),
@@ -1165,3 +1171,129 @@ def test_each_report_and_example_file_keeps_its_bytes(tmp_path, command, doc, di
     out = tmp_path / "out"
     assert main([command, write(tmp_path / "m.json", doc), "--out", str(out), "--quiet"]) == 0
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
+
+
+# ---------------------------------------------------------------------------
+# The file layer against hand-written writers (helpers.risk_file_obj and
+# helpers.model_file_obj), and the defaults of the fields a file leaves out
+
+# each example's optional params; the rest are required
+OPTIONAL_PARAMS = {"casino": ("grid",), "house_selling": ("beta", "horizon"), "cash_balance": ("beta",),
+                   "var_myopic": ("level", "horizon")}
+REQUIRED_PARAMS = {
+    name: {key: value for key, value in EXAMPLE_PARAMS[name].items() if key not in optional}
+    for name, optional in OPTIONAL_PARAMS.items()
+}
+
+_UNIT = st.floats(0.0, 1.0)
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _knots(draw):
+    us = sorted(draw(st.lists(_OPEN_UNIT, unique=True, max_size=4)))
+    gs = sorted(draw(st.lists(_UNIT, min_size=len(us), max_size=len(us))))
+    return ((0.0, 0.0), *zip(us, gs), (1.0, 1.0))
+
+
+@st.composite
+def _spectra(draw):
+    us = [0.0, *sorted(draw(st.lists(_OPEN_UNIT, unique=True, max_size=3)))]
+    raw = sorted(draw(st.lists(st.floats(0.1, 10.0), min_size=len(us), max_size=len(us))))
+    total = sum(r * (hi - lo) for r, lo, hi in zip(raw, us, [*us[1:], 1.0]))
+    return StepSpectrum(tuple(zip(us, (r / total for r in raw))))
+
+
+_LEAF_RISKS = st.one_of(
+    st.just(Expectation()),
+    st.builds(ValueAtRisk, _OPEN_UNIT),
+    st.builds(ExpectedShortfall, st.floats(0.0, 1.0, exclude_max=True)),
+    st.just(Distortion(DistortionFunction("identity"))),
+    _OPEN_UNIT.map(lambda level: Distortion(DistortionFunction("var_indicator", level))),
+    st.floats(0.0, 1.0, exclude_max=True).map(lambda level: Distortion(DistortionFunction("es_cap", level))),
+    _knots().map(lambda knots: Distortion(DistortionFunction("piecewise_linear", knots=knots))),
+    _spectra().map(Spectral),
+    st.builds(Entropic, st.floats(0.0, 1e3, exclude_min=True)),
+)
+
+
+def _risks(depth: int):
+    """Risk specifications of every kind and distortion form, with mixtures nested up to ``depth`` deep."""
+    if depth == 0:
+        return _LEAF_RISKS
+    inner = _risks(depth - 1)
+    return st.one_of(inner, st.builds(Mixture, _UNIT, inner, inner))
+
+
+@st.composite
+def _bounds(draw, n_states: int):
+    """A bounding spec over ``n_states`` and the optional fields it was built with; the rest take defaults."""
+    mode = draw(st.sampled_from([None, "coherent", "comonotone_monotone", "bounded_below"]))
+    given = {
+        "eps_split": draw(st.none() | _UNIT.map(lambda u: (u, 1.0 - u))),
+        "alpha": draw(st.none() | st.floats(1.0 if mode == "bounded_below" else 0.0, 10.0)),
+        "mode": mode,
+    }
+    given = {key: value for key, value in given.items() if value is not None}
+    below, above = given.get("eps_split", (0.5, 0.5))
+    gaps = st.floats(0.0, 100.0)
+    if mode == "bounded_below":
+        lb = [-below - draw(gaps)] * n_states
+    else:
+        lb = [-below - draw(gaps) for _ in range(n_states)]
+    return BoundingSpec(lb=lb, ub=[above + draw(gaps) for _ in range(n_states)], **given), given
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(REQUIRED_PARAMS)), risk=_risks(3), data=st.data())
+def test_the_file_writers_match_hand_written_ones_and_read_back(name, risk, data):
+    model = cli._build_example(name, copy.deepcopy(REQUIRED_PARAMS[name]))
+    spec, given = data.draw(_bounds(model.n_states))
+    task = {"type": "solve-finite", "horizon": 2}
+    doc = model_file_dict(model, risk, task, spec)
+    oracle = {"model": model_file_obj(model), "risk": risk_file_obj(risk), "bounds": bounds_to_obj(spec), "task": task}
+    assert doc == oracle
+    text = json.dumps(doc)
+    assert text == json.dumps(oracle)
+    assert parse_risk(json.loads(json.dumps(risk_to_obj(risk)))) == risk
+    sections = parse_model_file(json.loads(text))
+    assert (sections["model"], sections["risk"], sections["bounds"]) == (model, risk, spec)
+    # a bounds section that holds only the fields the spec was built with reads as that spec
+    bounds = {key: value for key, value in json.loads(text)["bounds"].items() if key in ("lb", "ub", *given)}
+    assert parse_bounds(bounds) == spec
+
+
+# a value other than its owner's default for each optional field, by file section
+NOT_DEFAULT = {
+    "bounds": {"lb": [-2.5, -2.5], "ub": [2.5, 2.5], "eps_split": [0.25, 0.75], "alpha": 2.0, "mode": "bounded_below"},
+    "model": README_MODEL["model"],
+    "house_selling": dict(EXAMPLE_PARAMS["house_selling"], horizon=3),
+    "cash_balance": dict(EXAMPLE_PARAMS["cash_balance"], beta=0.8),
+    "var_myopic": dict(EXAMPLE_PARAMS["var_myopic"], level=0.3, horizon=2),
+}
+
+
+@pytest.mark.parametrize(
+    "section, name",
+    [("bounds", "eps_split"), ("bounds", "alpha"), ("bounds", "mode"), ("model", "discount")]
+    + [(example, key) for example, keys in OPTIONAL_PARAMS.items() if example != "casino" for key in keys],
+)
+def test_a_file_without_an_optional_field_reads_as_its_dataclass_built_without_it(monkeypatch, section, name):
+    def read(obj):
+        if section == "bounds":
+            return parse_bounds(obj)
+        if section == "model":
+            return parse_model(obj)
+        monkeypatch.setattr(cli.ex, f"build_{section}", lambda params: params)  # the params, not the model
+        return cli._build_example(section, obj)
+
+    full = read(copy.deepcopy(NOT_DEFAULT[section]))
+    without = read({key: value for key, value in copy.deepcopy(NOT_DEFAULT[section]).items() if key != name})
+    init = [f.name for f in dataclasses.fields(full) if f.init]
+    built = type(full)(**{key: getattr(full, key) for key in init if key != name})
+    assert getattr(full, name) != getattr(built, name)  # the file's value is not the default
+
+    def held(obj):  # a function field is a new closure on each read: compared by its code
+        return [getattr(value, "__code__", value) for value in map(obj.__getattribute__, init)]
+
+    assert without == built if section in ("bounds", "model") else held(without) == held(built)

@@ -1007,6 +1007,8 @@ class TestArrayModel:
                 lambda: robust_check.verify_equivalence(ragged, ExpectedShortfall(0.5), 2, 1e-9),
                 lambda: evaluate_policy_finite(ragged, Expectation(), policy, 2),
                 lambda: verify_myopia(ragged, 0.5, 2),
+                lambda: bellman_L(ragged, Expectation(), [0.0, 0.0], 1, 0),
+                lambda: stage_law(ragged, [0.0, 0.0], 0, 0),
             ):
                 with pytest.raises(DimensionMismatch, match="validate_model"):
                     solve()

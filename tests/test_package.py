@@ -115,6 +115,7 @@ def test_output_digest_prints_one_line_per_result_set():
     patterns += [f"seed 1 counters {name} pair_evaluations [1-9][0-9]*" for name in models]
     patterns += [f"seed 1 fixed-rule {digest}"]
     patterns += [f"seed 1 casino 100 results {digest}", f"seed 1 robust 23 results {digest}"]
+    patterns += [f"seed 1 model-files 134 files {digest}"]  # 7 read back, 100 + 23 solve inputs, 4 examples
     lines = run.stdout.splitlines()
     assert len(lines) == len(patterns), run.stdout
     for line, pattern in zip(lines, patterns):

@@ -94,6 +94,20 @@ class TestSpecValidation:
                 form="piecewise_linear", knots=((0.0, 0.0), (0.5, 0.8), (0.75, 0.4), (1.0, 1.0))
             )
 
+    @pytest.mark.parametrize(
+        "form, level, knots",
+        [
+            ("identity", 0.5, None),
+            ("piecewise_linear", 0.5, ((0.0, 0.0), (1.0, 1.0))),
+            ("es_cap", 0.5, ((0.0, 0.0), (1.0, 1.0))),
+            ("var_indicator", 0.5, ((0.0, 0.0), (1.0, 1.0))),
+        ],
+    )
+    def test_distortion_refuses_a_parameter_its_form_ignores(self, form, level, knots):
+        # the value ignores it, but equality and hashing would not
+        with pytest.raises(InvalidSpec):
+            DistortionFunction(form, level, knots)
+
     def test_spectrum_normalization(self):
         with pytest.raises(InvalidSpec):
             StepSpectrum(breakpoints=((0.0, 2.0),))
